@@ -41,6 +41,7 @@ from .dynamics import (
     SolveResult,
     SolverConfig,
     StabilityReport,
+    StateDimensionLimit,
     StateSpace,
     UnstableSystem,
     ac_response,

@@ -3,7 +3,8 @@
 Subcommands: solve, plan, scale, sfdr, metrics, sweep.  Every output
 document embeds the fully resolved configuration so identical invocations
 produce byte-identical files.  Exit codes: 0 success, 2 validation error,
-3 solver divergence / no stable orientation, 4 singular matrix.
+3 solver divergence / no stable orientation / state dimension over the
+simulator's limit, 4 singular matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .dynamics import (
     SolveOptions,
     SolveResult,
     SolverConfig,
+    StateDimensionLimit,
     UnstableSystem,
     bandwidth,
     solve,
@@ -515,6 +517,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         return EXIT_SINGULAR
     except UnstableSystem as exc:
         print(f"unstable system: {exc}", file=sys.stderr)
+        return EXIT_DIVERGENCE
+    except StateDimensionLimit as exc:
+        print(f"simulator limit: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except (
         RangeViolation,

@@ -7,6 +7,11 @@ gamma_i = 1 + sum_j w_ij, so
     dx_i/dt = -(g / gamma_i) * (b_i + sum_direct w_ij x_j + sum_inv w_ij y_j)
 
 with each inverter stage a unity-gain inverting lag dy/dt = -g (x_src + y)/2.
+All inverters fed by one source column follow the same trajectory from the
+zero start, so the simulator carries one lag y_j per inverted column j: the
+state dimension is at most 2n, and the 256-state eigenvalue cap binds only
+for structural n > 128.  The plan and its census still count one inverter
+per positive entry, as the hardware has.
 The unique equilibrium of that system solves the realized A_hat x = b_hat.
 The inverting convention is the one under which the single-path transfer
 function has DC gain -R_f/R_in and under which all-negative matrices settle;
@@ -69,6 +74,10 @@ class UnstableSystem(RuntimeError):
     """No orientation (nor the Gram fallback, if enabled) is stable."""
 
 
+class StateDimensionLimit(ValueError):
+    """The state space exceeds what the dense eigenvalue check accepts."""
+
+
 class Mode(Enum):
     IDEAL = "ideal"          # integrate b - A x directly, no netlist
     STRUCTURAL = "structural"  # full plan with summing nodes and inverters
@@ -116,8 +125,12 @@ class StateSpace:
     """The linear system dz/dt = m z + f realized by a plan.
 
     The first n_main states are the solver outputs; the rest are inverter
-    stages.  (a_hat, b_hat) is the realized system in the caller's
-    orientation, used for residual bookkeeping.
+    lags, one per inverted source column (all inverters fed by one column
+    share a lag).  (a_hat, b_hat) is the realized system in the caller's
+    orientation, used for residual bookkeeping.  merged_mode is the
+    eigenvalue -g/2 of the differences between inverters that share a lag:
+    the hardware has those modes but the shared state does not, so
+    stability_report counts it in.  None when no column feeds two inverters.
     """
 
     m: np.ndarray
@@ -127,6 +140,7 @@ class StateSpace:
     n_main: int
     a_hat: np.ndarray
     b_hat: np.ndarray
+    merged_mode: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -193,17 +207,23 @@ class SolveOptions:
 
 
 def build_system(circuit: CircuitPlan, cfg: SolverConfig) -> StateSpace:
-    """Assemble the structural state space of a compiled plan."""
+    """Assemble the structural state space of a compiled plan.
+
+    Every inverter fed by source column j obeys dy/dt = -g (x_j + y)/2 from
+    the same zero start, so all of them carry the same trajectory and share
+    one lag state y_j; each row couples to it with its own realized weight.
+    """
     n = circuit.n
     g = cfg.g
-    inverters = [
-        (path.row, path.col)
+    sources = [
+        path.col
         for row in circuit.paths
         for path in row
         if path.sign is PathSign.VIA_INVERTER
     ]
-    inv_index = {pair: n + k for k, pair in enumerate(inverters)}
-    dim = n + len(inverters)
+    inverted = sorted(set(sources))
+    lag = {j: n + k for k, j in enumerate(inverted)}
+    dim = n + len(inverted)
 
     gamma = np.ones(n)
     for i, row in enumerate(circuit.paths):
@@ -218,16 +238,17 @@ def build_system(circuit: CircuitPlan, cfg: SolverConfig) -> StateSpace:
             if path.sign is PathSign.DIRECT:
                 m[i, path.col] += coef * path.realized_weight
             elif path.sign is PathSign.VIA_INVERTER:
-                m[i, inv_index[(i, path.col)]] += coef * path.realized_weight
-    for (i, j), k in inv_index.items():
+                m[i, lag[path.col]] += coef * path.realized_weight
+    for j, k in lag.items():
         m[k, j] = -g / 2.0
         m[k, k] = -g / 2.0
 
     labels = tuple(f"x{i}" for i in range(n)) + tuple(
-        f"inv_{i}_{j}" for (i, j) in inverters
+        f"inv_col{j}" for j in inverted
     )
     a_hat, b_hat = realized_matrix(circuit)
-    return StateSpace(m, f, gamma, labels, n, a_hat, b_hat)
+    merged = -g / 2.0 if len(sources) > len(inverted) else None
+    return StateSpace(m, f, gamma, labels, n, a_hat, b_hat, merged)
 
 
 def ideal_system(
@@ -251,15 +272,19 @@ def ideal_system(
 
 
 def stability_report(ss: StateSpace) -> StabilityReport:
-    """Largest real part of the state-matrix spectrum."""
+    """Largest real part of the spectrum, merged inverter modes included."""
     dim = ss.m.shape[0]
     if dim > _EIG_DIM_LIMIT:
-        raise ValueError(f"state dimension {dim} exceeds {_EIG_DIM_LIMIT}")
+        raise StateDimensionLimit(
+            f"state dimension {dim} exceeds {_EIG_DIM_LIMIT}"
+        )
     try:
         eig = np.linalg.eigvals(ss.m)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     max_re = float(eig.real.max())
+    if ss.merged_mode is not None:
+        max_re = max(max_re, ss.merged_mode)
     return StabilityReport(max_re_eig=max_re, stable=max_re < 0.0)
 
 

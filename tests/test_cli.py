@@ -89,6 +89,14 @@ class TestSolveCommand:
         doc = json.loads(out.read_text())  # document still written
         assert doc["converged"] is False
 
+    def test_state_dimension_limit_exit_code(self, tmp_path, capsys):
+        # a simulator limit, not bad input: exit 3 with the limit named
+        n = 257
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"a": (-np.eye(n)).tolist(), "b": [0.0] * n}))
+        assert run(["solve", str(path), "--mode", "ideal"]) == EXIT_DIVERGENCE
+        assert "state dimension 257 exceeds 256" in capsys.readouterr().err
+
 
 class TestPlanCommand:
     def test_plan_document(self, mixed8_file, tmp_path):

@@ -43,13 +43,14 @@ def _diag_dominant(rng, n, sign=-1.0):
 class TestBuildSystem:
     def test_equilibrium_matches_realized_system(self, mixed2x2):
         ss = build_system(plan(mixed2x2), CFG)
-        assert ss.m.shape == (4, 4)  # 2 main + 2 inverter states
+        # 2 main states + 1 lag: both inverters are fed by column 1
+        assert ss.m.shape == (3, 3)
         assert ss.state_labels[:2] == ("x0", "x1")
         z_eq = solve_dense(ss.m, -ss.f)
         np.testing.assert_allclose(
             ss.a_hat @ z_eq[:2], ss.b_hat, atol=1e-12
         )
-        # inverter states settle at the negated source column
+        # the inverter lag settles at the negated source column
         np.testing.assert_allclose(z_eq[2:], -z_eq[1], atol=1e-12)
 
     def test_gamma_is_one_plus_row_weight(self, neg2x2):
