@@ -25,11 +25,10 @@ from .netlist import (
     CountScheme,
     FeedbackPath,
     MemristorBank,
-    Orientation,
     PathSign,
-    PlanOptions,
     QuantizerSpec,
     integrator_count,
+    negated_plan,
     plan,
     program_memristors,
     quantize_entry,

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .netlist import (
     MemristorBank,
     NonFiniteEntry,
     OutOfRange,
-    PlanOptions,
     QuantizerSpec,
     TargetOutOfDeviceRange,
     integrator_count,
@@ -58,6 +57,13 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 EXIT_SINGULAR = 4
+
+# RunConfig float fields and the flags that set them.
+_FLOAT_FLAGS = dict(
+    k_vco="--kvco", k_pd="--kpd", eps="--eps", t_max="--tmax", dt="--dt",
+    r_in="--r-in", r_unit="--r-unit", r_on="--r-on",
+    write_noise="--write-noise", scale_c="--scale-c",
+)
 
 
 @dataclass(frozen=True)
@@ -86,6 +92,11 @@ class RunConfig:
     decimation: int
 
     def __post_init__(self) -> None:
+        for name, flag in _FLOAT_FLAGS.items():
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{flag} must be finite")
+        if not math.isfinite(self.k_vco * self.k_pd):
+            raise ValueError("--kvco * --kpd overflows")
         if self.k_vco <= 0 or self.k_pd <= 0:
             raise ValueError("--kvco and --kpd must be positive")
         if self.eps <= 0 or self.t_max <= 0:
@@ -135,7 +146,6 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--scale-c", type=float, default=1e3)
     sp.add_argument("--trace", dest="trace_path", default=None, help="trace CSV path")
     sp.add_argument("--decimation", type=int, default=0)
-    sp.add_argument("--plot-stub", action="store_true", help="emit a plot script stub next to the trace")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,7 +253,7 @@ def _solver_pieces(rc: RunConfig) -> tuple[SolverConfig, SolveOptions]:
         )
     options = SolveOptions(
         r_in=rc.r_in,
-        plan_options=PlanOptions(quantizer=quantizer),
+        quantizer=quantizer,
         memristor=MemristorBank(write_noise_sigma=rc.write_noise) if rc.memristor else None,
         memristor_seed=rc.seed,
         scale=rc.scale,
@@ -253,33 +263,14 @@ def _solver_pieces(rc: RunConfig) -> tuple[SolverConfig, SolveOptions]:
     return cfg, options
 
 
-def _emit(doc: dict, out_path: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _emit(doc: Union[dict, str], out_path: Optional[str]) -> None:
+    """Write a JSON document (sorted keys) or plain text to out_path or stdout."""
+    text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_text(text: str, out_path: Optional[str]) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-_PLOT_STUB = """#!/usr/bin/env python3
-# Minimal plot stub for a solver trace; plotting itself is out of scope.
-import csv, sys
-
-path = {path!r}
-with open(path) as fh:
-    rows = list(csv.DictReader(fh))
-print(f"{{len(rows)}} trace rows in {{path}}; columns: {{list(rows[0].keys())}}")
-print("Plot t_s against x* columns with the tool of your choice.")
-"""
 
 
 def _result_document(result: SolveResult, problem: LinearProblem, rc: RunConfig) -> dict:
@@ -300,13 +291,9 @@ def _result_document(result: SolveResult, problem: LinearProblem, rc: RunConfig)
         "plan_summary": plan_to_dict(result.plan)["census"] | {
             "negated": result.plan.negated
         } if result.plan else None,
-        "config": _run_config_dict(rc),
+        "config": rc.to_dict(),
     }
     return doc
-
-
-def _run_config_dict(rc: RunConfig) -> dict:
-    return rc.to_dict()
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -317,9 +304,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     _emit(_result_document(result, problem, rc), args.out)
     if rc.trace_path and result.trace is not None:
         result.trace.write_csv(rc.trace_path)
-        if args.plot_stub:
-            with open(rc.trace_path + ".plot.py", "w", encoding="utf-8") as fh:
-                fh.write(_PLOT_STUB.format(path=rc.trace_path))
     if not result.converged:
         print(f"solver did not converge: {result.diagnostics or 'residual above threshold'}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -329,8 +313,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     rc = _run_config(args)
     problem = load_problem(args.input)
-    _, options = _solver_pieces(rc)
-    circuit = compile_plan(problem, rc.r_in, options.plan_options)
+    cfg, options = _solver_pieces(rc)
+    circuit = compile_plan(problem, rc.r_in, options.quantizer)
     if options.memristor is not None:
         circuit = program_memristors(circuit, options.memristor, rc.seed)
     doc = plan_to_dict(circuit)
@@ -341,7 +325,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     }
     # loop bandwidth is defined for rows with a single feedback path;
     # reported in both angular and cyclic units
-    cfg, _ = _solver_pieces(rc)
     bandwidths = {}
     for i in range(problem.n):
         try:
@@ -465,6 +448,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"bad --kvco-list: {exc}") from exc
     if not kvcos:
         raise ValueError("--kvco-list is empty")
+    if not all(math.isfinite(v) for v in kvcos):
+        raise ValueError("--kvco-list values must be finite")
 
     header = "k_vco_hz,converged,fallback,t_converge_s,residual_inf," + ",".join(
         f"x{i}" for i in range(problem.n)
@@ -489,7 +474,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 + [f"{v:.9g}" for v in result.x]
             )
         )
-    _emit_text("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return worst
 
 

@@ -18,6 +18,9 @@ function has DC gain -R_f/R_in and under which all-negative matrices settle;
 saddle-spectrum systems are stable in neither orientation, so solve() walks a
 ladder: planned orientation, negated orientation, then the always-stable
 normal-equations (Gram) system, and reports which rung produced the answer.
+The negated rung is the planned circuit with its path signs swapped
+(netlist.negated_plan), derived only when the planned rung is unstable; the
+Gram system is formed only when both direct rungs are.
 
 Integration is classical fixed-step 4th-order Runge-Kutta.  For a linear
 system one RK4 step is the exact linear map z' = R z + S f, so the engine
@@ -28,7 +31,7 @@ arithmetic regrouped for throughput and it is byte-deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Optional, Union
 
@@ -37,9 +40,9 @@ import numpy as np
 from .netlist import (
     CircuitPlan,
     MemristorBank,
-    Orientation,
     PathSign,
-    PlanOptions,
+    QuantizerSpec,
+    negated_plan,
     plan as compile_plan,
     program_memristors,
     realized_matrix,
@@ -100,6 +103,9 @@ class SolverConfig:
     mode: Mode = Mode.STRUCTURAL
 
     def __post_init__(self) -> None:
+        for name in ("k_vco", "k_pd", "g", "eps_residual", "t_max", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.k_vco <= 0 or self.k_pd <= 0:
             raise ValueError("k_vco and k_pd must be positive")
         if self.eps_residual <= 0 or self.t_max <= 0:
@@ -197,7 +203,7 @@ class SolveOptions:
     """Pipeline options for solve()."""
 
     r_in: float = 2000.0
-    plan_options: PlanOptions = field(default_factory=PlanOptions)
+    quantizer: Optional[QuantizerSpec] = None
     memristor: Optional[MemristorBank] = None
     memristor_seed: int = 0
     scale: Optional[ScalePolicy] = None
@@ -451,25 +457,16 @@ def simulate(
 
 
 def _structural_attempts(prob, cfg, options):
-    """Yield (tag_suffix, state space, plan) for both plan orientations."""
-    first = compile_plan(prob, options.r_in, options.plan_options)
-    flipped_orientation = (
-        Orientation.KEEP if first.negated else Orientation.NEGATE
-    )
-    second = compile_plan(
-        prob,
-        options.r_in,
-        PlanOptions(
-            quantizer=options.plan_options.quantizer,
-            orientation=flipped_orientation,
-        ),
-    )
-    for tag, circuit in (("", first), ("negated", second)):
-        if options.memristor is not None:
-            circuit = program_memristors(
-                circuit, options.memristor, options.memristor_seed
-            )
-        yield tag, build_system(circuit, cfg), circuit
+    """Yield (tag_suffix, state space, plan): the planned circuit, then the
+    same circuit with its path signs swapped, derived only on request."""
+    circuit = compile_plan(prob, options.r_in, options.quantizer)
+    if options.memristor is not None:
+        circuit = program_memristors(
+            circuit, options.memristor, options.memristor_seed
+        )
+    yield "", build_system(circuit, cfg), circuit
+    flipped = negated_plan(circuit)
+    yield "negated", build_system(flipped, cfg), flipped
 
 
 def _ideal_attempts(prob, cfg, _options):
@@ -486,7 +483,10 @@ def solve(
 
     Walks the stability ladder (planned orientation, negated orientation,
     then the Gram system A^T A x = A^T b under the same two orientations)
-    and simulates the first stable rung.  The Gram rungs exist because
+    and simulates the first stable rung.  Each rung is built only when the
+    one before it is unstable: the negated rung is the planned circuit with
+    its path signs swapped, and the Gram system is formed and compiled only
+    after both direct rungs fail.  The Gram rungs exist because
     saddle-spectrum matrices are stable in neither direct orientation; the
     normal equations always admit a stable one.  Raises UnstableSystem when
     every permitted rung is unstable.
@@ -508,16 +508,18 @@ def solve(
 
     attempts = _structural_attempts if cfg.mode is Mode.STRUCTURAL else _ideal_attempts
 
-    systems = [("", work)]
-    if options.gram_fallback:
-        # Internal fallback system; its right-hand side is synthetic and is
-        # deliberately not held to the hardware input window.
-        gram = LinearProblem(work.a.T @ work.a, work.a.T @ work.b, symmetric=True)
-        systems.append(("gram", gram))
+    def systems():
+        yield "", work
+        if options.gram_fallback:
+            # Internal fallback system; its right-hand side is synthetic and
+            # is deliberately not held to the hardware input window.
+            yield "gram", LinearProblem(
+                work.a.T @ work.a, work.a.T @ work.b, symmetric=True
+            )
 
     primary_plan: Optional[CircuitPlan] = None
     reports: list[tuple[str, StabilityReport]] = []
-    for system_tag, prob in systems:
+    for system_tag, prob in systems():
         for orient_tag, ss, circuit in attempts(prob, cfg, options):
             tag = "-".join(t for t in (system_tag, orient_tag) if t) or "none"
             if primary_plan is None and circuit is not None:

@@ -48,18 +48,6 @@ class PathSign(Enum):
     DISCONNECTED = "disconnected"  # zero coefficient, no branch
 
 
-class Orientation(Enum):
-    """Negation policy for plan().
-
-    AUTO negates when positives outnumber negatives (ties keep the user's
-    orientation), KEEP never negates, NEGATE always does.
-    """
-
-    AUTO = "auto"
-    KEEP = "keep"
-    NEGATE = "negate"
-
-
 class CountScheme(Enum):
     BEFORE_REUSE = "before-reuse"
     AFTER_REUSE = "after-reuse"
@@ -139,19 +127,13 @@ class FeedbackPath:
 
 
 @dataclass(frozen=True)
-class PlanOptions:
-    quantizer: Optional[QuantizerSpec] = None
-    orientation: Orientation = Orientation.AUTO
-
-
-@dataclass(frozen=True)
 class CircuitPlan:
     """A compiled netlist: resistances, sign paths, and the integrator census.
 
     ``b_compiled`` is the input vector actually applied (negated along with
     the matrix when ``negated`` is set, so the solution is unchanged).  The
-    after-reuse bound inverter_count <= floor(n^2 / 2) holds for AUTO
-    orientation; forced orientations may exceed it.
+    after-reuse bound inverter_count <= floor(n^2 / 2) holds for compiled
+    plans; the derived negated plan may exceed it.
     """
 
     n: int
@@ -237,34 +219,29 @@ def quantize_entry(
 def plan(
     p: LinearProblem,
     r_in_default: float = DEFAULT_R_IN,
-    options: Optional[PlanOptions] = None,
+    quantizer: Optional[QuantizerSpec] = None,
 ) -> CircuitPlan:
     """Compile a problem into a circuit plan.
 
-    Sign census first: with AUTO orientation the system is negated whenever
-    positive entries strictly outnumber negative ones, which keeps the
-    inverter count at min(p+, p-).  Each compiled entry then becomes a
-    FeedbackPath; with no quantizer attached the realized coefficients equal
-    the compiled matrix exactly.
+    Sign census first: the system is negated whenever positive entries
+    strictly outnumber negative ones (ties keep the caller's orientation),
+    which keeps the inverter count at min(p+, p-).  Each compiled entry then
+    becomes a FeedbackPath; with no quantizer attached the realized
+    coefficients equal the compiled matrix exactly.
     """
-    options = options or PlanOptions()
     if not (np.isfinite(p.a).all() and np.isfinite(p.b).all()):
         raise NonFiniteEntry("problem contains non-finite entries")
     if r_in_default <= 0:
         raise ValueError("r_in_default must be positive")
-    q = options.quantizer
-    if q is not None and q.r_in != r_in_default:
+    if quantizer is not None and quantizer.r_in != r_in_default:
         raise ValueError(
-            f"quantizer r_in ({q.r_in}) must match the plan input "
+            f"quantizer r_in ({quantizer.r_in}) must match the plan input "
             f"resistance ({r_in_default})"
         )
 
     positives = int(np.count_nonzero(p.a > 0))
     negatives = int(np.count_nonzero(p.a < 0))
-    if options.orientation is Orientation.AUTO:
-        negated = positives > negatives
-    else:
-        negated = options.orientation is Orientation.NEGATE
+    negated = positives > negatives
     compiled = -p.a if negated else p.a
     b_compiled = -p.b if negated else p.b
 
@@ -282,11 +259,11 @@ def plan(
             sign = PathSign.DIRECT if entry < 0 else PathSign.VIA_INVERTER
             if sign is PathSign.VIA_INVERTER:
                 inverter_count += 1
-            if q is None:
+            if quantizer is None:
                 weight = abs(entry)
                 code = None
             else:
-                code, realized = quantize_entry(entry, q)
+                code, realized = quantize_entry(entry, quantizer)
                 weight = abs(realized)
             row_paths.append(
                 FeedbackPath(i, j, sign, r_in_default / weight, code, weight)
@@ -300,7 +277,38 @@ def plan(
         b_compiled=b_compiled,
         negated=negated,
         inverter_count=inverter_count,
-        quantizer=q,
+        quantizer=quantizer,
+    )
+
+
+def negated_plan(circuit: CircuitPlan) -> CircuitPlan:
+    """The same circuit in the opposite orientation.
+
+    Negating the whole system only swaps which connected paths run through
+    an inverter: resistances, ladder codes and realized weights depend on
+    |entry| alone, and memristor writes are drawn from 1/R_f in row-major
+    order over the same paths.  So the result equals compiling the negated
+    problem (and programming it with the same bank and seed).
+    """
+    swap = {
+        PathSign.DIRECT: PathSign.VIA_INVERTER,
+        PathSign.VIA_INVERTER: PathSign.DIRECT,
+    }
+    rows = tuple(
+        tuple(
+            FeedbackPath(p.row, p.col, swap.get(p.sign, p.sign),
+                         p.r_feedback, p.code, p.realized_weight)
+            for p in row
+        )
+        for row in circuit.paths
+    )
+    connected = sum(p.sign in swap for row in rows for p in row)
+    return dataclasses.replace(
+        circuit,
+        paths=rows,
+        b_compiled=-circuit.b_compiled,
+        negated=not circuit.negated,
+        inverter_count=connected - circuit.inverter_count,
     )
 
 

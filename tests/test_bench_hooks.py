@@ -1,0 +1,31 @@
+"""The benchmark traces the program from outside by binding functions by
+name; a rename or deletion in the program must fail here, in the suite,
+rather than in a traced benchmark run."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import ringsolve.cli
+import ringsolve.dynamics
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracer")
+
+
+def test_tracer_resolves_every_target(tracer):
+    found = tracer.Tracer().originals()
+    assert set(found) == {*tracer.TARGETS, tracer.TRACE_WRITE_CSV}
+    assert all(callable(fn) for fn in found.values())
+
+
+def test_names_the_benchmark_binds_exist():
+    assert ringsolve.dynamics.compile_plan is sys.modules["ringsolve.netlist"].plan
+    assert ringsolve.cli.solve is ringsolve.dynamics.solve

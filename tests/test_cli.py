@@ -76,6 +76,28 @@ class TestSolveCommand:
     def test_bad_flag_exit_code(self, neg_file):
         assert run(["solve", neg_file, "--eps", "-1"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--kvco", "inf"], "--kvco"),
+            (["--kvco", "nan"], "--kvco"),
+            (["--kpd", "inf"], "--kpd"),
+            (["--kvco", "1e200", "--kpd", "1e200"], "--kvco * --kpd"),
+            (["--tmax", "inf"], "--tmax"),
+            (["--tmax", "nan"], "--tmax"),
+            (["--eps", "nan"], "--eps"),
+            (["--write-noise", "nan", "--memristor"], "--write-noise"),
+            (["--dt", "nan"], "--dt"),
+            (["--r-in", "inf"], "--r-in"),
+        ],
+    )
+    def test_non_finite_flag_named(self, neg_file, tmp_path, capsys, argv, flag):
+        out = tmp_path / "r.json"
+        assert run(["solve", neg_file, *argv, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"error: {flag} " in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file(self):
         assert run(["solve", "no-such-file.json"]) == EXIT_VALIDATION
 
@@ -225,3 +247,10 @@ class TestSweepCommand:
 
     def test_bad_list(self, neg_file):
         assert run(["sweep", neg_file, "--kvco-list", "abc"]) == EXIT_VALIDATION
+
+    def test_non_finite_list_value(self, neg_file, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", neg_file, "--kvco-list", "3e8,inf", "--out", str(out)]
+        assert run(argv) == EXIT_VALIDATION
+        assert "error: --kvco-list values must be finite" in capsys.readouterr().err
+        assert not out.exists()

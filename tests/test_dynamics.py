@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ringsolve import dynamics
 from ringsolve.dynamics import (
     Mode,
     MultiPathRow,
@@ -225,6 +226,71 @@ class TestSolve:
             x1 = solve(LinearProblem(a, b), CFG).x
             x2 = solve(LinearProblem(-a, -b), CFG).x
             assert np.abs(x1 - x2).max() <= 1e-9
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"k_vco": math.inf},
+            {"k_vco": math.nan},
+            {"k_pd": math.inf},
+            {"k_vco": 1e200, "k_pd": 1e200},  # g overflows
+            {"eps_residual": math.nan},
+            {"t_max": math.inf},
+            {"t_max": math.nan},
+            {"dt": math.nan},
+            {"dt": math.inf},
+        ],
+    )
+    def test_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError, match="must be finite"):
+            SolverConfig(**kwargs)
+
+
+class TestLadderIsLazy:
+    """Each rung is built only when the rung before it is unstable."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        log = []
+        real_plan, real_report = dynamics.compile_plan, dynamics.stability_report
+        real_problem = dynamics.LinearProblem
+
+        def logging_problem(*args, **kwargs):
+            log.append("problem")  # solve() builds one only for the Gram rungs
+            return real_problem(*args, **kwargs)
+
+        def logging_plan(*args, **kwargs):
+            log.append("plan")
+            return real_plan(*args, **kwargs)
+
+        def logging_report(ss):
+            rep = real_report(ss)
+            log.append("stable" if rep.stable else "unstable")
+            return rep
+
+        monkeypatch.setattr(dynamics, "compile_plan", logging_plan)
+        monkeypatch.setattr(dynamics, "stability_report", logging_report)
+        monkeypatch.setattr(dynamics, "LinearProblem", logging_problem)
+        return log
+
+    def test_one_compile_when_first_rung_stable(self, neg2x2, events):
+        assert solve(neg2x2, CFG).fallback == "none"
+        assert events == ["plan", "stable"]
+
+    def test_negated_rung_is_not_compiled(self, events):
+        # positive dominant diagonal in a sign tie: the planned orientation
+        # is unstable and its negation is derived, not compiled
+        p = LinearProblem([[3.0, -1.0], [-1.0, 3.0]], [0.1, 0.1])
+        assert solve(p, CFG).fallback == "negated"
+        assert events == ["plan", "unstable", "stable"]
+
+    def test_gram_formed_only_after_both_direct_rungs_fail(self, mixed2x2, events):
+        res = solve(mixed2x2, SolverConfig(t_max=40e-6))
+        assert res.fallback.startswith("gram")
+        assert events[:5] == ["plan", "unstable", "unstable", "problem", "plan"]
+        assert events.count("plan") == 2
 
 
 class TestAcResponse:

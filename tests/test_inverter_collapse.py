@@ -20,10 +20,9 @@ from ringsolve.dynamics import (
 )
 from ringsolve.netlist import (
     MemristorBank,
-    Orientation,
     PathSign,
-    PlanOptions,
     QuantizerSpec,
+    negated_plan,
     plan,
     plan_to_dict,
     program_memristors,
@@ -38,7 +37,7 @@ QUANT8 = QuantizerSpec(bits=8, r_unit=64000.0, r_in=2000.0, r_on=10.0)
 NOISY_BANK = MemristorBank(write_noise_sigma=0.02)
 VARIANTS = {
     "plain": SolveOptions(),
-    "quantized-8bit": SolveOptions(plan_options=PlanOptions(quantizer=QUANT8)),
+    "quantized-8bit": SolveOptions(quantizer=QUANT8),
     "memristor-noisy": SolveOptions(memristor=NOISY_BANK, memristor_seed=7),
 }
 
@@ -119,19 +118,12 @@ def _assert_same_run(res, ref):
 
 def _plans(prob, options):
     """The planned orientation and its negation, programmed if requested."""
-    first = plan(prob, options.r_in, options.plan_options)
-    flipped = Orientation.KEEP if first.negated else Orientation.NEGATE
-    second = plan(
-        prob,
-        options.r_in,
-        PlanOptions(quantizer=options.plan_options.quantizer, orientation=flipped),
-    )
-    for circuit in (first, second):
-        if options.memristor is not None:
-            circuit = program_memristors(
-                circuit, options.memristor, options.memristor_seed
-            )
-        yield circuit
+    circuit = plan(prob, options.r_in, options.quantizer)
+    if options.memristor is not None:
+        circuit = program_memristors(
+            circuit, options.memristor, options.memristor_seed
+        )
+    return circuit, negated_plan(circuit)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))

@@ -6,14 +6,14 @@ import pytest
 from ringsolve.netlist import (
     CountScheme,
     MemristorBank,
-    Orientation,
     OutOfRange,
     PathSign,
-    PlanOptions,
     QuantizerSpec,
     TargetOutOfDeviceRange,
     integrator_count,
+    negated_plan,
     plan,
+    plan_to_dict,
     program_memristors,
     quantize_entry,
     realized_matrix,
@@ -60,11 +60,14 @@ class TestPlan:
         assert signs[(0, 1)].realized_weight == 0.0
 
     def test_forced_orientation(self, neg2x2):
-        c = plan(neg2x2, options=PlanOptions(orientation=Orientation.NEGATE))
+        c = negated_plan(plan(neg2x2))
         assert c.negated
         assert c.inverter_count == 4
+        assert all(p.sign is PathSign.VIA_INVERTER for row in c.paths for p in row)
+        np.testing.assert_array_equal(c.b_compiled, [-0.45, -0.24])
         a_hat, b_hat = realized_matrix(c)
         np.testing.assert_allclose(a_hat, neg2x2.a, rtol=1e-15)
+        np.testing.assert_array_equal(b_hat, neg2x2.b)
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(17)
@@ -166,6 +169,18 @@ class TestQuantizer:
         code, realized = quantize_entry(-(8 * 2.0 + 0.99), self.Q3)
         assert code == 7
 
+    @pytest.mark.parametrize("r_on", [0.0, 10.0])
+    def test_negated_target_same_code(self, r_on):
+        # the fact negated_plan rests on: the code depends on |target| only
+        # and the realized value is exactly the negation
+        q = QuantizerSpec(bits=8, r_unit=64000.0, r_in=2000.0, r_on=r_on)
+        rng = np.random.default_rng(37)
+        top = (1 << q.bits) * q.step
+        ties = (np.arange(0, 256, 17) + 0.5) * q.step  # half-up rounding ties
+        for target in [*rng.uniform(-top, top, 300), *ties, *-ties]:
+            code, realized = quantize_entry(target, q)
+            assert quantize_entry(-target, q) == (code, -realized)
+
     def test_monotone_in_code_ideal_switches(self):
         # Strict monotonicity holds for ideal switches.  With r_on > 0 the
         # binary ladder has genuine major-transition non-monotonicity (one
@@ -196,7 +211,7 @@ class TestQuantizer:
         rng = np.random.default_rng(31)
         a = -rng.uniform(0.5, 8.0, (3, 3))  # band is [0.125, 32]
         p = LinearProblem(a, np.zeros(3))
-        c = plan(p, r_in_default=q.r_in, options=PlanOptions(quantizer=q))
+        c = plan(p, r_in_default=q.r_in, quantizer=q)
         a_hat, _ = realized_matrix(c)
         assert np.abs(a_hat - a).max() <= q.step / 2 + 1e-12
 
@@ -245,3 +260,74 @@ class TestMemristors:
         program_memristors(base, MemristorBank(), rng_seed=0)
         assert base.memristors is None
         assert base.paths[0][0].code is None
+
+
+def _random_plans(seed, count, quantizer=None):
+    """Random mixed-sign problems with disconnected entries, compiled."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 8))
+        a = rng.uniform(0.2, 6.0, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
+        a[rng.uniform(size=(n, n)) < 0.2] = 0.0
+        p = LinearProblem(a, rng.uniform(-0.5, 0.5, n))
+        yield p, plan(p, quantizer=quantizer)
+
+
+class TestNegatedPlan:
+    Q8 = QuantizerSpec(bits=8, r_unit=64000.0, r_in=2000.0, r_on=10.0)
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_swaps_every_connected_path(self, quantized):
+        for p, c in _random_plans(41, 60, self.Q8 if quantized else None):
+            d = negated_plan(c)
+            # the flipped plan compiles the opposite orientation's matrix
+            compiled = -p.a if d.negated else p.a
+            for row_c, row_d in zip(c.paths, d.paths):
+                for pc, pd in zip(row_c, row_d):
+                    entry = compiled[pd.row, pd.col]
+                    expected = (
+                        PathSign.DISCONNECTED if entry == 0.0
+                        else PathSign.DIRECT if entry < 0
+                        else PathSign.VIA_INVERTER
+                    )
+                    assert pd.sign is expected
+                    assert (pd.row, pd.col) == (pc.row, pc.col)
+                    assert pd.r_feedback == pc.r_feedback
+                    assert pd.code == pc.code
+                    assert pd.realized_weight == pc.realized_weight
+            connected = int(np.count_nonzero(p.a))
+            assert d.inverter_count == connected - c.inverter_count
+            assert d.inverter_count == int(np.count_nonzero(compiled > 0))
+            assert d.negated is not c.negated
+            assert d.quantizer == c.quantizer
+            np.testing.assert_array_equal(d.b_compiled, -c.b_compiled)
+            # same realized system in the caller's orientation, exactly
+            for got, want in zip(realized_matrix(d), realized_matrix(c)):
+                np.testing.assert_array_equal(got, want)
+            # an involution
+            again = negated_plan(d)
+            assert plan_to_dict(again) == plan_to_dict(c)
+            np.testing.assert_array_equal(again.b_compiled, c.b_compiled)
+
+    def test_tie_matches_compiling_the_negated_problem(self):
+        # with as many positive as negative entries plan() keeps the
+        # caller's orientation, so plan(-p) compiles the flipped matrix
+        p = LinearProblem([[-4.0, 1.5], [-2.0, 1.0]], [0.45, 0.24])
+        d = negated_plan(plan(p))
+        ref = plan(LinearProblem(-p.a, -p.b))
+        assert d.paths == ref.paths
+        assert d.inverter_count == ref.inverter_count
+        np.testing.assert_array_equal(d.b_compiled, ref.b_compiled)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.02])
+    def test_commutes_with_memristor_programming(self, sigma):
+        bank = MemristorBank(write_noise_sigma=sigma)
+        for k, (_, c) in enumerate(_random_plans(43, 40)):
+            one = negated_plan(program_memristors(c, bank, rng_seed=k))
+            two = program_memristors(negated_plan(c), bank, rng_seed=k)
+            assert plan_to_dict(one) == plan_to_dict(two)
+            assert one.paths == two.paths
+            np.testing.assert_array_equal(one.b_compiled, two.b_compiled)
+            np.testing.assert_array_equal(
+                one.memristors.conductances, two.memristors.conductances
+            )
