@@ -42,6 +42,7 @@ from .dynamics import (
     StabilityReport,
     StateDimensionLimit,
     StateSpace,
+    StepBudgetExceeded,
     UnstableSystem,
     ac_response,
     bandwidth,

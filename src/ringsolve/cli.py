@@ -3,8 +3,8 @@
 Subcommands: solve, plan, scale, sfdr, metrics, sweep.  Every output
 document embeds the fully resolved configuration so identical invocations
 produce byte-identical files.  Exit codes: 0 success, 2 validation error,
-3 solver divergence / no stable orientation / state dimension over the
-simulator's limit, 4 singular matrix.
+3 solver divergence / no stable orientation / state dimension or step
+count over the simulator's limit, 4 singular matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .dynamics import (
     SolveResult,
     SolverConfig,
     StateDimensionLimit,
+    StepBudgetExceeded,
     UnstableSystem,
     bandwidth,
     solve,
@@ -66,6 +67,13 @@ _FLOAT_FLAGS = dict(
 )
 
 
+def _require_finite(values: object, flags: dict[str, str]) -> None:
+    """Reject NaN and infinite float flags by name: JSON has no such values."""
+    for name, flag in flags.items():
+        if not math.isfinite(getattr(values, name)):
+            raise ValueError(f"{flag} must be finite")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated, fully resolved settings for one invocation."""
@@ -92,9 +100,7 @@ class RunConfig:
     decimation: int
 
     def __post_init__(self) -> None:
-        for name, flag in _FLOAT_FLAGS.items():
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{flag} must be finite")
+        _require_finite(self, _FLOAT_FLAGS)
         if not math.isfinite(self.k_vco * self.k_pd):
             raise ValueError("--kvco * --kpd overflows")
         if self.k_vco <= 0 or self.k_pd <= 0:
@@ -339,6 +345,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
+    _require_finite(args, dict(scale_c="--scale-c"))
     problem = load_problem(args.input)
     policy = ScalePolicy(args.policy)
     sp = scale_problem(problem, policy, args.scale_c)
@@ -356,6 +363,13 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
 
 def _cmd_sfdr(args: argparse.Namespace) -> int:
+    _require_finite(
+        args,
+        dict(
+            f0="--f0", f_ref="--f-ref", kvco="--kvco", vdd="--vdd", dt="--dt",
+            tone_amp="--tone-amp",
+        ),
+    )
     cfg = phase_mod.PhaseConfig(
         m_phases=args.m_phases,
         f0=args.f0,
@@ -397,6 +411,9 @@ def _cmd_sfdr(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    _require_finite(
+        args, dict(time_us="--time-us", per_integrator_mw="--per-integrator-mw")
+    )
     if args.time_us <= 0:
         raise ValueError("--time-us must be positive")
     if args.input:
@@ -503,7 +520,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except UnstableSystem as exc:
         print(f"unstable system: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except StateDimensionLimit as exc:
+    except (StateDimensionLimit, StepBudgetExceeded) as exc:
         print(f"simulator limit: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except (

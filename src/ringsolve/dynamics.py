@@ -23,9 +23,17 @@ The negated rung is the planned circuit with its path signs swapped
 Gram system is formed only when both direct rungs are.
 
 Integration is classical fixed-step 4th-order Runge-Kutta.  For a linear
-system one RK4 step is the exact linear map z' = R z + S f, so the engine
-precomputes (R, S) and applies powers of R in blocks; this is the same
-arithmetic regrouped for throughput and it is byte-deterministic.
+system one RK4 step is the exact affine map z' = R z + u, so the engine
+stacks powers of that map (built by doubling) and advances a block of
+steps with one product.  simulate takes every step, in blocks, only until
+the residual window is met.  From the next trace-grid step on it applies
+the dec-step map (R^dec, sum_{i<dec} R^i u) once per kept trace row, and
+the last partial stretch to t_max with its own map.  A stretch is skipped
+this way only when a norm bound certifies that no state along it passes
+OVERFLOW_LIMIT; otherwise it is stepped plainly, so divergence is still
+reported at the exact step.  This regroups the same arithmetic: results
+agree with one-step-at-a-time stepping to rounding and are
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -64,6 +72,12 @@ CONVERGENCE_WINDOW = 10
 
 _EIG_DIM_LIMIT = 256
 
+# Longest horizon simulate accepts, in RK4 steps: ten times the longest one
+# in use (the saddle system [[-4, 1.5], [-2, 1]] under exact scaling takes
+# 9.6e6).  A run that never settles steps all of its horizon, so a longer
+# one is refused before stepping rather than run for minutes.
+_STEP_BUDGET = 100_000_000
+
 
 class EigenFailure(RuntimeError):
     """The eigenvalue iteration did not converge."""
@@ -79,6 +93,10 @@ class UnstableSystem(RuntimeError):
 
 class StateDimensionLimit(ValueError):
     """The state space exceeds what the dense eigenvalue check accepts."""
+
+
+class StepBudgetExceeded(ValueError):
+    """The horizon t_max / dt asks for more RK4 steps than the simulator takes."""
 
 
 class Mode(Enum):
@@ -306,41 +324,101 @@ def _step_operators(m: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return r, s
 
 
-def _iter_state_blocks(r, u, z0, n_steps, block):
-    """Yield blocks of consecutive states of z_{k+1} = r z_k + u.
+def _power_chain(d, u, length):
+    """Stacked powers of the affine map z -> (I + d) z + u, for block stepping.
 
-    Precomputes powers[j] = r^(j+1) and prefix[j] = sum_{i<=j} r^i u once,
-    so each block of L steps is a single stacked matmul.  The power chain is
-    truncated if it overflows (strongly unstable maps), falling back to
-    shorter blocks.
+    deltas[j] = (I + d)^(j+1) - I and prefix[j] = sum_{i<=j} (I + d)^i u, so
+    the next j+1 states after z are z + deltas[:j+1] @ z + prefix[:j+1], one
+    stacked product.  Built by doubling: the first L entries give the next L
+    through (I + d_L)(I + d_j) = I + d_L + d_j + d_L d_j and
+    prefix[L+j] = prefix[L-1] + deltas[j] prefix[L-1] + prefix[j], about
+    log2(length) stacked products.  Carrying R^j - I rather than R^j keeps
+    the small part of a near-identity step exact: plain doubling of R^j
+    loses about ten times the accuracy of one-step-at-a-time products,
+    which long slow runs accumulate.  The chain ends at its first entry past
+    1e100 (strongly unstable maps), so no product overflows and the caller
+    steps in shorter blocks.
     """
-    dim = r.shape[0]
-    block = max(1, min(block, n_steps))
-    powers = np.empty((block, dim, dim))
-    prefix = np.empty((block, dim))
-    acc_p = r.copy()
-    acc_q = u.copy()
-    length = block
-    for j in range(block):
-        powers[j] = acc_p
-        prefix[j] = acc_q
-        if j + 1 < block:
-            if np.abs(acc_p).max() > 1e100:
-                length = j + 1
-                break
-            acc_p = r @ acc_p
-            acc_q = r @ acc_q + u
-    powers = powers[:length]
-    prefix = prefix[:length]
+    dim = d.shape[0]
+    deltas = np.empty((length, dim, dim))
+    prefix = np.empty((length, dim))
+    deltas[0] = d
+    prefix[0] = u
+    have = 1
+    while have < length and np.abs(deltas[have - 1]).max() <= 1e100:
+        new = min(have, length - have)
+        fresh = deltas[have : have + new]
+        np.matmul(deltas[have - 1], deltas[:new], out=fresh)
+        fresh += deltas[:new]
+        fresh += deltas[have - 1]
+        fresh_p = prefix[have : have + new]
+        np.matmul(deltas[:new], prefix[have - 1], out=fresh_p)
+        fresh_p += prefix[have - 1]
+        fresh_p += prefix[:new]
+        peak = np.maximum(fresh.max(axis=(1, 2)), -fresh.min(axis=(1, 2)))
+        over = np.flatnonzero(peak > 1e100)
+        have += int(over[0]) + 1 if over.size else new
+        if over.size:
+            break
+    return deltas[:have], prefix[:have]
 
-    z = np.asarray(z0, dtype=float)
-    done = 0
-    while done < n_steps:
-        take = min(length, n_steps - done)
-        states = powers[:take] @ z + prefix[:take]
-        yield states
-        z = states[-1]
-        done += take
+
+def _advance(deltas, prefix, z, count):
+    """The next count states after z from a chain: one matrix-vector product
+    over the stacked powers (count <= chain length)."""
+    dim = len(z)
+    step = (deltas[:count].reshape(-1, dim) @ z).reshape(count, dim)
+    return z + step + prefix[:count]
+
+
+def _compose(later, earlier):
+    """The affine map `later` after `earlier`, both as (R - I, offset)."""
+    (d_a, p_a), (d_b, p_b) = later, earlier
+    return d_a + d_b + d_a @ d_b, p_b + d_a @ p_b + p_a
+
+
+def _affine_power(deltas, prefix, n):
+    """The n-step map (R^n - I, sum_{i<n} R^i u) of a chain, with the bounds
+    max_{j<=n} ||R^j||_inf and max_{j<=n} ||sum_{i<j} R^i u||_inf.
+
+    The bounds certify a stretch of n steps that is not stepped: no state
+    along it exceeds ||R^j|| ||z|| + ||sum_{i<j} R^i u||.  Past the chain,
+    whole chain lengths L are composed one after another (sequential
+    products keep the chain's accuracy, which repeated squaring loses), and
+    the bounds use R^(cL+i) = R^i R^(cL).  Non-finite bounds fail every
+    certificate.
+    """
+    length = len(deltas)
+    eye = np.eye(deltas.shape[1])
+    head = min(n, length)
+    norm_r = np.abs(deltas[:head] + eye).sum(axis=2).max()
+    norm_p = np.abs(prefix[:head]).max()
+    if n <= length:
+        return deltas[n - 1].copy(), prefix[n - 1].copy(), norm_r, norm_p
+    whole, rest = divmod(n, length)
+    chain_r, chain_p = norm_r, norm_p
+    block = (deltas[-1], prefix[-1])
+    acc = block
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(1, whole + (rest > 0)):
+            reach = np.abs(acc[0] + eye).sum(axis=1).max()
+            norm_r = np.maximum(norm_r, chain_r * reach)
+            norm_p = np.maximum(norm_p, chain_p + chain_r * np.abs(acc[1]).max())
+            if c < whole:
+                acc = _compose(block, acc)
+        if rest:
+            acc = _compose((deltas[rest - 1], prefix[rest - 1]), acc)
+    return acc[0].copy(), acc[1].copy(), norm_r, norm_p
+
+
+def _plain_steps(r, u, z, count):
+    """Step z <- r z + u one step at a time, at most count steps, stopping
+    at the first state past OVERFLOW_LIMIT: (z, steps taken, overflowed)."""
+    for step in range(1, count + 1):
+        z = r @ z + u
+        if np.abs(z).max() > OVERFLOW_LIMIT:
+            return z, step, True
+    return z, count, False
 
 
 def _block_size(dim: int) -> int:
@@ -363,68 +441,132 @@ def simulate(
 
     Convergence is declared at the first time the residual
     ||b_hat - A_hat x||_inf stays at or below cfg.eps_residual for
-    CONVERGENCE_WINDOW consecutive steps; the run always continues to t_max
-    (or until a state magnitude exceeds OVERFLOW_LIMIT, reported as
-    divergence) and the returned x is the final state, which has settled
-    further than the detection instant.
+    CONVERGENCE_WINDOW consecutive steps.  Every step is taken until then;
+    the rest of the horizon advances along the trace grid (see the module
+    docstring), so the cost follows the convergence time, not t_max.  The
+    returned x is the state at t_max, which has settled further than the
+    detection instant, unless a state magnitude exceeds OVERFLOW_LIMIT
+    first: the run then stops there and reports divergence.  Raises
+    StepBudgetExceeded, before stepping, when t_max / dt asks for more than
+    _STEP_BUDGET steps.
     """
     dt = _auto_dt(ss, cfg)
     n_steps = max(CONVERGENCE_WINDOW + 1, int(math.ceil(cfg.t_max / dt)))
+    if n_steps > _STEP_BUDGET:
+        raise StepBudgetExceeded(
+            f"{n_steps:.3g} RK4 steps (t_max / dt) exceed the step budget "
+            f"of {_STEP_BUDGET:.0e}"
+        )
     r, s = _step_operators(ss.m, dt)
     u = s @ ss.f
+    dim = ss.m.shape[0]
     nm = ss.n_main
     a_hat_t = ss.a_hat.T
     b_hat = ss.b_hat
+    eps = cfg.eps_residual
 
+    def residuals(states):
+        return np.abs(b_hat - states[:, :nm] @ a_hat_t).max(axis=1)
+
+    # The trace keeps steps 0, dec, 2 dec, ... (the grid), then the last step.
     dec = trace_decimation if trace_decimation > 0 else max(1, n_steps // 4096)
-    residual = np.empty(n_steps + 1)
-    residual[0] = float(np.abs(b_hat).max())
-    kept_idx = [0]
-    kept_states = [np.zeros(nm)]
+    grid_end = n_steps - n_steps % dec
+    kept = np.zeros((grid_end // dec + 2, nm))
+    kept_res = np.empty(len(kept))
+    kept_res[0] = float(np.abs(b_hat).max())
 
-    z = np.zeros(ss.m.shape[0])
+    deltas, prefix = _power_chain(r - np.eye(dim), u, min(_block_size(dim), n_steps))
+    win = CONVERGENCE_WINDOW + 1
+    recent = np.array([kept_res[0] <= eps], dtype=int)  # last win-1 flags
+    z = np.zeros(dim)
     k = 0
+    t_converge: Optional[float] = None
     overflow_at: Optional[int] = None
-    for states in _iter_state_blocks(r, u, z, n_steps, _block_size(len(z))):
-        length = len(states)
+    # Every step, in blocks, until the window is met; then on to the grid.
+    while k < n_steps and (t_converge is None or k % dec):
+        take = min(len(deltas), n_steps - k)
+        if t_converge is not None:
+            take = min(take, dec - k % dec)
+        states = _advance(deltas, prefix, z, take)
         peaks = np.abs(states).max(axis=1)
         if peaks.max() > OVERFLOW_LIMIT:
-            cut = int(np.argmax(peaks > OVERFLOW_LIMIT)) + 1
-            states = states[:cut]
-            length = cut
-            overflow_at = k + cut
-        block_main = states[:, :nm]
-        residual[k + 1 : k + 1 + length] = np.abs(
-            b_hat - block_main @ a_hat_t
-        ).max(axis=1)
-        offsets = np.arange(k + 1, k + 1 + length)
-        keep = offsets % dec == 0
-        if keep.any():
-            kept_idx.extend(offsets[keep].tolist())
-            kept_states.extend(block_main[keep])
+            take = int(np.argmax(peaks > OVERFLOW_LIMIT)) + 1
+            states = states[:take]
+            overflow_at = k + take
+        res = residuals(states)
+        if t_converge is None:
+            flags = np.concatenate((recent, res <= eps))
+            sustained = np.convolve(flags, np.ones(win, int), "valid")
+            hits = np.flatnonzero(sustained == win)
+            if hits.size:
+                t_converge = float((k + 1 - len(recent) + hits[0]) * dt)
+            recent = flags[1 - win :]
+        skip = -(k + 1) % dec  # states[skip] is the block's first grid step
+        row = (k + 1 + skip) // dec
+        on_grid = states[skip::dec, :nm]
+        kept[row : row + len(on_grid)] = on_grid
+        kept_res[row : row + len(on_grid)] = res[skip::dec]
         z = states[-1]
-        k += length
+        k += take
         if overflow_at is not None:
             break
-    residual = residual[: k + 1]
 
-    if kept_idx[-1] != k:  # always keep the final step in the trace
-        kept_idx.append(k)
-        kept_states.append(z[:nm])
+    if overflow_at is None and k < n_steps:
+        # Settled, on the grid: the dec-step map gives one kept row per
+        # stacked product.  A stretch is skipped only when the certificate
+        # says no state along it can pass OVERFLOW_LIMIT; otherwise it is
+        # stepped plainly, so overflow_at stays exact.
+        stride_d, stride_p, norm_r, norm_p = _affine_power(deltas, prefix, dec)
+        if n_steps > grid_end:
+            tail_d, tail_p, _, _ = _affine_power(deltas, prefix, n_steps - grid_end)
+        row, last_row = k // dec, grid_end // dec
+        if dec > 1 and row < last_row:
+            del deltas, prefix  # one chain alive at a time
+            deltas, prefix = _power_chain(
+                stride_d, stride_p, min(_block_size(dim), last_row - row)
+            )
+        while row < last_row:
+            take = min(len(deltas), last_row - row)
+            states = _advance(deltas, prefix, z, take)
+            peaks = np.abs(states).max(axis=1)
+            before = np.concatenate(([np.abs(z).max()], peaks[:-1]))
+            safe = norm_r * before + norm_p <= OVERFLOW_LIMIT
+            good = take if safe.all() else int(np.argmin(safe))
+            kept[row + 1 : row + 1 + good] = states[:good, :nm]
+            kept_res[row + 1 : row + 1 + good] = residuals(states[:good])
+            row += good
+            if good:
+                z = states[good - 1]
+            if good < take:
+                z, steps, overflowed = _plain_steps(r, u, z, dec)
+                if overflowed:
+                    overflow_at = row * dec + steps
+                    break
+                row += 1
+                kept[row] = z[:nm]
+                kept_res[row] = residuals(z[None])[0]
+        k = row * dec if overflow_at is None else overflow_at
+        if overflow_at is None and k < n_steps:
+            if norm_r * np.abs(z).max() + norm_p <= OVERFLOW_LIMIT:
+                z = z + tail_d @ z + tail_p
+                k = n_steps
+            else:
+                z, steps, overflowed = _plain_steps(r, u, z, n_steps - k)
+                k += steps
+                if overflowed:
+                    overflow_at = k
 
-    below = residual <= cfg.eps_residual
-    t_converge: Optional[float] = None
-    win = CONVERGENCE_WINDOW + 1
-    if len(below) >= win:
-        sustained = np.convolve(below.astype(int), np.ones(win, int), "valid")
-        hits = np.nonzero(sustained == win)[0]
-        if hits.size:
-            t_converge = float(hits[0] * dt)
+    residual_inf = float(residuals(z[None])[0])
+    last = k // dec + (k % dec != 0)  # the last step reached is always kept
+    kept[last] = z[:nm]
+    kept_res[last] = residual_inf
+    kept_steps = np.arange(last + 1) * dec
+    kept_steps[-1] = k
 
     converged = (
         overflow_at is None
         and t_converge is not None
-        and residual[-1] <= cfg.eps_residual
+        and residual_inf <= eps
     )
     report = stability if stability is not None else stability_report(ss)
     diagnostics = ""
@@ -441,13 +583,13 @@ def simulate(
         )
 
     trace = Trace(
-        t=np.array(kept_idx, dtype=float) * dt,
-        states=np.array(kept_states),
-        residual_inf=residual[np.array(kept_idx)],
+        t=kept_steps.astype(float) * dt,
+        states=kept[: last + 1],
+        residual_inf=kept_res[: last + 1],
     )
     return SolveResult(
         x=z[:nm].copy(),
-        residual_inf=float(residual[-1]),
+        residual_inf=residual_inf,
         converged=bool(converged),
         t_converge=t_converge,
         stability=report,
@@ -614,15 +756,17 @@ def probe_single_path_gain(
     dt = min(0.5 / cfg.g, period / 256.0)  # |eig(m)| <= g keeps RK4 stable
     n_steps = int(math.ceil(total_t / dt))
 
-    z0 = np.zeros(dim + 2)
-    z0[dim] = 1.0  # cosine state starts at 1 so s(t) = sin(w t)
-    rows = []
-    r, s_op = _step_operators(m_aug, dt)
-    for states in _iter_state_blocks(
-        r, np.zeros(dim + 2), z0, n_steps, _block_size(dim + 2)
-    ):
-        rows.append(states[:, [row, dim, dim + 1]])
-    series = np.vstack(rows)
+    z = np.zeros(dim + 2)
+    z[dim] = 1.0  # cosine state starts at 1 so s(t) = sin(w t)
+    r, _ = _step_operators(m_aug, dt)
+    deltas, prefix = _power_chain(
+        r - np.eye(dim + 2), np.zeros(dim + 2), min(_block_size(dim + 2), n_steps)
+    )
+    series = np.empty((n_steps, 3))
+    for k in range(0, n_steps, len(deltas)):
+        states = _advance(deltas, prefix, z, min(len(deltas), n_steps - k))
+        series[k : k + len(states)] = states[:, [row, dim, dim + 1]]
+        z = states[-1]
 
     start = int(settle_t / dt)
     x = series[start:, 0]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,13 @@ def mixed8_file(tmp_path):
     b = [0.375] + [0.225] * 7
     path = tmp_path / "m8.json"
     path.write_text(json.dumps({"a": a, "b": b, "symmetric": True}))
+    return str(path)
+
+
+@pytest.fixture
+def saddle_file(tmp_path):
+    path = tmp_path / "saddle.json"
+    path.write_text(json.dumps({"a": [[-4, 1.5], [-2, 1]], "b": [0.45, 0.24]}))
     return str(path)
 
 
@@ -118,6 +126,19 @@ class TestSolveCommand:
         path.write_text(json.dumps({"a": (-np.eye(n)).tolist(), "b": [0.0] * n}))
         assert run(["solve", str(path), "--mode", "ideal"]) == EXIT_DIVERGENCE
         assert "state dimension 257 exceeds 256" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("fixture", ["mixed8_file", "saddle_file"])
+    def test_step_budget_exit_code(self, request, fixture, capsys):
+        # estimate scaling puts the Gram rung's horizon at 7.2e9 and 8.8e9
+        # RK4 steps: refused up front as a simulator limit, not stepped
+        start = time.perf_counter()
+        code = run(["solve", request.getfixturevalue(fixture), "--scale", "estimate"])
+        assert code == EXIT_DIVERGENCE
+        assert time.perf_counter() - start < 30.0
+        err = capsys.readouterr().err
+        assert err.startswith("simulator limit: ") and "step budget" in err
+        assert "Traceback" not in err
 
 
 class TestPlanCommand:
@@ -254,3 +275,29 @@ class TestSweepCommand:
         assert run(argv) == EXIT_VALIDATION
         assert "error: --kvco-list values must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["scale", "NEG", "--scale-c", "nan"], "--scale-c"),
+        (["scale", "NEG", "--policy", "estimate", "--scale-c", "inf"], "--scale-c"),
+        (["metrics", "--time-us", "nan"], "--time-us"),
+        (["metrics", "--time-us", "inf"], "--time-us"),
+        (["metrics", "--time-us", "1", "--per-integrator-mw", "nan"], "--per-integrator-mw"),
+        (["sfdr", "--f0", "inf"], "--f0"),
+        (["sfdr", "--f-ref", "nan"], "--f-ref"),
+        (["sfdr", "--kvco", "nan"], "--kvco"),
+        (["sfdr", "--vdd", "inf"], "--vdd"),
+        (["sfdr", "--dt", "nan"], "--dt"),
+        (["sfdr", "--tone-amp", "nan"], "--tone-amp"),
+    ],
+)
+def test_non_finite_report_flag_named(neg_file, tmp_path, capsys, argv, flag):
+    # a NaN would otherwise reach the JSON document, which cannot hold one
+    out = tmp_path / "r.json"
+    argv = [neg_file if a == "NEG" else a for a in argv]
+    assert run([*argv, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"error: {flag} must be finite" in err and "Traceback" not in err
+    assert not out.exists()
