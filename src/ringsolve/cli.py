@@ -10,9 +10,12 @@ count over the simulator's limit, 4 singular matrix.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -154,7 +157,13 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--decimation", type=int, default=0)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ringsolve argument parser, built once per process and shared.
+
+    Parsing leaves the parser unchanged and returns a fresh Namespace, so
+    every ``run`` reuses it; ``build_parser.__wrapped__()`` builds a new one.
+    """
     parser = argparse.ArgumentParser(
         prog="ringsolve",
         description="Analog linear-equation solver: planner, simulator, and reports",
@@ -269,14 +278,27 @@ def _solver_pieces(rc: RunConfig) -> tuple[SolverConfig, SolveOptions]:
     return cfg, options
 
 
-def _emit(doc: Union[dict, str], out_path: Optional[str]) -> None:
-    """Write a JSON document (sorted keys) or plain text to out_path or stdout."""
+def _emit(
+    doc: Union[dict, str], out_path: Optional[str], side_file: Optional[str] = None
+) -> None:
+    """Write a JSON document (sorted keys) or plain text to out_path or stdout.
+
+    ``side_file`` names a file already written for this document (a trace or
+    spectrum CSV).  It is removed if the document cannot be written, so a
+    run that fails on either file leaves neither behind.
+    """
     text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError:
+        if side_file:
+            with contextlib.suppress(OSError):
+                os.remove(side_file)
+        raise
 
 
 def _result_document(result: SolveResult, problem: LinearProblem, rc: RunConfig) -> dict:
@@ -307,9 +329,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     problem = load_problem(args.input)
     cfg, options = _solver_pieces(rc)
     result = solve(problem, cfg, options)
-    _emit(_result_document(result, problem, rc), args.out)
+    # side file first: a failed trace write leaves no result document
+    trace_path = None
     if rc.trace_path and result.trace is not None:
         result.trace.write_csv(rc.trace_path)
+        trace_path = rc.trace_path
+    _emit(_result_document(result, problem, rc), args.out, trace_path)
     if not result.converged:
         print(f"solver did not converge: {result.diagnostics or 'residual above threshold'}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -404,9 +429,10 @@ def _cmd_sfdr(args: argparse.Namespace) -> int:
             "tone_amp_v": args.tone_amp,
         },
     }
-    _emit(doc, args.out)
+    # side file first: a failed spectrum write leaves no report document
     if args.spectrum:
         report.write_csv(args.spectrum)
+    _emit(doc, args.out, args.spectrum)
     return EXIT_OK
 
 
@@ -506,10 +532,12 @@ _DISPATCH = {
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    """Parse arguments, dispatch, and map failures to exit codes."""
-    parser = build_parser()
+    """Parse arguments, dispatch, and map failures to exit codes.
+
+    Every call in a process parses with the one shared ``build_parser()``.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:

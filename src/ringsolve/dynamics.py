@@ -45,6 +45,7 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
+from ._table import write_table
 from .netlist import (
     CircuitPlan,
     MemristorBank,
@@ -176,21 +177,14 @@ class Trace:
     residual_inf: np.ndarray
 
     def write_csv(self, destination: Union[str, IO[str]]) -> None:
-        """Write "t_s,x0,...,x{n-1},residual_inf" rows, 9 significant digits."""
+        """Write "t_s,x0,...,x{n-1},residual_inf" rows, 9 significant digits.
+
+        ``destination`` is a path (created or truncated) or an open text
+        stream (left open).  See ``write_table`` for the row format.
+        """
         n = self.states.shape[1]
-        header = "t_s," + ",".join(f"x{i}" for i in range(n)) + ",residual_inf"
-
-        def _dump(fh: IO[str]) -> None:
-            fh.write(header + "\n")
-            for k in range(len(self.t)):
-                row = [self.t[k], *self.states[k], self.residual_inf[k]]
-                fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
-
-        if hasattr(destination, "write"):
-            _dump(destination)
-        else:
-            with open(destination, "w", encoding="utf-8") as fh:
-                _dump(fh)
+        header = ["t_s", *(f"x{i}" for i in range(n)), "residual_inf"]
+        write_table(destination, header, (self.t, self.states, self.residual_inf))
 
 
 @dataclass(frozen=True)

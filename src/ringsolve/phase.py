@@ -26,6 +26,8 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
+from ._table import write_table
+
 
 class NoFundamental(RuntimeError):
     """The requested signal bin is indistinguishable from the noise floor."""
@@ -120,16 +122,12 @@ class SpectralReport:
     spectrum_mag_db: np.ndarray
 
     def write_csv(self, destination: Union[str, IO[str]]) -> None:
-        def _dump(fh: IO[str]) -> None:
-            fh.write("freq_hz,mag_db\n")
-            for f, m in zip(self.spectrum_freq_hz, self.spectrum_mag_db):
-                fh.write(f"{f:.9g},{m:.9g}\n")
-
-        if hasattr(destination, "write"):
-            _dump(destination)
-        else:
-            with open(destination, "w", encoding="utf-8") as fh:
-                _dump(fh)
+        """Write "freq_hz,mag_db" rows, 9 significant digits, to a path or stream."""
+        write_table(
+            destination,
+            ("freq_hz", "mag_db"),
+            (self.spectrum_freq_hz, self.spectrum_mag_db),
+        )
 
 
 def vco_frequency(v_in, cfg: PhaseConfig):
@@ -244,6 +242,11 @@ def simulate_phase_lowpass(
     inverts, giving the low-pass with DC gain -ratio.  Feed b_in biased so
     the node rests at v0: b = v0 * (1 + 1/ratio) - v_dd / (2 * ratio) plus
     the test signal.
+
+    The loop is sequential (each sample's duty depends on the last output),
+    so it runs on Python floats: the duty law and the carrier wrap use
+    float ``%``, which rounds exactly as ``np.mod`` does, so the output
+    matches the array form of ``_triangle`` bit for bit.
     """
     b_in = np.asarray(b_in, dtype=float)
     if rf_over_rin <= 0:
@@ -253,20 +256,26 @@ def simulate_phase_lowpass(
     f_center = cfg.f0 / div
     k_eff = gain.k_vco_hz_per_v
     m = cfg.m_phases
-    taps = np.arange(m) / m
+    taps = (np.arange(m) / m).tolist()
     two_pi = 2.0 * math.pi
+    v_dd, v0, f_ref, dt = cfg.v_dd, cfg.v0, cfg.f_ref, cfg.dt
+    node_gain = 1.0 + 1.0 / rf_over_rin
+    ref_step = f_ref * dt
 
     out = np.empty(b_in.size)
-    v_out = cfg.v_dd * _triangle(phase0)
+    v_out = v_dd * float(_triangle(phase0))
     phase_err = phase0
     ref_cycles = 0.0
-    for k in range(b_in.size):
-        v_node = (b_in[k] + v_out / rf_over_rin) / (1.0 + 1.0 / rf_over_rin)
-        phase_err += two_pi * (f_center + k_eff * (v_node - cfg.v0) - cfg.f_ref) * cfg.dt
-        duty = _triangle(phase_err)
-        carriers = np.mod(ref_cycles + taps, 1.0)
-        v_out = cfg.v_dd * float(np.count_nonzero(carriers < duty)) / m
-        ref_cycles += cfg.f_ref * cfg.dt
+    for k, b in enumerate(b_in.tolist()):
+        v_node = (b + v_out / rf_over_rin) / node_gain
+        phase_err += two_pi * (f_center + k_eff * (v_node - v0) - f_ref) * dt
+        duty = 1.0 - abs((phase_err / math.pi) % 2.0 - 1.0)
+        high = 0
+        for tap in taps:
+            if (ref_cycles + tap) % 1.0 < duty:
+                high += 1
+        v_out = v_dd * float(high) / m
+        ref_cycles += ref_step
         out[k] = v_out
     return out
 

@@ -10,6 +10,7 @@ import pytest
 
 import ringsolve.cli
 import ringsolve.dynamics
+import ringsolve.phase
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,3 +30,10 @@ def test_tracer_resolves_every_target(tracer):
 def test_names_the_benchmark_binds_exist():
     assert ringsolve.dynamics.compile_plan is sys.modules["ringsolve.netlist"].plan
     assert ringsolve.cli.solve is ringsolve.dynamics.solve
+
+
+def test_write_csv_defined_in_each_class_body():
+    # the tracer binds Trace.__dict__["write_csv"]: a body moved into a base
+    # class or mixin would leave nothing there to bind
+    assert "write_csv" in vars(ringsolve.dynamics.Trace)
+    assert "write_csv" in vars(ringsolve.phase.SpectralReport)

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: documents, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import time
@@ -7,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from ringsolve import cli
 from ringsolve.cli import (
     EXIT_DIVERGENCE,
     EXIT_OK,
@@ -139,6 +141,100 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("simulator limit: ") and "step budget" in err
         assert "Traceback" not in err
+
+
+class TestSideFileFailure:
+    """A run that cannot write its side file or its document leaves neither."""
+
+    @staticmethod
+    def _argv(command, neg_file, side):
+        return {
+            "solve": ["solve", neg_file, "--trace", str(side)],
+            "sfdr": ["sfdr", "--samples", "4096", "--spectrum", str(side)],
+        }[command]
+
+    @pytest.mark.parametrize("with_out", [True, False])
+    @pytest.mark.parametrize("command", ["solve", "sfdr"])
+    def test_unwritable_side_file_writes_no_document(
+        self, neg_file, tmp_path, capsys, command, with_out
+    ):
+        out = tmp_path / "res.json"
+        argv = self._argv(command, neg_file, tmp_path / "missing" / "side.csv")
+        if with_out:
+            argv += ["--out", str(out)]
+        assert run(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sfdr"])
+    def test_unwritable_document_removes_side_file(self, neg_file, tmp_path, capsys, command):
+        side = tmp_path / "side.csv"
+        argv = self._argv(command, neg_file, side) + ["--out", str(tmp_path / "missing" / "r.json")]
+        assert run(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not side.exists()
+
+    def test_non_converged_run_still_writes_trace(self, saddle_file, tmp_path):
+        out, trace = tmp_path / "r.json", tmp_path / "t.csv"
+        argv = ["solve", saddle_file, "--tmax", "1e-7", "--out", str(out), "--trace", str(trace)]
+        assert run(argv) == EXIT_DIVERGENCE
+        assert json.loads(out.read_text())["converged"] is False
+        assert trace.read_text().startswith("t_s,x0,x1,residual_inf\n")
+
+
+class TestSharedParser:
+    """run() parses every invocation with one parser built per process."""
+
+    @staticmethod
+    def _run_sequence(neg_file, tmp_path):
+        """Run a mixed sequence of commands; return each exit code and the
+        bytes of every file it wrote."""
+        trace, out = tmp_path / "t.csv", tmp_path / "r.json"
+        sweep = tmp_path / "sweep.csv"
+        noisy = [
+            "solve", neg_file, "--memristor", "--write-noise", "0.02", "--seed", "4",
+            "--quantize-bits", "8", "--trace", str(trace), "--out", str(out),
+        ]
+        sequence = [
+            noisy,
+            ["solve", neg_file, "--out", str(out)],
+            ["solve", neg_file, "--no-such-flag"],
+            ["sweep", neg_file, "--kvco-list", "1e8,3e8", "--out", str(sweep)],
+            noisy,
+        ]
+        record = []
+        for argv in sequence:
+            for path in (trace, out, sweep):
+                path.unlink(missing_ok=True)
+            code = run(argv)
+            files = {p.name: p.read_bytes() for p in (trace, out, sweep) if p.exists()}
+            record.append((code, files))
+        return record
+
+    def test_shared_parser_matches_fresh_parsers(self, neg_file, tmp_path, monkeypatch):
+        shared = self._run_sequence(neg_file, tmp_path)
+        assert [code for code, _ in shared] == [
+            EXIT_OK, EXIT_OK, EXIT_VALIDATION, EXIT_OK, EXIT_OK
+        ]
+        assert shared[0] == shared[4]
+        assert set(shared[0][1]) == {"t.csv", "r.json"}
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert self._run_sequence(neg_file, tmp_path) == shared
+
+    def test_run_does_not_rebuild_the_parser(self, neg_file, monkeypatch):
+        cli.build_parser.cache_clear()
+        assert run(["solve", neg_file]) == EXIT_OK
+        assert run(["plan", neg_file]) == EXIT_OK
+        assert run(["solve", neg_file, "--bad"]) == EXIT_VALIDATION
+        assert cli.build_parser.cache_info().misses == 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", refuse)
+        assert run(["solve", neg_file]) == EXIT_OK
 
 
 class TestPlanCommand:

@@ -8,6 +8,7 @@ import pytest
 from ringsolve.dynamics import SolverConfig, ac_response
 from ringsolve.netlist import plan
 from ringsolve.phase import (
+    _METHOD_DIVIDER,
     AliasRisk,
     NoFundamental,
     PhaseConfig,
@@ -300,3 +301,58 @@ class TestPhaseVsBehavioral:
             measured = math.hypot(coef[0], coef[1]) / amp
             predicted = abs(ac_response(single, 0, dcfg, f_sig))
             assert abs(measured / predicted - 1.0) <= 0.05
+
+
+def _lowpass_numpy_oracle(b_in, rf_over_rin, cfg, phase0=1.5 * math.pi):
+    """The array-per-sample form of the closed loop: numpy duty law, np.mod
+    carriers and np.count_nonzero on every sample."""
+    def triangle(phase):
+        return 1.0 - np.abs(np.mod(phase / math.pi, 2.0) - 1.0)
+
+    f_center = cfg.f0 / _METHOD_DIVIDER[cfg.method]
+    k_eff = effective_kvco(cfg).k_vco_hz_per_v
+    m = cfg.m_phases
+    taps = np.arange(m) / m
+    out = np.empty(b_in.size)
+    v_out = cfg.v_dd * triangle(phase0)
+    phase_err = phase0
+    ref_cycles = 0.0
+    for k in range(b_in.size):
+        v_node = (b_in[k] + v_out / rf_over_rin) / (1.0 + 1.0 / rf_over_rin)
+        phase_err += 2.0 * math.pi * (f_center + k_eff * (v_node - cfg.v0) - cfg.f_ref) * cfg.dt
+        duty = triangle(phase_err)
+        carriers = np.mod(ref_cycles + taps, 1.0)
+        v_out = cfg.v_dd * float(np.count_nonzero(carriers < duty)) / m
+        ref_cycles += cfg.f_ref * cfg.dt
+        out[k] = v_out
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0, 4.0])
+def test_lowpass_scalar_loop_matches_numpy_oracle(m, ratio):
+    # bit-identical: float % rounds as np.mod does, so not even the last
+    # bit of any sample may move
+    rng = np.random.default_rng(int(100 * ratio) + m)
+    for method in (PhaseMethod.DIRECT_LEVEL_SHIFT_16, PhaseMethod.JOHNSON_16):
+        cfg = PhaseConfig(
+            m_phases=m, f0=200e6, f_ref=200e6, k_vco=100e6, method=method,
+            dt=1.0 / (24 * m * 200e6),
+        )
+        bias = cfg.v0 * (1.0 + 1.0 / ratio) - cfg.v_dd / (2.0 * ratio)
+        # a step plus noise large enough to sweep the whole duty range
+        b = bias + 0.2 / ratio + rng.uniform(-0.6, 0.6, 1500) * rng.uniform(0, 1)
+        phase0 = float(rng.uniform(-8.0, 8.0))
+        for p0 in (1.5 * math.pi, phase0):
+            got = simulate_phase_lowpass(b, ratio, cfg, phase0=p0)
+            assert np.array_equal(got, _lowpass_numpy_oracle(b, ratio, cfg, p0))
+
+
+def test_lowpass_carrier_on_the_duty_counts_low():
+    # at phase error 0 with the node pinned at v0 the duty stays exactly 0
+    # and the first carrier sits exactly on it: the comparison is strict
+    cfg = PhaseConfig(m_phases=4, f0=200e6, k_vco=100e6, dt=1.0 / (24 * 4 * 200e6))
+    b = np.full(64, 2.0 * cfg.v0)
+    got = simulate_phase_lowpass(b, 1.0, cfg, phase0=0.0)
+    assert np.array_equal(got, _lowpass_numpy_oracle(b, 1.0, cfg, 0.0))
+    assert got[0] == 0.0
