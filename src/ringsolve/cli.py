@@ -273,7 +273,7 @@ def _solver_pieces(rc: RunConfig) -> tuple[SolverConfig, SolveOptions]:
         memristor_seed=rc.seed,
         scale=rc.scale,
         estimate_c=rc.scale_c,
-        trace_decimation=rc.decimation,
+        trace_decimation=rc.decimation if rc.trace_path else None,
     )
     return cfg, options
 
@@ -331,7 +331,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     result = solve(problem, cfg, options)
     # side file first: a failed trace write leaves no result document
     trace_path = None
-    if rc.trace_path and result.trace is not None:
+    if result.trace is not None:
         result.trace.write_csv(rc.trace_path)
         trace_path = rc.trace_path
     _emit(_result_document(result, problem, rc), args.out, trace_path)
@@ -500,7 +500,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lines = [header]
     worst = EXIT_OK
     for kvco in kvcos:  # fixed input order; points are independent
-        point_rc = dataclasses.replace(rc, k_vco=kvco)
+        # a sweep writes no trace, so its points form none
+        point_rc = dataclasses.replace(rc, k_vco=kvco, trace_path=None)
         cfg, options = _solver_pieces(point_rc)
         result = solve(problem, cfg, options)
         if not result.converged:

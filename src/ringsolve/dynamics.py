@@ -26,14 +26,18 @@ Integration is classical fixed-step 4th-order Runge-Kutta.  For a linear
 system one RK4 step is the exact affine map z' = R z + u, so the engine
 stacks powers of that map (built by doubling) and advances a block of
 steps with one product.  simulate takes every step, in blocks, only until
-the residual window is met.  From the next trace-grid step on it applies
-the dec-step map (R^dec, sum_{i<dec} R^i u) once per kept trace row, and
-the last partial stretch to t_max with its own map.  A stretch is skipped
-this way only when a norm bound certifies that no state along it passes
-OVERFLOW_LIMIT; otherwise it is stepped plainly, so divergence is still
-reported at the exact step.  This regroups the same arithmetic: results
-agree with one-step-at-a-time stepping to rounding and are
-byte-deterministic.
+the residual window is met.  From the end of that block x jumps to t_max:
+the remaining m steps split into binary factors (a chain entry, then the
+chain-length map doubled once per bit, about log2 m products), applied to
+the state one after another.  A factor is applied only when a norm bound
+certifies that no state along it passes OVERFLOW_LIMIT; when one fails,
+the rest of the run goes along the trace grid instead, with the dec-step
+map (R^dec, sum_{i<dec} R^i u) once per grid row, and steps plainly where
+that map's bound fails too, so divergence is still reported at the exact
+step.  A trace, when asked for, takes its rows from that grid stride and
+ends on the jumped x, so x does not depend on the trace.  This regroups
+the same arithmetic: results agree with one-step-at-a-time stepping to
+rounding and are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import IO, Optional, Union
 
 import numpy as np
@@ -221,7 +226,8 @@ class SolveOptions:
     scale: Optional[ScalePolicy] = None
     estimate_c: float = 1e3
     gram_fallback: bool = True
-    trace_decimation: int = 0
+    # None forms no trace; 0 keeps about 4096 grid steps, k every k-th step
+    trace_decimation: Optional[int] = None
 
 
 def build_system(circuit: CircuitPlan, cfg: SolverConfig) -> StateSpace:
@@ -371,38 +377,70 @@ def _compose(later, earlier):
     return d_a + d_b + d_a @ d_b, p_b + d_a @ p_b + p_a
 
 
-def _affine_power(deltas, prefix, n):
-    """The n-step map (R^n - I, sum_{i<n} R^i u) of a chain, with the bounds
-    max_{j<=n} ||R^j||_inf and max_{j<=n} ||sum_{i<j} R^i u||_inf.
+def _then(first, second):
+    """The factor `second` after `first`, with bounds for every state along
+    both.  A state j <= n_b steps into `second` is R^j (R^(n_a) z + P_a) + P_j,
+    so the exact end map of `first` (||R^(n_a)||, ||P_a||) carries into the
+    bounds of `second`: norm_r = max(r_a, r_b ||R^(n_a)||) and
+    norm_p = max(q_a, r_b ||P_a|| + q_b).  np.maximum keeps a NaN bound."""
+    n_a, d_a, p_a, r_a, q_a = first
+    n_b, d_b, p_b, r_b, q_b = second
+    end_r = np.abs(d_a + np.eye(len(d_a))).sum(axis=1).max()
+    d, p = _compose((d_b, p_b), (d_a, p_a))
+    norm_r = np.maximum(r_a, r_b * end_r)
+    norm_p = np.maximum(q_a, r_b * np.abs(p_a).max() + q_b)
+    return n_a + n_b, d, p, norm_r, norm_p
 
-    The bounds certify a stretch of n steps that is not stepped: no state
-    along it exceeds ||R^j|| ||z|| + ||sum_{i<j} R^i u||.  Past the chain,
-    whole chain lengths L are composed one after another (sequential
-    products keep the chain's accuracy, which repeated squaring loses), and
-    the bounds use R^(cL+i) = R^i R^(cL).  Non-finite bounds fail every
-    certificate.
+
+def _factors(deltas, prefix, n):
+    """The n-step map of a chain as binary factors, smallest first.
+
+    Each factor is (steps, R^steps - I, sum_{i<steps} R^i u, norm_r, norm_p)
+    with norm_r >= ||R^j||_inf and norm_p >= ||sum_{i<j} R^i u||_inf for
+    every j <= steps, so no state along a factor applied to z exceeds
+    norm_r ||z||_inf + norm_p.  The factors are the (n mod L)-step chain
+    entry, then the L-step entry doubled with _compose (the R^j - I form the
+    chain is built in; R^j itself is never squared) once per bit of n // L:
+    about log2(n / L) products.  A chain entry's norm_r is the product of
+    max(1, ||R^(2^b)||_inf) over the chain's power-of-two entries 2^b <= j,
+    which bounds every power up to j without a pass over the whole chain.
+    Non-finite bounds fail every certificate.
     """
     length = len(deltas)
-    eye = np.eye(deltas.shape[1])
-    head = min(n, length)
-    norm_r = np.abs(deltas[:head] + eye).sum(axis=2).max()
-    norm_p = np.abs(prefix[:head]).max()
-    if n <= length:
-        return deltas[n - 1].copy(), prefix[n - 1].copy(), norm_r, norm_p
-    whole, rest = divmod(n, length)
-    chain_r, chain_p = norm_r, norm_p
-    block = (deltas[-1], prefix[-1])
-    acc = block
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in range(1, whole + (rest > 0)):
-            reach = np.abs(acc[0] + eye).sum(axis=1).max()
-            norm_r = np.maximum(norm_r, chain_r * reach)
-            norm_p = np.maximum(norm_p, chain_p + chain_r * np.abs(acc[1]).max())
-            if c < whole:
-                acc = _compose(block, acc)
-        if rest:
-            acc = _compose((deltas[rest - 1], prefix[rest - 1]), acc)
-    return acc[0].copy(), acc[1].copy(), norm_r, norm_p
+        pow2 = np.abs(
+            deltas[(1 << np.arange(length.bit_length())) - 1] + np.eye(deltas.shape[1])
+        ).sum(axis=2).max(axis=1)
+        pow2 = np.maximum(pow2, 1.0)
+
+        def entry(j):
+            norm_r = np.prod(pow2[: j.bit_length()])
+            norm_p = np.abs(prefix[:j]).max()
+            return j, deltas[j - 1].copy(), prefix[j - 1].copy(), norm_r, norm_p
+
+        whole, rest = divmod(n, length)
+        factors = [entry(rest)] if rest else []
+        factor = entry(length) if whole else None
+        while whole:
+            if whole & 1:
+                factors.append(factor)
+            whole >>= 1
+            if whole:
+                factor = _then(factor, factor)
+    return factors
+
+
+def _jump(factors, z):
+    """Apply the factors to z in turn, each only when its bounds certify on
+    the running state that no state along it passes OVERFLOW_LIMIT; stop at
+    the first that fails: (z, steps advanced)."""
+    steps = 0
+    for count, d, p, norm_r, norm_p in factors:
+        if not norm_r * np.abs(z).max() + norm_p <= OVERFLOW_LIMIT:
+            break
+        z = z + d @ z + p
+        steps += count
+    return z, steps
 
 
 def _plain_steps(r, u, z, count):
@@ -428,7 +466,7 @@ def _auto_dt(ss: StateSpace, cfg: SolverConfig) -> float:
 def simulate(
     ss: StateSpace,
     cfg: SolverConfig,
-    trace_decimation: int = 0,
+    trace_decimation: Optional[int] = None,
     stability: Optional[StabilityReport] = None,
 ) -> SolveResult:
     """Integrate from the zero state and report the settled solution.
@@ -436,13 +474,18 @@ def simulate(
     Convergence is declared at the first time the residual
     ||b_hat - A_hat x||_inf stays at or below cfg.eps_residual for
     CONVERGENCE_WINDOW consecutive steps.  Every step is taken until then;
-    the rest of the horizon advances along the trace grid (see the module
+    from the end of the block that met the window, x jumps straight to t_max
+    through about log2 of the remaining steps composed maps (see the module
     docstring), so the cost follows the convergence time, not t_max.  The
     returned x is the state at t_max, which has settled further than the
     detection instant, unless a state magnitude exceeds OVERFLOW_LIMIT
-    first: the run then stops there and reports divergence.  Raises
-    StepBudgetExceeded, before stepping, when t_max / dt asks for more than
-    _STEP_BUDGET steps.
+    first: the run then stops there and reports divergence.
+
+    trace_decimation None forms no trace (result.trace is None); 0 keeps
+    about 4096 evenly spaced steps and k > 0 every k-th step, plus the last
+    step reached.  x does not depend on it unless the jump's overflow
+    certificate fails.  Raises StepBudgetExceeded, before stepping, when
+    t_max / dt asks for more than _STEP_BUDGET steps.
     """
     dt = _auto_dt(ss, cfg)
     n_steps = max(CONVERGENCE_WINDOW + 1, int(math.ceil(cfg.t_max / dt)))
@@ -462,8 +505,11 @@ def simulate(
     def residuals(states):
         return np.abs(b_hat - states[:, :nm] @ a_hat_t).max(axis=1)
 
-    # The trace keeps steps 0, dec, 2 dec, ... (the grid), then the last step.
-    dec = trace_decimation if trace_decimation > 0 else max(1, n_steps // 4096)
+    # The trace keeps steps 0, dec, 2 dec, ... (the grid), then the last
+    # step.  Without a trace the grid is the automatic one: it is stepped
+    # along only when the jump's certificate fails.
+    traced = trace_decimation is not None
+    dec = trace_decimation if traced and trace_decimation > 0 else max(1, n_steps // 4096)
     grid_end = n_steps - n_steps % dec
     kept = np.zeros((grid_end // dec + 2, nm))
     kept_res = np.empty(len(kept))
@@ -476,6 +522,7 @@ def simulate(
     k = 0
     t_converge: Optional[float] = None
     overflow_at: Optional[int] = None
+    settled = None  # (z, k) at the end of the block that met the window
     # Every step, in blocks, until the window is met; then on to the grid.
     while k < n_steps and (t_converge is None or k % dec):
         take = min(len(deltas), n_steps - k)
@@ -504,15 +551,31 @@ def simulate(
         k += take
         if overflow_at is not None:
             break
+        if settled is None and t_converge is not None:
+            settled = z, k
 
-    if overflow_at is None and k < n_steps:
-        # Settled, on the grid: the dec-step map gives one kept row per
-        # stacked product.  A stretch is skipped only when the certificate
-        # says no state along it can pass OVERFLOW_LIMIT; otherwise it is
-        # stepped plainly, so overflow_at stays exact.
-        stride_d, stride_p, norm_r, norm_p = _affine_power(deltas, prefix, dec)
-        if n_steps > grid_end:
-            tail_d, tail_p, _, _ = _affine_power(deltas, prefix, n_steps - grid_end)
+    # Settled: x jumps from the window's block to t_max, certified factor by
+    # factor.  The start does not depend on the grid, so x is the same with
+    # or without a trace.
+    jumped = None
+    if overflow_at is None and settled is not None and settled[1] < n_steps:
+        left = n_steps - settled[1]
+        end, steps = _jump(_factors(deltas, prefix, left), settled[0])
+        if steps == left:
+            jumped = end
+
+    if overflow_at is None and k < n_steps and (traced or jumped is None):
+        # On the grid: the dec-step map gives one kept row per stacked
+        # product.  A stretch is skipped only when the certificate says no
+        # state along it can pass OVERFLOW_LIMIT; otherwise it is stepped
+        # plainly, so overflow_at stays exact.
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, stride_d, stride_p, norm_r, norm_p = reduce(
+                _then, _factors(deltas, prefix, dec)
+            )
+        tail = []
+        if jumped is None and n_steps > grid_end:
+            tail = _factors(deltas, prefix, n_steps - grid_end)
         row, last_row = k // dec, grid_end // dec
         if dec > 1 and row < last_row:
             del deltas, prefix  # one chain alive at a time
@@ -540,23 +603,18 @@ def simulate(
                 kept[row] = z[:nm]
                 kept_res[row] = residuals(z[None])[0]
         k = row * dec if overflow_at is None else overflow_at
-        if overflow_at is None and k < n_steps:
-            if norm_r * np.abs(z).max() + norm_p <= OVERFLOW_LIMIT:
-                z = z + tail_d @ z + tail_p
-                k = n_steps
-            else:
+        if tail and overflow_at is None:
+            z, steps = _jump(tail, z)
+            k += steps
+            if k < n_steps:
                 z, steps, overflowed = _plain_steps(r, u, z, n_steps - k)
                 k += steps
                 if overflowed:
                     overflow_at = k
+    if jumped is not None and overflow_at is None:
+        z, k = jumped, n_steps
 
     residual_inf = float(residuals(z[None])[0])
-    last = k // dec + (k % dec != 0)  # the last step reached is always kept
-    kept[last] = z[:nm]
-    kept_res[last] = residual_inf
-    kept_steps = np.arange(last + 1) * dec
-    kept_steps[-1] = k
-
     converged = (
         overflow_at is None
         and t_converge is not None
@@ -576,11 +634,18 @@ def simulate(
             "residual did not settle"
         )
 
-    trace = Trace(
-        t=kept_steps.astype(float) * dt,
-        states=kept[: last + 1],
-        residual_inf=kept_res[: last + 1],
-    )
+    trace = None
+    if traced:
+        last = k // dec + (k % dec != 0)  # the last step reached is always kept
+        kept[last] = z[:nm]
+        kept_res[last] = residual_inf
+        kept_steps = np.arange(last + 1) * dec
+        kept_steps[-1] = k
+        trace = Trace(
+            t=kept_steps.astype(float) * dt,
+            states=kept[: last + 1],
+            residual_inf=kept_res[: last + 1],
+        )
     return SolveResult(
         x=z[:nm].copy(),
         residual_inf=residual_inf,
@@ -633,11 +698,12 @@ def solve(
         raise RangeViolation(
             f"max |b_i| = {np.abs(p.b).max():.6g} exceeds {RANGE_LIMIT} V"
         )
-    _lu_factor(p.a)  # nonsingularity gate; raises SingularMatrix
-
     factor = 1.0
     work = p
-    if options.scale is not None:
+    if options.scale is None:
+        _lu_factor(p.a)  # nonsingularity gate; raises SingularMatrix
+    else:
+        # scaling factors A for ||A^-1||_inf with the same gate and tolerance
         sp = scale_problem(p, options.scale, options.estimate_c)
         factor = sp.factor_scale
         work = LinearProblem(sp.scaled_a, p.b, symmetric=p.symmetric)

@@ -3,6 +3,7 @@ name; a rename or deletion in the program must fail here, in the suite,
 rather than in a traced benchmark run."""
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -37,3 +38,10 @@ def test_write_csv_defined_in_each_class_body():
     # class or mixin would leave nothing there to bind
     assert "write_csv" in vars(ringsolve.dynamics.Trace)
     assert "write_csv" in vars(ringsolve.phase.SpectralReport)
+
+
+def test_simulate_takes_ss_then_cfg():
+    # the tracer reads args[0] and args[1] of every simulate call as the
+    # state space and the solver config
+    params = list(inspect.signature(ringsolve.dynamics.simulate).parameters)
+    assert params[:2] == ["ss", "cfg"]

@@ -58,6 +58,32 @@ class TestSolveCommand:
         header = trace.read_text().splitlines()[0]
         assert header == "t_s,x0,x1,residual_inf"
 
+    @pytest.mark.parametrize(
+        "argv, decimation",
+        [
+            (["solve", "NEG"], [None]),
+            (["solve", "NEG", "--decimation", "7"], [None]),
+            (["solve", "NEG", "--trace", "T"], [0]),
+            (["solve", "NEG", "--trace", "T", "--decimation", "7"], [7]),
+            (["sweep", "NEG", "--kvco-list", "1e8,3e8", "--trace", "T"], [None, None]),
+        ],
+    )
+    def test_trace_formed_only_for_trace_file(
+        self, neg_file, tmp_path, monkeypatch, argv, decimation
+    ):
+        seen, real_solve = [], cli.solve
+
+        def recording_solve(problem, cfg, options):
+            seen.append(options.trace_decimation)
+            return real_solve(problem, cfg, options)
+
+        monkeypatch.setattr(cli, "solve", recording_solve)
+        trace = tmp_path / "t.csv"
+        argv = [{"NEG": neg_file, "T": str(trace)}.get(a, a) for a in argv]
+        assert run([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert seen == decimation
+        assert trace.exists() == (argv[0] == "solve" and "--trace" in argv)
+
     def test_defaults_resolved_in_config(self, neg_file, tmp_path):
         out = tmp_path / "r.json"
         assert run(["solve", neg_file, "--out", str(out)]) == EXIT_OK
@@ -77,6 +103,16 @@ class TestSolveCommand:
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"a": [[1, 1], [1, 1]], "b": [0.1, 0.1]}))
         assert run(["solve", str(path)]) == EXIT_SINGULAR
+
+    @pytest.mark.parametrize("scale", ["exact", "estimate"])
+    def test_singular_exit_code_when_scaled(self, tmp_path, capsys, scale):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"a": [[1, 1], [1, 1]], "b": [0.1, 0.1]}))
+        assert run(["solve", str(path)]) == EXIT_SINGULAR
+        plain = capsys.readouterr().err
+        assert run(["solve", str(path), "--scale", scale]) == EXIT_SINGULAR
+        assert capsys.readouterr().err == plain
+        assert plain.startswith("singular matrix: pivot")
 
     def test_range_violation_exit_code(self, tmp_path):
         path = tmp_path / "r.json"

@@ -135,7 +135,7 @@ class TestSimulate:
         assert np.abs(ra.x - rb.x).max() <= 1e-8
 
     def test_trace_format(self, neg2x2, tmp_path):
-        res = simulate(build_system(plan(neg2x2), CFG), CFG)
+        res = simulate(build_system(plan(neg2x2), CFG), CFG, trace_decimation=0)
         path = tmp_path / "trace.csv"
         res.trace.write_csv(str(path))
         lines = path.read_text().splitlines()
@@ -187,6 +187,19 @@ class TestSolve:
         p = LinearProblem([[1.0, 2.0], [2.0, 4.0]], [0.1, 0.2])
         with pytest.raises(SingularMatrix):
             solve(p, CFG)
+
+    @pytest.mark.parametrize("policy", list(ScalePolicy))
+    @pytest.mark.parametrize(
+        "a", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 1e-14], [1.0, 1e-14]]]
+    )
+    def test_singular_matrix_same_error_when_scaled(self, policy, a):
+        # scaling factors A itself, so it stands in for the gate
+        p = LinearProblem(a, [0.1, 0.2])
+        with pytest.raises(SingularMatrix) as plain:
+            solve(p, CFG)
+        with pytest.raises(SingularMatrix) as scaled:
+            solve(p, CFG, SolveOptions(scale=policy))
+        assert str(scaled.value) == str(plain.value)
 
     def test_ideal_structural_agreement_all_negative(self, neg2x2):
         ri = solve(neg2x2, SolverConfig(mode=Mode.IDEAL))

@@ -1,6 +1,8 @@
-"""Early exit and trace-grid striding in simulate, against plain stepping.
+"""Early exit, the jump to t_max and trace-grid striding in simulate,
+against plain stepping.
 
 simulate takes every RK4 step only until the residual window is met, then
+jumps x to t_max with composed step maps and, when a trace is asked for,
 advances along the trace grid with the dec-step map.  The oracle below is
 the literal loop it replaces: one step z <- R z + u at a time over the
 whole horizon, every residual kept, the window found afterwards.
@@ -8,6 +10,7 @@ whole horizon, every residual kept, the window found afterwards.
 
 import dataclasses
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from ringsolve.dynamics import (
     SolveOptions,
     SolveResult,
     SolverConfig,
+    StateSpace,
     StepBudgetExceeded,
     Trace,
     build_system,
@@ -44,7 +48,7 @@ VARIANTS = {
 }
 
 
-def plain_simulate(ss, cfg, trace_decimation=0, stability=None):
+def plain_simulate(ss, cfg, trace_decimation=None, stability=None):
     """Oracle with simulate's signature: one RK4 step at a time to t_max."""
     dt = dynamics._auto_dt(ss, cfg)
     n_steps = max(CONVERGENCE_WINDOW + 1, math.ceil(cfg.t_max / dt))
@@ -86,17 +90,20 @@ def plain_simulate(ss, cfg, trace_decimation=0, stability=None):
             "residual did not settle"
         )
 
-    dec = trace_decimation if trace_decimation > 0 else max(1, n_steps // 4096)
-    kept = list(range(0, last + 1, dec))
-    if kept[-1] != last:
-        kept.append(last)
+    trace = None
+    if trace_decimation is not None:
+        dec = trace_decimation or max(1, n_steps // 4096)
+        kept = list(range(0, last + 1, dec))
+        if kept[-1] != last:
+            kept.append(last)
+        trace = Trace(np.array(kept, dtype=float) * dt, main[kept], residual[kept])
     return SolveResult(
         x=main[-1].copy(),
         residual_inf=float(residual[-1]),
         converged=converged,
         t_converge=t_converge,
         stability=report,
-        trace=Trace(np.array(kept, dtype=float) * dt, main[kept], residual[kept]),
+        trace=trace,
         diagnostics=diagnostics,
     )
 
@@ -106,12 +113,21 @@ def assert_matches(res, ref):
     assert res.converged == ref.converged
     assert res.fallback == ref.fallback
     assert res.diagnostics == ref.diagnostics
-    np.testing.assert_array_equal(res.trace.t, ref.trace.t)
     tol = TOL * max(1.0, float(np.abs(ref.x).max()))
     assert np.abs(res.x - ref.x).max() <= tol
     assert abs(res.residual_inf - ref.residual_inf) <= tol
-    assert np.abs(res.trace.states - ref.trace.states).max() <= tol
-    assert np.abs(res.trace.residual_inf - ref.trace.residual_inf).max() <= tol
+    assert (res.trace is None) == (ref.trace is None)
+    if ref.trace is not None:
+        np.testing.assert_array_equal(res.trace.t, ref.trace.t)
+        assert np.abs(res.trace.states - ref.trace.states).max() <= tol
+        assert np.abs(res.trace.residual_inf - ref.trace.residual_inf).max() <= tol
+
+
+def assert_untraced_matches(p, cfg, options, ref):
+    """The same solve without a trace forms none and matches the oracle."""
+    res = solve(p, cfg, dataclasses.replace(options, trace_decimation=None))
+    assert res.trace is None
+    assert_matches(res, dataclasses.replace(ref, trace=None))
 
 
 def random_stable(rng, n, sign):
@@ -146,6 +162,7 @@ def test_random_structural_systems(monkeypatch, variant):
         )
         res, ref = solve_both(monkeypatch, p, cfg, options)
         assert_matches(res, ref)
+        assert_untraced_matches(p, cfg, options, ref)
 
 
 def test_random_ideal_systems(monkeypatch):
@@ -157,13 +174,42 @@ def test_random_ideal_systems(monkeypatch):
         options = SolveOptions(trace_decimation=int(rng.choice([0, 1, 7, 100])))
         res, ref = solve_both(monkeypatch, p, cfg, options)
         assert_matches(res, ref)
+        assert_untraced_matches(p, cfg, options, ref)
         assert ref.converged
 
 
 def test_gram_rung(monkeypatch, mixed2x2):
-    res, ref = solve_both(monkeypatch, mixed2x2, SolverConfig(t_max=2e-6), None)
+    cfg, options = SolverConfig(t_max=2e-6), SolveOptions(trace_decimation=0)
+    res, ref = solve_both(monkeypatch, mixed2x2, cfg, options)
     assert ref.fallback == "gram-negated"
     assert_matches(res, ref)
+    assert_untraced_matches(mixed2x2, cfg, options, ref)
+
+
+def test_no_trace_unless_asked(neg2x2):
+    assert solve(neg2x2).trace is None
+    cfg = SolverConfig()
+    assert simulate(build_system(plan(neg2x2), cfg), cfg).trace is None
+
+
+def test_x_does_not_depend_on_the_trace(mixed2x2):
+    rng = np.random.default_rng(7)
+    cases = [
+        (random_stable(rng, 6, -1), SolverConfig(), VARIANTS[v]) for v in sorted(VARIANTS)
+    ]
+    cases.append((random_stable(rng, 5, 1), SolverConfig(mode=Mode.IDEAL), SolveOptions()))
+    cases.append((mixed2x2, SolverConfig(), SolveOptions()))
+    for p, cfg, options in cases:
+        untraced = solve(p, cfg, options)
+        assert untraced.trace is None and untraced.converged
+        for dec in (0, 7):
+            traced = solve(p, cfg, dataclasses.replace(options, trace_decimation=dec))
+            np.testing.assert_array_equal(traced.x, untraced.x)
+            assert traced.residual_inf == untraced.residual_inf
+            assert traced.t_converge == untraced.t_converge
+            assert traced.fallback == untraced.fallback
+            # the trace ends on that same x
+            np.testing.assert_array_equal(traced.trace.states[-1], untraced.x)
 
 
 def scalar_system(cfg, b=0.5):
@@ -265,3 +311,77 @@ def test_step_budget_refused_before_any_chain(monkeypatch):
     ss = scalar_system(cfg)
     with pytest.raises(StepBudgetExceeded, match="step budget"):
         simulate(ss, cfg)
+
+
+def transient_system(kappa, rate=1e5):
+    """Stable but non-normal: y2' = -a y2 + a and y1' = -a y1 + kappa a (y2 - 1)
+    give y1(t) = -kappa a t exp(-a t), a transient peak of kappa / e that
+    no eigenvalue shows.  x0 carries the residual and is settled at t = 0,
+    so the window is met before the transient peaks."""
+    a = rate
+    m = np.array([[-a, 0.0, 0.0], [0.0, -a, kappa * a], [0.0, 0.0, -a]])
+    f = np.array([0.0, -kappa * a, a])
+    return StateSpace(
+        m, f, np.ones(3), ("x0", "y1", "y2"), 3, np.diag([1.0, 0.0, 0.0]), np.zeros(3)
+    )
+
+
+@pytest.mark.parametrize("dec", [None, 0, 7])
+@pytest.mark.parametrize("kappa, overflows", [(1.36e6, False), (1e7, True)])
+def test_jump_certificate_fails_to_the_grid(monkeypatch, dec, kappa, overflows):
+    # a·dt = 1e-4: the first block of 1024 steps ends before the transient
+    # peaks, so the jump starts where the state is already large
+    cfg = SolverConfig(dt=1e-9, t_max=12000e-9)
+    ss = transient_system(kappa)
+    ref = plain_simulate(ss, cfg, dec)
+    assert ref.t_converge == 0.0
+    assert ("exceeded" in ref.diagnostics) == overflows
+    assert ref.converged != overflows
+    jumps, real_jump = [], dynamics._jump
+
+    def recording_jump(factors, z):
+        out = real_jump(factors, z)
+        jumps.append((out[1], sum(f[0] for f in factors)))
+        return out
+
+    monkeypatch.setattr(dynamics, "_jump", recording_jump)
+    res = simulate(ss, cfg, dec)
+    advanced, asked = jumps[0]
+    assert advanced < asked  # the certificate failed: the grid path ran
+    assert_matches(res, ref)
+    if overflows:
+        # past the block that met the window, inside the stretch a jump skips
+        every_step = plain_simulate(ss, cfg, 1).trace.t
+        assert 1024 < round(every_step[-1] / cfg.dt) < 2048
+        assert f"t = {every_step[-1]:.3e} s" in res.diagnostics
+
+
+@pytest.mark.parametrize("seed", range(7))
+def test_factor_bounds_cover_every_state(seed):
+    # every skipped state R^j z + sum_{i<j} R^i u must lie inside a factor's
+    # bounds; the maps below grow, shrink and are non-normal
+    rng = np.random.default_rng(seed)
+    dim, length, n = 3, 8, 8 * 13 + 5
+    r = np.eye(dim) + rng.normal(0.0, 0.05, (dim, dim))
+    r[0, 2] += 0.5 * seed
+    if seed == 6:
+        # ||R|| = 1.5 but ||R^4|| < 1: a power-of-two norm below 1 must not
+        # shrink the bound for the powers before it
+        r = np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.9]])
+    u = rng.normal(0.0, 1.0, dim)
+    deltas, prefix = dynamics._power_chain(r - np.eye(dim), u, length)
+    factors = dynamics._factors(deltas, prefix, n)
+    assert [f[0] for f in factors] == [5, 8, 32, 64]  # n mod L, then bits of 13
+    combined = reduce(dynamics._then, factors)
+    for steps, d, p, norm_r, norm_p in [*factors, combined]:
+        power, offset = np.eye(dim), np.zeros(dim)
+        peak_r, peak_p = 1.0, 0.0
+        for _ in range(steps):
+            power, offset = r @ power, r @ offset + u
+            peak_r = max(peak_r, np.abs(power).sum(axis=1).max())
+            peak_p = max(peak_p, np.abs(offset).max())
+        scale = max(1.0, np.abs(power).max())
+        assert np.abs(d + np.eye(dim) - power).max() <= 1e-12 * scale
+        assert np.abs(p - offset).max() <= 1e-12 * max(1.0, np.abs(offset).max())
+        assert norm_r * (1 + 1e-12) >= peak_r
+        assert norm_p * (1 + 1e-12) >= peak_p

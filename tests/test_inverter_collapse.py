@@ -35,10 +35,13 @@ TOL = 1e-12
 
 QUANT8 = QuantizerSpec(bits=8, r_unit=64000.0, r_in=2000.0, r_on=10.0)
 NOISY_BANK = MemristorBank(write_noise_sigma=0.02)
+# the runs are compared trace row by trace row, so every solve forms one
 VARIANTS = {
-    "plain": SolveOptions(),
-    "quantized-8bit": SolveOptions(quantizer=QUANT8),
-    "memristor-noisy": SolveOptions(memristor=NOISY_BANK, memristor_seed=7),
+    "plain": SolveOptions(trace_decimation=0),
+    "quantized-8bit": SolveOptions(quantizer=QUANT8, trace_decimation=0),
+    "memristor-noisy": SolveOptions(
+        memristor=NOISY_BANK, memristor_seed=7, trace_decimation=0
+    ),
 }
 
 
@@ -141,8 +144,8 @@ def test_simulate_matches_per_entry_model(variant):
             _assert_same_report(rep, ref_rep)
             if not ref_rep.stable:
                 continue
-            res = simulate(ss, CFG, stability=rep)
-            _assert_same_run(res, simulate(oracle, CFG, stability=ref_rep))
+            res = simulate(ss, CFG, 0, stability=rep)
+            _assert_same_run(res, simulate(oracle, CFG, 0, stability=ref_rep))
             simulated += 1
             converged += res.converged
     # the draw exercises shared columns, simulation and convergence
@@ -174,9 +177,9 @@ def test_merged_modes_kept_in_spectrum(monkeypatch):
     # the shared-lag spectrum alone is faster than the hardware's
     assert np.linalg.eigvals(ss.m).real.max() < -CFG.g / 2.0 * 1.05
 
-    res = solve(prob, CFG)
+    res = solve(prob, CFG, VARIANTS["plain"])
     monkeypatch.setattr(dynamics, "build_system", per_entry_system)
-    ref = solve(prob, CFG)
+    ref = solve(prob, CFG, VARIANTS["plain"])
     assert ref.stability.max_re_eig == pytest.approx(-CFG.g / 2.0, rel=1e-9)
     _assert_same_run(res, ref)
     assert res.fallback == ref.fallback
