@@ -30,14 +30,16 @@ the residual window is met.  From the end of that block x jumps to t_max:
 the remaining m steps split into binary factors (a chain entry, then the
 chain-length map doubled once per bit, about log2 m products), applied to
 the state one after another.  A factor is applied only when a norm bound
-certifies that no state along it passes OVERFLOW_LIMIT; when one fails,
-the rest of the run goes along the trace grid instead, with the dec-step
-map (R^dec, sum_{i<dec} R^i u) once per grid row, and steps plainly where
-that map's bound fails too, so divergence is still reported at the exact
-step.  A trace, when asked for, takes its rows from that grid stride and
-ends on the jumped x, so x does not depend on the trace.  This regroups
-the same arithmetic: results agree with one-step-at-a-time stepping to
-rounding and are byte-deterministic.
+certifies that no state along it passes OVERFLOW_LIMIT.  A trace, when
+asked for, takes its rows from the trace grid with the dec-step map
+(R^dec, sum_{i<dec} R^i u), one row per grid step, under the same kind of
+certificate, and ends on the jumped x, so x does not depend on the trace.
+Every stretch no certificate covers (the rest of the horizon when the jump
+fails, the rest of the grid after the first uncertified row) is
+block-stepped exactly, as before the window, so divergence is still
+reported at the exact step.  This regroups the same arithmetic: results
+agree with one-step-at-a-time stepping to rounding and are
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -62,11 +64,10 @@ from .netlist import (
     realized_matrix,
 )
 from .problem import (
-    RANGE_LIMIT,
     LinearProblem,
-    RangeViolation,
     ScalePolicy,
     _lu_factor,
+    check_input_window,
     scale_problem,
 )
 
@@ -228,6 +229,10 @@ class SolveOptions:
     gram_fallback: bool = True
     # None forms no trace; 0 keeps about 4096 grid steps, k every k-th step
     trace_decimation: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.trace_decimation is not None and self.trace_decimation < 0:
+            raise ValueError("trace_decimation must be nonnegative (0 = auto)")
 
 
 def build_system(circuit: CircuitPlan, cfg: SolverConfig) -> StateSpace:
@@ -443,16 +448,6 @@ def _jump(factors, z):
     return z, steps
 
 
-def _plain_steps(r, u, z, count):
-    """Step z <- r z + u one step at a time, at most count steps, stopping
-    at the first state past OVERFLOW_LIMIT: (z, steps taken, overflowed)."""
-    for step in range(1, count + 1):
-        z = r @ z + u
-        if np.abs(z).max() > OVERFLOW_LIMIT:
-            return z, step, True
-    return z, count, False
-
-
 def _block_size(dim: int) -> int:
     return max(8, min(1024, (1 << 18) // (dim * dim)))
 
@@ -476,17 +471,22 @@ def simulate(
     CONVERGENCE_WINDOW consecutive steps.  Every step is taken until then;
     from the end of the block that met the window, x jumps straight to t_max
     through about log2 of the remaining steps composed maps (see the module
-    docstring), so the cost follows the convergence time, not t_max.  The
-    returned x is the state at t_max, which has settled further than the
-    detection instant, unless a state magnitude exceeds OVERFLOW_LIMIT
-    first: the run then stops there and reports divergence.
+    docstring), so the cost follows the convergence time, not t_max.  Where
+    the jump's overflow certificate fails, the rest of the horizon is
+    block-stepped exactly instead.  The returned x is the state at t_max,
+    which has settled further than the detection instant, unless a state
+    magnitude exceeds OVERFLOW_LIMIT first: the run then stops there and
+    reports divergence.
 
     trace_decimation None forms no trace (result.trace is None); 0 keeps
     about 4096 evenly spaced steps and k > 0 every k-th step, plus the last
-    step reached.  x does not depend on it unless the jump's overflow
-    certificate fails.  Raises StepBudgetExceeded, before stepping, when
-    t_max / dt asks for more than _STEP_BUDGET steps.
+    step reached; a negative value raises ValueError.  x does not depend on
+    it unless the jump's overflow certificate fails.  Raises
+    StepBudgetExceeded, before stepping, when t_max / dt asks for more than
+    _STEP_BUDGET steps.
     """
+    if trace_decimation is not None and trace_decimation < 0:
+        raise ValueError("trace_decimation must be nonnegative (0 = auto)")
     dt = _auto_dt(ss, cfg)
     n_steps = max(CONVERGENCE_WINDOW + 1, int(math.ceil(cfg.t_max / dt)))
     if n_steps > _STEP_BUDGET:
@@ -495,7 +495,7 @@ def simulate(
             f"of {_STEP_BUDGET:.0e}"
         )
     r, s = _step_operators(ss.m, dt)
-    u = s @ ss.f
+    step_map = r - np.eye(len(r)), s @ ss.f
     dim = ss.m.shape[0]
     nm = ss.n_main
     a_hat_t = ss.a_hat.T
@@ -506,8 +506,7 @@ def simulate(
         return np.abs(b_hat - states[:, :nm] @ a_hat_t).max(axis=1)
 
     # The trace keeps steps 0, dec, 2 dec, ... (the grid), then the last
-    # step.  Without a trace the grid is the automatic one: it is stepped
-    # along only when the jump's certificate fails.
+    # step.  Without a trace the grid is the automatic one.
     traced = trace_decimation is not None
     dec = trace_decimation if traced and trace_decimation > 0 else max(1, n_steps // 4096)
     grid_end = n_steps - n_steps % dec
@@ -515,44 +514,50 @@ def simulate(
     kept_res = np.empty(len(kept))
     kept_res[0] = float(np.abs(b_hat).max())
 
-    deltas, prefix = _power_chain(r - np.eye(dim), u, min(_block_size(dim), n_steps))
+    chain = _power_chain(*step_map, min(_block_size(dim), n_steps))
     win = CONVERGENCE_WINDOW + 1
     recent = np.array([kept_res[0] <= eps], dtype=int)  # last win-1 flags
-    z = np.zeros(dim)
-    k = 0
     t_converge: Optional[float] = None
     overflow_at: Optional[int] = None
     settled = None  # (z, k) at the end of the block that met the window
-    # Every step, in blocks, until the window is met; then on to the grid.
-    while k < n_steps and (t_converge is None or k % dec):
-        take = min(len(deltas), n_steps - k)
-        if t_converge is not None:
-            take = min(take, dec - k % dec)
-        states = _advance(deltas, prefix, z, take)
-        peaks = np.abs(states).max(axis=1)
-        if peaks.max() > OVERFLOW_LIMIT:
-            take = int(np.argmax(peaks > OVERFLOW_LIMIT)) + 1
-            states = states[:take]
-            overflow_at = k + take
-        res = residuals(states)
-        if t_converge is None:
-            flags = np.concatenate((recent, res <= eps))
-            sustained = np.convolve(flags, np.ones(win, int), "valid")
-            hits = np.flatnonzero(sustained == win)
-            if hits.size:
-                t_converge = float((k + 1 - len(recent) + hits[0]) * dt)
-            recent = flags[1 - win :]
-        skip = -(k + 1) % dec  # states[skip] is the block's first grid step
-        row = (k + 1 + skip) // dec
-        on_grid = states[skip::dec, :nm]
-        kept[row : row + len(on_grid)] = on_grid
-        kept_res[row : row + len(on_grid)] = res[skip::dec]
-        z = states[-1]
-        k += take
-        if overflow_at is not None:
-            break
-        if settled is None and t_converge is not None:
-            settled = z, k
+
+    def step_to(z, k, end):
+        """Every step from (z, k) to end, in blocks of the step chain, keeping
+        the grid rows.  Stops at the first state past OVERFLOW_LIMIT and,
+        once the window is first met, at the next grid step."""
+        nonlocal recent, t_converge, overflow_at, settled
+        deltas, prefix = chain
+        while k < end:
+            take = min(len(deltas), end - k)
+            states = _advance(deltas, prefix, z, take)
+            peaks = np.abs(states).max(axis=1)
+            if peaks.max() > OVERFLOW_LIMIT:
+                take = int(np.argmax(peaks > OVERFLOW_LIMIT)) + 1
+                states = states[:take]
+                overflow_at = k + take
+            res = residuals(states)
+            if t_converge is None:
+                flags = np.concatenate((recent, res <= eps))
+                sustained = np.convolve(flags, np.ones(win, int), "valid")
+                hits = np.flatnonzero(sustained == win)
+                if hits.size:
+                    t_converge = float((k + 1 - len(recent) + hits[0]) * dt)
+                recent = flags[1 - win :]
+            skip = -(k + 1) % dec  # states[skip] is the block's first grid step
+            row = (k + 1 + skip) // dec
+            on_grid = states[skip::dec, :nm]
+            kept[row : row + len(on_grid)] = on_grid
+            kept_res[row : row + len(on_grid)] = res[skip::dec]
+            z = states[-1]
+            k += take
+            if overflow_at is not None:
+                break
+            if settled is None and t_converge is not None:
+                settled = z, k
+                end = min(end, k + -k % dec)
+        return z, k
+
+    z, k = step_to(np.zeros(dim), 0, n_steps)
 
     # Settled: x jumps from the window's block to t_max, certified factor by
     # factor.  The start does not depend on the grid, so x is the same with
@@ -560,28 +565,23 @@ def simulate(
     jumped = None
     if overflow_at is None and settled is not None and settled[1] < n_steps:
         left = n_steps - settled[1]
-        end, steps = _jump(_factors(deltas, prefix, left), settled[0])
-        if steps == left:
-            jumped = end
+        jumped, steps = _jump(_factors(*chain, left), settled[0])
+        if steps < left:
+            jumped = None
 
-    if overflow_at is None and k < n_steps and (traced or jumped is None):
-        # On the grid: the dec-step map gives one kept row per stacked
-        # product.  A stretch is skipped only when the certificate says no
-        # state along it can pass OVERFLOW_LIMIT; otherwise it is stepped
-        # plainly, so overflow_at stays exact.
+    if traced and overflow_at is None and k < grid_end:
+        # Trace rows: the dec-step map gives one row per stacked product, as
+        # far as its certificate says no state along it can pass
+        # OVERFLOW_LIMIT.
         with np.errstate(over="ignore", invalid="ignore"):
             _, stride_d, stride_p, norm_r, norm_p = reduce(
-                _then, _factors(deltas, prefix, dec)
+                _then, _factors(*chain, dec)
             )
-        tail = []
-        if jumped is None and n_steps > grid_end:
-            tail = _factors(deltas, prefix, n_steps - grid_end)
         row, last_row = k // dec, grid_end // dec
-        if dec > 1 and row < last_row:
-            del deltas, prefix  # one chain alive at a time
-            deltas, prefix = _power_chain(
-                stride_d, stride_p, min(_block_size(dim), last_row - row)
-            )
+        chain = None  # one chain alive at a time
+        deltas, prefix = _power_chain(
+            stride_d, stride_p, min(_block_size(dim), last_row - row)
+        )
         while row < last_row:
             take = min(len(deltas), last_row - row)
             states = _advance(deltas, prefix, z, take)
@@ -595,22 +595,18 @@ def simulate(
             if good:
                 z = states[good - 1]
             if good < take:
-                z, steps, overflowed = _plain_steps(r, u, z, dec)
-                if overflowed:
-                    overflow_at = row * dec + steps
-                    break
-                row += 1
-                kept[row] = z[:nm]
-                kept_res[row] = residuals(z[None])[0]
-        k = row * dec if overflow_at is None else overflow_at
-        if tail and overflow_at is None:
-            z, steps = _jump(tail, z)
-            k += steps
-            if k < n_steps:
-                z, steps, overflowed = _plain_steps(r, u, z, n_steps - k)
-                k += steps
-                if overflowed:
-                    overflow_at = k
+                break
+        del deltas, prefix
+        k = row * dec
+
+    # Whatever no certificate covered is stepped exactly: the rest of the
+    # horizon when the jump failed, the rest of the grid when the stride
+    # walk stopped early.
+    end = n_steps if jumped is None else grid_end if traced else k
+    if overflow_at is None and k < end:
+        if chain is None:  # the stride chain replaced it
+            chain = _power_chain(*step_map, min(_block_size(dim), end - k))
+        z, k = step_to(z, k, end)
     if jumped is not None and overflow_at is None:
         z, k = jumped, n_steps
 
@@ -694,10 +690,7 @@ def solve(
     """
     cfg = cfg or SolverConfig()
     options = options or SolveOptions()
-    if float(np.abs(p.b).max()) > RANGE_LIMIT + 1e-15:
-        raise RangeViolation(
-            f"max |b_i| = {np.abs(p.b).max():.6g} exceeds {RANGE_LIMIT} V"
-        )
+    check_input_window(p.b)
     factor = 1.0
     work = p
     if options.scale is None:

@@ -1,6 +1,7 @@
 """State-space assembly, stability gating, RK4 simulation, and AC analysis."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ringsolve.problem import (
     ScalePolicy,
     SingularMatrix,
     direct_solve_oracle,
+    scale_problem,
     solve_dense,
 )
 
@@ -187,6 +189,32 @@ class TestSolve:
         p = LinearProblem([[1.0, 2.0], [2.0, 4.0]], [0.1, 0.2])
         with pytest.raises(SingularMatrix):
             solve(p, CFG)
+
+    @pytest.mark.parametrize("b", [0.5, -0.5, 0.5 + 5e-16, -np.nextafter(0.5, 1.0)])
+    def test_one_input_window_rule(self, b):
+        # solve with and without scaling and scale_problem accept |b_i| = 0.5
+        # and refuse anything above it, with the same message
+        p = LinearProblem([[-1.0, 0.2], [0.1, -1.0]], [b, 0.0])
+        cfg = SolverConfig(t_max=1e-6)
+        calls = [lambda: scale_problem(p)] + [
+            lambda scale=scale: solve(p, cfg, SolveOptions(scale=scale))
+            for scale in (None, ScalePolicy.EXACT, ScalePolicy.ESTIMATE)
+        ]
+        for call in calls:
+            if abs(b) <= 0.5:
+                call()
+                continue
+            message = f"max |b_i| = {float(abs(b))!r} exceeds 0.5 V"
+            with pytest.raises(RangeViolation, match=re.escape(message)):
+                call()
+
+    @pytest.mark.parametrize("dec", [-1, -5])
+    def test_negative_trace_decimation_refused(self, neg2x2, dec):
+        with pytest.raises(ValueError, match="trace_decimation must be nonnegative"):
+            SolveOptions(trace_decimation=dec)
+        ss = build_system(plan(neg2x2), CFG)
+        with pytest.raises(ValueError, match="trace_decimation must be nonnegative"):
+            simulate(ss, CFG, trace_decimation=dec)
 
     @pytest.mark.parametrize("policy", list(ScalePolicy))
     @pytest.mark.parametrize(

@@ -3,7 +3,8 @@ against plain stepping.
 
 simulate takes every RK4 step only until the residual window is met, then
 jumps x to t_max with composed step maps and, when a trace is asked for,
-advances along the trace grid with the dec-step map.  The oracle below is
+advances along the trace grid with the dec-step map.  Every stretch that no
+overflow certificate covers is block-stepped exactly.  The oracle below is
 the literal loop it replaces: one step z <- R z + u at a time over the
 whole horizon, every residual kept, the window found afterwards.
 """
@@ -347,13 +348,32 @@ def test_jump_certificate_fails_to_the_grid(monkeypatch, dec, kappa, overflows):
     monkeypatch.setattr(dynamics, "_jump", recording_jump)
     res = simulate(ss, cfg, dec)
     advanced, asked = jumps[0]
-    assert advanced < asked  # the certificate failed: the grid path ran
+    assert advanced < asked  # the certificate failed: the rest was block-stepped
     assert_matches(res, ref)
     if overflows:
         # past the block that met the window, inside the stretch a jump skips
         every_step = plain_simulate(ss, cfg, 1).trace.t
         assert 1024 < round(every_step[-1] / cfg.dt) < 2048
         assert f"t = {every_step[-1]:.3e} s" in res.diagnostics
+
+
+@pytest.mark.parametrize("dec", [None, 0, 7])
+def test_failed_certificates_step_each_step_once(monkeypatch, dec):
+    # after a failed certificate the rest is block-stepped: at most one state
+    # per step past the block that met the window, not a fresh block of
+    # stride rows after every uncertified grid row
+    cfg = SolverConfig(dt=1e-9, t_max=12000e-9)
+    ss = transient_system(1.36e6)
+    rows, real_advance = [], dynamics._advance
+
+    def counting_advance(deltas, prefix, z, count):
+        rows.append(count)
+        return real_advance(deltas, prefix, z, count)
+
+    monkeypatch.setattr(dynamics, "_advance", counting_advance)
+    res = simulate(ss, cfg, dec)
+    assert sum(rows) <= 12000 + dynamics._block_size(3)
+    assert_matches(res, plain_simulate(ss, cfg, dec))
 
 
 @pytest.mark.parametrize("seed", range(7))
