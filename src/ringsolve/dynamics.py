@@ -52,7 +52,6 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
-from ._table import write_table
 from .netlist import (
     CircuitPlan,
     MemristorBank,
@@ -190,6 +189,11 @@ class Trace:
         """
         n = self.states.shape[1]
         header = ["t_s", *(f"x{i}" for i in range(n)), "residual_inf"]
+        # imported here: the formatter's tables are built when the first CSV is
+        # written, so a process that writes none pays neither their time nor
+        # their memory
+        from ._table import write_table
+
         write_table(destination, header, (self.t, self.states, self.residual_inf))
 
 
@@ -505,26 +509,28 @@ def simulate(
     def residuals(states):
         return np.abs(b_hat - states[:, :nm] @ a_hat_t).max(axis=1)
 
-    # The trace keeps steps 0, dec, 2 dec, ... (the grid), then the last
-    # step.  Without a trace the grid is the automatic one.
+    # A trace keeps steps 0, dec, 2 dec, ... (the grid), then the last step.
     traced = trace_decimation is not None
-    dec = trace_decimation if traced and trace_decimation > 0 else max(1, n_steps // 4096)
-    grid_end = n_steps - n_steps % dec
-    kept = np.zeros((grid_end // dec + 2, nm))
-    kept_res = np.empty(len(kept))
-    kept_res[0] = float(np.abs(b_hat).max())
+    start_res = float(np.abs(b_hat).max())
+    if traced:
+        dec = trace_decimation or max(1, n_steps // 4096)
+        grid_end = n_steps - n_steps % dec
+        kept = np.zeros((grid_end // dec + 2, nm))
+        kept_res = np.empty(len(kept))
+        kept_res[0] = start_res
 
     chain = _power_chain(*step_map, min(_block_size(dim), n_steps))
     win = CONVERGENCE_WINDOW + 1
-    recent = np.array([kept_res[0] <= eps], dtype=int)  # last win-1 flags
+    recent = np.array([start_res <= eps], dtype=int)  # last win-1 flags
     t_converge: Optional[float] = None
     overflow_at: Optional[int] = None
     settled = None  # (z, k) at the end of the block that met the window
 
     def step_to(z, k, end):
         """Every step from (z, k) to end, in blocks of the step chain, keeping
-        the grid rows.  Stops at the first state past OVERFLOW_LIMIT and,
-        once the window is first met, at the next grid step."""
+        the grid rows of a trace.  Stops at the first state past
+        OVERFLOW_LIMIT and, once the window is first met, at the end of that
+        block (traced: at the next grid step)."""
         nonlocal recent, t_converge, overflow_at, settled
         deltas, prefix = chain
         while k < end:
@@ -543,18 +549,19 @@ def simulate(
                 if hits.size:
                     t_converge = float((k + 1 - len(recent) + hits[0]) * dt)
                 recent = flags[1 - win :]
-            skip = -(k + 1) % dec  # states[skip] is the block's first grid step
-            row = (k + 1 + skip) // dec
-            on_grid = states[skip::dec, :nm]
-            kept[row : row + len(on_grid)] = on_grid
-            kept_res[row : row + len(on_grid)] = res[skip::dec]
+            if traced:
+                skip = -(k + 1) % dec  # states[skip] is the block's first grid step
+                row = (k + 1 + skip) // dec
+                on_grid = states[skip::dec, :nm]
+                kept[row : row + len(on_grid)] = on_grid
+                kept_res[row : row + len(on_grid)] = res[skip::dec]
             z = states[-1]
             k += take
             if overflow_at is not None:
                 break
             if settled is None and t_converge is not None:
                 settled = z, k
-                end = min(end, k + -k % dec)
+                end = min(end, k + -k % dec) if traced else k
         return z, k
 
     z, k = step_to(np.zeros(dim), 0, n_steps)

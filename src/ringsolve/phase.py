@@ -26,8 +26,6 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
-from ._table import write_table
-
 
 class NoFundamental(RuntimeError):
     """The requested signal bin is indistinguishable from the noise floor."""
@@ -123,6 +121,8 @@ class SpectralReport:
 
     def write_csv(self, destination: Union[str, IO[str]]) -> None:
         """Write "freq_hz,mag_db" rows, 9 significant digits, to a path or stream."""
+        from ._table import write_table  # deferred: see Trace.write_csv
+
         write_table(
             destination,
             ("freq_hz", "mag_db"),

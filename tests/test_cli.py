@@ -3,6 +3,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -98,6 +101,22 @@ class TestSolveCommand:
         assert run(args + ["--out", str(out1)]) == EXIT_OK
         assert run(args + ["--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_converging_trace_run_writes_nothing_to_stderr(self, neg_file, tmp_path):
+        # the trace starts at the zero state, so the CSV writer meets zeros:
+        # none of its numpy steps may warn into the command's stderr
+        out, trace = tmp_path / "r.json", tmp_path / "t.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringsolve.cli", "solve", neg_file,
+             "--out", str(out), "--trace", str(trace)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        assert json.loads(out.read_text())["converged"] is True
+        rows = trace.read_text().splitlines()
+        assert rows[1] == "0,0,0,0.45"
 
     def test_singular_exit_code(self, tmp_path):
         path = tmp_path / "s.json"
@@ -218,6 +237,7 @@ class TestSideFileFailure:
         assert run(argv) == EXIT_DIVERGENCE
         assert json.loads(out.read_text())["converged"] is False
         assert trace.read_text().startswith("t_s,x0,x1,residual_inf\n")
+
 
 
 class TestSharedParser:

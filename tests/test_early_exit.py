@@ -376,6 +376,32 @@ def test_failed_certificates_step_each_step_once(monkeypatch, dec):
     assert_matches(res, plain_simulate(ss, cfg, dec))
 
 
+@pytest.mark.parametrize("n", [5, 6, 10])
+def test_untraced_run_stops_with_the_window_block(monkeypatch, n):
+    # nothing reads grid rows without a trace, so stepping ends with the
+    # block that met the window, where the jump starts, and does not go on
+    # to the next step of the automatic grid
+    p = random_stable(np.random.default_rng(n), n, -1)
+    cfg = SolverConfig()
+    ss = build_system(plan(p), cfg)
+    rows, real_advance = [], dynamics._advance
+
+    def counting_advance(deltas, prefix, z, count):
+        rows.append(count)
+        return real_advance(deltas, prefix, z, count)
+
+    monkeypatch.setattr(dynamics, "_advance", counting_advance)
+    res = simulate(ss, cfg)
+    dt = dynamics._auto_dt(ss, cfg)
+    met = round(res.t_converge / dt) + CONVERGENCE_WINDOW  # the window's last step
+    assert res.converged and res.trace is None
+    assert sum(rows[:-1]) < met <= sum(rows)
+    # that block ends off the automatic grid, so a grid walk would show
+    assert sum(rows) % (math.ceil(cfg.t_max / dt) // 4096) != 0
+    monkeypatch.undo()
+    np.testing.assert_array_equal(simulate(ss, cfg, 0).x, res.x)
+
+
 @pytest.mark.parametrize("seed", range(7))
 def test_factor_bounds_cover_every_state(seed):
     # every skipped state R^j z + sum_{i<j} R^i u must lie inside a factor's
