@@ -216,7 +216,9 @@ def write_table(
     """Write a header line and one row per sample, 9 significant digits.
 
     ``columns`` are stacked side by side (a 2-D array contributes one
-    column per array column).  Every value is written as ``"%.9g" % v``
+    column per array column), one chunk of rows at a time, so the table is
+    never copied whole; columns of different lengths raise ValueError
+    before anything is written.  Every value is written as ``"%.9g" % v``
     writes it (the same text as ``f"{v:.9g}"``), byte for byte, including
     -0, inf, nan and subnormals: chunks of ``_CHUNK_VALUES`` values go
     through the certified numpy fast path, and only the values it cannot
@@ -225,8 +227,14 @@ def write_table(
     module docstring.  A string destination is opened for writing (and
     truncated); a stream is written and left open.
     """
-    table = np.asarray(np.column_stack(columns), dtype=np.float64)
-    rows, width = table.shape
+    columns = [np.asarray(c) for c in columns]
+    columns = [c[:, None] if c.ndim == 1 else c for c in columns]
+    rows = columns[0].shape[0]
+    if any(c.shape[0] != rows for c in columns):
+        raise ValueError(
+            f"columns differ in length: {[c.shape[0] for c in columns]}"
+        )
+    width = sum(c.shape[1] for c in columns)
     chunk_rows = max(1, _CHUNK_VALUES // width)
     separators = np.tile(
         np.array([_COMMA] * (width - 1) + [_NEWLINE], dtype=_U64),
@@ -237,7 +245,9 @@ def write_table(
     def _dump(fh: IO[str]) -> None:
         fh.write(",".join(header) + "\n")
         for lo in range(0, rows, chunk_rows):
-            values = table[lo : lo + chunk_rows].ravel()
+            values = np.concatenate(
+                [c[lo : lo + chunk_rows] for c in columns], axis=1, dtype=np.float64
+            ).ravel()
             n = values.size
             fh.write(_format_chunk(values, separators[:n], slots[:n]).decode("ascii"))
 

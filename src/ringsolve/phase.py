@@ -14,6 +14,14 @@ M * f_ref for every M.  (Sampling M sign-XOR channels directly yields a
 carrier at 2 * f_ref, which parks the residue of odd-M banks at 2*M*f_ref;
 the equivalent-carrier form matches the multiphase summing behavior this
 model is meant to reproduce.)
+
+The integrator counts the high channels per sample in closed form instead
+of comparing all M carriers.  With ``a = f_ref * t`` the carriers
+``frac(a + k/M)``, k = 0..M-1, are exactly the points
+``(frac(M*a) + j) / M``, j = 0..M-1, so the number of carriers below the
+duty ``d`` is ``clip(ceil(M*d - frac(M*a)), 0, M)``.  The float form of
+this count is kept only where its rounding is certified; every other
+sample takes the M-carrier comparison (see ``_high_taps``).
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import IO, Optional, Union
 
 import numpy as np
@@ -182,6 +191,54 @@ def _triangle(phase):
     return 1.0 - np.abs(np.mod(phase / math.pi, 2.0) - 1.0)
 
 
+# Carrier values per block of the exact fallback in _high_taps (512 kB of
+# float64), so its memory stays bounded when every sample falls back.
+_FALLBACK_CARRIERS = 1 << 16
+
+
+def _carriers_below(a: np.ndarray, duty: np.ndarray, m: int) -> np.ndarray:
+    """The M-carrier comparison: (m, n) mask of carrier k below the duty."""
+    taps = np.arange(m)[:, None] / m
+    return np.mod(a[None, :] + taps, 1.0) < duty[None, :]
+
+
+def _high_taps(a: np.ndarray, duty: np.ndarray, m: int) -> np.ndarray:
+    """Per sample, how many of the m carriers ``np.mod(a + k/m, 1.0)`` lie
+    below ``duty``: the integer the M-carrier comparison counts.
+
+    Closed form: ``clip(ceil(y), 0, m)`` with ``y = m*duty - frac(m*a)``,
+    kept only where it is certified.  The fallback set is every sample
+    where ``y`` is not finite (a NaN duty), ``y`` is within ``tol`` of an
+    integer (a carrier within rounding of the duty), or ``frac(m*a)`` is
+    within ``tol`` of 0 or 1 (a carrier within rounding of its wrap from 1
+    to 0).  Those samples are counted by the M-carrier comparison, in
+    blocks of at most ``_FALLBACK_CARRIERS`` carrier values.
+
+    The margin, in units of y: each float carrier is within
+    ``spacing(max|a| + 1)`` of the exact ``frac(a + k/m)`` (k/m and the sum
+    round once each, np.mod of a non-negative float is exact), which is m
+    times that in y units; the float y is within
+    ``m*spacing(max|a|) + spacing(m)`` of the exact one (the products and
+    the difference round once each).
+    ``tol = 16*m*spacing(max|a| + 2) + 16*spacing(m)`` exceeds their sum
+    eight times over.
+    """
+    tol = 16.0 * m * np.spacing(np.max(np.abs(a)) + 2.0) + 16.0 * np.spacing(float(m))
+    wrap = np.mod(m * a, 1.0)
+    y = m * duty - wrap
+    uncertain = ~np.isfinite(y)
+    uncertain |= np.abs(y - np.rint(y)) <= tol
+    uncertain |= (wrap <= tol) | (wrap >= 1.0 - tol)
+    y[uncertain] = 0.0
+    count = np.clip(np.ceil(y), 0, m).astype(np.intp)
+    fallback = np.flatnonzero(uncertain)
+    block = max(1, _FALLBACK_CARRIERS // m)
+    for lo in range(0, fallback.size, block):
+        idx = fallback[lo : lo + block]
+        count[idx] = np.count_nonzero(_carriers_below(a[idx], duty[idx], m), axis=0)
+    return count
+
+
 def simulate_phase_integrator(
     v_in: np.ndarray, cfg: PhaseConfig, phase0: float = math.pi / 2
 ) -> np.ndarray:
@@ -196,7 +253,19 @@ def simulate_phase_integrator(
     The output's low-frequency content integrates the input at
     (2*pi*k_eff) * (v_dd/pi) volts per volt-second; the switching residue
     concentrates at m_phases * f_ref and harmonics.  Warns AliasRisk when
-    dt is too coarse to resolve that residue.
+    dt is too coarse to resolve that residue.  An empty series gives an
+    empty output.
+
+    The output is the mean of M channel levels in {0, v_dd}, summed in
+    channel order as ``levels.sum(axis=0) / M`` over the (M, N) level
+    array would sum them.  For N >= 2 that reduction adds whole rows in
+    order, and adding a 0.0 level is exact, so a sample's value depends
+    only on how many channels are high: it is read from a table of the
+    M + 1 such sums, indexed by the count from ``_high_taps`` (the closed
+    form, certified per sample, with the M-carrier comparison on the rest).
+    A one-sample series is summed pairwise by numpy (8 accumulators from
+    M = 8), where the value depends on which channels are high, so it keeps
+    the (M, 1) level array.
     """
     v_in = np.asarray(v_in, dtype=float)
     if v_in.ndim != 1:
@@ -208,10 +277,13 @@ def simulate_phase_integrator(
             AliasRisk,
             stacklevel=2,
         )
+    if v_in.size == 0:
+        return np.empty(0)
     gain = effective_kvco(cfg)
     div = _METHOD_DIVIDER[cfg.method]
     f_center = cfg.f0 / div
     k_eff = gain.k_vco_hz_per_v
+    m = cfg.m_phases
 
     t = np.arange(v_in.size) * cfg.dt
     # Cumulative trapezoid-free phase: left-rectangle accumulation matches
@@ -223,10 +295,13 @@ def simulate_phase_integrator(
     phase_err = theta - 2.0 * math.pi * cfg.f_ref * t + phase0
     duty = _triangle(phase_err)
 
-    taps = np.arange(cfg.m_phases)[:, None] / cfg.m_phases
-    carriers = np.mod(cfg.f_ref * t[None, :] + taps, 1.0)
-    levels = np.where(carriers < duty[None, :], cfg.v_dd, 0.0)
-    return levels.sum(axis=0) / cfg.m_phases
+    a = cfg.f_ref * t
+    if v_in.size == 1:
+        levels = np.where(_carriers_below(a, duty, m), cfg.v_dd, 0.0)
+        return levels.sum(axis=0) / m
+    high = np.arange(m)[:, None] < np.arange(m + 1)  # column c: c taps high
+    table = np.where(high, cfg.v_dd, 0.0).sum(axis=0) / m
+    return table[_high_taps(a, duty, m)]
 
 
 def simulate_phase_lowpass(
@@ -321,6 +396,31 @@ def dominant_tone(series: np.ndarray, dt: float, min_bin: int = 4) -> float:
     return float(np.fft.rfftfreq(series.size, dt)[int(np.argmax(mags))])
 
 
+@lru_cache(maxsize=4)
+def _periodic_hann(n: int) -> np.ndarray:
+    """Periodic Hann window of n points, read-only (it is shared).
+
+    Periodic, not symmetric: a bin-centered tone then leaks into exactly
+    +-1 bins.
+    """
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window.flags.writeable = False
+    return window
+
+
+def _spur_mask(size: int, k_fund: int, guard_bins: int) -> np.ndarray:
+    """Bins that count as spurs: all but those within guard_bins of DC or
+    of a harmonic j*k_fund (j >= 1) that is itself a bin (< size).
+
+    Only the nearest multiples of k_fund can cover a bin: the one below
+    (j = 0 is DC) at distance r = bin % k_fund, and the one above at
+    k_fund - r, which counts only when it is below size.
+    """
+    bins = np.arange(size)
+    r = bins % k_fund
+    return (r > guard_bins) & ((k_fund - r > guard_bins) | (bins - r + k_fund >= size))
+
+
 def sfdr(
     series: np.ndarray,
     f_signal: float,
@@ -334,12 +434,15 @@ def sfdr(
     region, and harmonics of the fundamental (each excluded with the same
     guard).  Raises NoFundamental when the signal bin does not stand above
     the spectrum's median floor, and ValueError when the series length is
-    not a power of two >= 4096 or f_signal is below 4 bins.
+    not a power of two >= 4096, f_signal is below 4 bins or guard_bins is
+    negative.
     """
     series = np.asarray(series, dtype=float)
     n = series.size
     if n < 4096 or n & (n - 1):
         raise ValueError(f"series length must be a power of two >= 4096, got {n}")
+    if guard_bins < 0:
+        raise ValueError(f"guard_bins must be non-negative, got {guard_bins}")
     bin_hz = 1.0 / (n * cfg.dt)
     k0 = int(round(f_signal / bin_hz))
     if k0 < 4:
@@ -347,9 +450,7 @@ def sfdr(
             f"f_signal = {f_signal:.6g} Hz is below 4 bins ({4 * bin_hz:.6g} Hz)"
         )
 
-    # Periodic Hann: a bin-centered tone then leaks into exactly +-1 bins.
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-    mags = np.abs(np.fft.rfft(series * window))
+    mags = np.abs(np.fft.rfft(series * _periodic_hann(n)))
     freqs = np.fft.rfftfreq(n, cfg.dt)
 
     lo = max(0, k0 - 2)
@@ -363,13 +464,7 @@ def sfdr(
             "noise floor"
         )
 
-    spur_mask = np.ones(mags.size, dtype=bool)
-    spur_mask[: guard_bins + 1] = False  # DC and its skirt
-    harmonic = k_fund
-    while harmonic < mags.size:
-        lo = max(0, harmonic - guard_bins)
-        spur_mask[lo : harmonic + guard_bins + 1] = False
-        harmonic += k_fund
+    spur_mask = _spur_mask(mags.size, k_fund, guard_bins)
     spur_idx = int(np.argmax(np.where(spur_mask, mags, 0.0)))
     worst = float(mags[spur_idx])
 

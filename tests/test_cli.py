@@ -360,6 +360,21 @@ class TestScaleCommand:
 
 
 class TestSfdrCommand:
+    @pytest.mark.parametrize(
+        "flags", [[], ["--m-phases", "3", "--method", "johnson-16", "--vdd", "1.2"]]
+    )
+    def test_writes_nothing_to_stderr(self, tmp_path, flags):
+        # no numpy warning from the tap count or the spectrum may reach stderr
+        out = tmp_path / "sfdr.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringsolve.cli", "sfdr", "--out", str(out), *flags],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        assert math.isfinite(json.loads(out.read_text())["sfdr_db"])
+
     def test_report_and_spectrum(self, tmp_path):
         out = tmp_path / "sfdr.json"
         spectrum = tmp_path / "spectrum.csv"

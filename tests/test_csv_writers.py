@@ -90,6 +90,26 @@ def test_spectrum_matches_per_value_writer(tmp_path):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+def test_mismatched_columns_write_nothing():
+    buf = io.StringIO()
+    with pytest.raises(ValueError):
+        _table.write_table(buf, ["a", "b", "c"], [np.zeros(5), np.zeros((4, 2))])
+    assert buf.getvalue() == ""
+
+
+def test_columns_of_mixed_width_and_dtype():
+    # 1-D and 2-D columns side by side, integers among them, over chunks
+    rng = np.random.default_rng(13)
+    rows = 2 * _table._CHUNK_VALUES // 6 + 5
+    t = _values(rng, rows)
+    block = _values(rng, (rows, 4))
+    ints = rng.integers(-10**6, 10**6, rows)
+    buf = io.StringIO()
+    _table.write_table(buf, list("abcdef"), [t, block, ints])
+    rows_iter = zip(t, block, ints)
+    assert buf.getvalue() == _oracle(list("abcdef"), ([a, *b, float(c)] for a, b, c in rows_iter))
+
+
 def assert_table_matches(values, width):
     """The writer and the oracle agree on ``values`` laid out ``width`` wide
     (padded with zeros to whole rows)."""

@@ -1,14 +1,20 @@
 """Phase accumulation, PWM detection, multiphase spectra, and SFDR."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from ringsolve import phase
 from ringsolve.dynamics import SolverConfig, ac_response
 from ringsolve.netlist import plan
 from ringsolve.phase import (
     _METHOD_DIVIDER,
+    _high_taps,
+    _periodic_hann,
+    _spur_mask,
+    _triangle,
     AliasRisk,
     NoFundamental,
     PhaseConfig,
@@ -356,3 +362,226 @@ def test_lowpass_carrier_on_the_duty_counts_low():
     got = simulate_phase_lowpass(b, 1.0, cfg, phase0=0.0)
     assert np.array_equal(got, _lowpass_numpy_oracle(b, 1.0, cfg, 0.0))
     assert got[0] == 0.0
+
+
+def _integrator_oracle(v_in, cfg, phase0=math.pi / 2):
+    """The M x N form of the multiphase integrator: every carrier of every
+    sample compared against the duty, the (M, N) levels summed on axis 0."""
+    v_in = np.asarray(v_in, dtype=float)
+    f_center = cfg.f0 / _METHOD_DIVIDER[cfg.method]
+    k_eff = effective_kvco(cfg).k_vco_hz_per_v
+    t = np.arange(v_in.size) * cfg.dt
+    inst_freq = f_center + k_eff * (v_in - cfg.v0)
+    theta = np.empty(v_in.size)
+    theta[0] = 0.0
+    np.cumsum(2.0 * math.pi * inst_freq[:-1] * cfg.dt, out=theta[1:])
+    duty = _triangle(theta - 2.0 * math.pi * cfg.f_ref * t + phase0)
+    taps = np.arange(cfg.m_phases)[:, None] / cfg.m_phases
+    carriers = np.mod(cfg.f_ref * t[None, :] + taps, 1.0)
+    levels = np.where(carriers < duty[None, :], cfg.v_dd, 0.0)
+    return levels.sum(axis=0) / cfg.m_phases
+
+
+def _random_integrator_case(rng, n):
+    """A random configuration (aligned or unaligned dt, any method, v_dd
+    of 1 and other values) and a noisy tone or flat input of n samples."""
+    m = int(rng.integers(1, 65))
+    method = list(PhaseMethod)[int(rng.integers(3))]
+    f0 = 10.0 ** rng.uniform(5, 8)
+    kw = {}
+    if rng.random() < 0.5:
+        f_ref = f0 / _METHOD_DIVIDER[method] * rng.uniform(0.5, 1.5)
+        kw = dict(f_ref=f_ref, dt=rng.uniform(0.2, 1.0) / (20.0 * max(f0, f_ref)))
+    v_dd = float(rng.choice([1.0, 1.2, 0.9, 0.1, 3.3, rng.uniform(0.05, 5.0)]))
+    cfg = PhaseConfig(
+        m_phases=m, f0=f0, k_vco=f0 * rng.uniform(0.01, 3.0), v_dd=v_dd,
+        method=method, **kw,
+    )
+    t = np.arange(n) * cfg.dt
+    v = (
+        cfg.v0
+        + rng.uniform(0.0, 0.3) * np.sin(2 * math.pi * rng.uniform(0, 0.01) * f0 * t)
+        + rng.normal(0.0, rng.uniform(0.0, 0.05), n)
+    )
+    if rng.random() < 0.2:
+        v = np.full(n, cfg.v0)
+    return cfg, v
+
+
+class TestIntegratorMatchesCarrierOracle:
+    """The closed-form tap count is bit-identical to the M x N form."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AliasRisk)
+            for _ in range(40):
+                n = int(rng.choice([1, 2, 3, 17, 4096, 32768, int(rng.integers(1, 20000))]))
+                cfg, v = _random_integrator_case(rng, n)
+                p0 = float(rng.choice([math.pi / 2, rng.uniform(-10.0, 10.0)]))
+                got = simulate_phase_integrator(v, cfg, p0)
+                assert np.array_equal(got, _integrator_oracle(v, cfg, p0)), (cfg, n, p0)
+
+    @pytest.mark.parametrize("phase0", [0.0, math.pi / 2, math.pi])
+    @pytest.mark.parametrize("m", [1, 3, 4, 8, 32, 64])
+    def test_phase0_on_the_duty_breakpoints(self, phase0, m):
+        # flat input at v0: the phase error sits on phase0 and the carriers
+        # sweep past a duty of exactly 0, 1/2 or 1
+        for v_dd in (1.0, 1.2):
+            cfg = PhaseConfig(m_phases=m, f0=5e6, k_vco=10e6, v_dd=v_dd)
+            for v in (np.full(4096, cfg.v0), cfg.v0 + 1e-3 * np.sin(np.arange(4096) / 300.0)):
+                got = simulate_phase_integrator(v, cfg, phase0)
+                assert np.array_equal(got, _integrator_oracle(v, cfg, phase0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 3, 8, 9, 32, 64])
+    def test_short_series(self, n, m):
+        # one sample is summed pairwise by numpy: the value depends on which
+        # taps are high, not only how many
+        rng = np.random.default_rng(100 * m + n)
+        for v_dd in (1.0, 1.2, 0.9, 0.1, 3.3):
+            cfg = PhaseConfig(m_phases=m, f0=5e6, k_vco=10e6, v_dd=v_dd)
+            for p0 in rng.uniform(-4.0, 4.0, 25):
+                v = cfg.v0 + rng.uniform(-0.5, 0.5, n)
+                got = simulate_phase_integrator(v, cfg, float(p0))
+                assert np.array_equal(got, _integrator_oracle(v, cfg, float(p0)))
+
+    def test_non_finite_inputs(self):
+        cfg = PhaseConfig(m_phases=8, f0=5e6, k_vco=10e6)
+        series = [
+            [np.nan, 0.75, np.inf, 0.75],
+            [0.75, np.inf, 0.75, 0.75, 0.7],
+            [0.75, 0.8, -np.inf, 0.75],
+            [0.75, 0.76, 0.77, np.nan, 0.75, 0.75],
+        ]
+        # inf reaches the duty law as an inf phase error: np.mod flags it
+        with np.errstate(invalid="ignore"):
+            for v in map(np.array, series):
+                got = simulate_phase_integrator(v, cfg)
+                assert np.array_equal(got, _integrator_oracle(v, cfg)), v
+        np.testing.assert_array_equal(
+            simulate_phase_integrator(np.array(series[0]), cfg), [0.5, 0.0, 0.0, 0.0]
+        )
+
+    def test_empty_series(self):
+        out = simulate_phase_integrator(np.array([]), PhaseConfig())
+        assert out.shape == (0,) and out.dtype == np.float64
+
+
+def _carrier_count(a, duty, m):
+    return np.count_nonzero(
+        np.mod(a[None, :] + np.arange(m)[:, None] / m, 1.0) < duty[None, :], axis=0
+    )
+
+
+class TestHighTaps:
+    @pytest.mark.parametrize("m", [1, 3, 7, 32, 64])
+    def test_duty_on_and_next_to_a_carrier(self, m):
+        # the duty set to a float carrier value or its neighbour, with the
+        # reference phase at, next to and between the carrier wraps
+        rng = np.random.default_rng(m)
+        n = 20000
+        j = rng.integers(0, 5000 * m, n)
+        a = j / m * rng.choice([1.0, 1.0 + 2**-50, 1.0 - 2**-50], n)
+        a[::3] = rng.uniform(0.0, 5000.0, a[::3].size)
+        k = rng.integers(0, m, n)
+        duty = np.mod(a + k / m, 1.0)
+        nudged = np.nextafter(duty, rng.choice([-np.inf, np.inf], n))
+        duty = np.where(rng.random(n) < 0.5, nudged, duty)
+        duty[::7] = rng.uniform(0.0, 1.0, duty[::7].size)
+        duty[::11] = rng.choice([0.0, 1.0, 0.5], duty[::11].size)
+        assert np.array_equal(_high_taps(a, duty, m), _carrier_count(a, duty, m))
+
+    def test_nan_duty_counts_no_taps(self):
+        a = np.arange(6) * 0.013
+        duty = np.array([np.nan, 0.5, np.nan, 1.0, 0.0, np.nan])
+        assert np.array_equal(_high_taps(a, duty, 8), _carrier_count(a, duty, 8))
+
+    def test_large_phase_falls_back_in_bounded_blocks(self, monkeypatch):
+        # at |a| near 1e14 the margin is above 1/2, so no sample is
+        # certified: all of them take the M-carrier comparison, in blocks
+        # of at most _FALLBACK_CARRIERS carrier values
+        m = 64
+        rng = np.random.default_rng(3)
+        a = 1e14 + rng.uniform(0.0, 1e6, 5000)
+        duty = rng.uniform(0.0, 1.0, a.size)
+        shapes = []
+        real = phase._carriers_below
+
+        def recording(a_blk, duty_blk, m_blk):
+            shapes.append(a_blk.size * m_blk)
+            return real(a_blk, duty_blk, m_blk)
+
+        monkeypatch.setattr(phase, "_carriers_below", recording)
+        assert np.array_equal(_high_taps(a, duty, m), _carrier_count(a, duty, m))
+        assert sum(shapes) == a.size * m
+        assert max(shapes) <= phase._FALLBACK_CARRIERS
+
+    def test_benchmark_sized_input_mostly_certified(self, monkeypatch):
+        # the closed form carries the bulk: on an M = 32 SFDR input only a
+        # few percent of the samples reach the carrier comparison
+        cfg = PhaseConfig(m_phases=32, f0=5e6, k_vco=10e6)
+        n = 1 << 15
+        t = np.arange(n) * cfg.dt
+        v = cfg.v0 + 0.003 * np.sin(2 * math.pi * 12 / (n * cfg.dt) * t)
+        fell_back = []
+        real = phase._carriers_below
+
+        def recording(a_blk, duty_blk, m_blk):
+            fell_back.append(a_blk.size)
+            return real(a_blk, duty_blk, m_blk)
+
+        monkeypatch.setattr(phase, "_carriers_below", recording)
+        got = simulate_phase_integrator(v, cfg)
+        assert np.array_equal(got, _integrator_oracle(v, cfg))
+        assert sum(fell_back) < 0.1 * n
+
+
+def _spur_mask_loop(size, k_fund, guard_bins):
+    """The per-harmonic form of the spur mask."""
+    mask = np.ones(size, dtype=bool)
+    mask[: guard_bins + 1] = False
+    harmonic = k_fund
+    while harmonic < size:
+        lo = max(0, harmonic - guard_bins)
+        mask[lo : harmonic + guard_bins + 1] = False
+        harmonic += k_fund
+    return mask
+
+
+class TestSpurMask:
+    @pytest.mark.parametrize("guard_bins", [0, 1, 3, 7])
+    def test_matches_harmonic_loop(self, guard_bins):
+        # k_fund 2..5 overlaps the skirts for the wider guards; sizes on
+        # every residue cover the top edge, where the next harmonic is past
+        # the last bin while its lower skirt is not
+        for k_fund in (2, 3, 4, 5, 12, 13):
+            for size in range(1, 6 * k_fund + 2 * guard_bins + 3):
+                expected = _spur_mask_loop(size, k_fund, guard_bins)
+                assert np.array_equal(_spur_mask(size, k_fund, guard_bins), expected), (
+                    k_fund, size,
+                )
+        for size in (2049, 16385):
+            expected = _spur_mask_loop(size, 12, guard_bins)
+            assert np.array_equal(_spur_mask(size, 12, guard_bins), expected)
+
+    def test_top_edge_skirt_is_a_spur(self):
+        # harmonic 15 is past the last bin, so bin 13 in its lower skirt
+        # stays a spur; harmonics 5 and 10 and DC mask their +-1 bins
+        spurs = np.flatnonzero(_spur_mask(14, 5, 1))
+        assert spurs.tolist() == [2, 3, 7, 8, 12, 13]
+
+    def test_negative_guard_rejected(self):
+        cfg = TestSfdr.CFG
+        s = np.sin(2 * math.pi * 32 * np.arange(4096) / 4096)
+        with pytest.raises(ValueError):
+            sfdr(s, 32 / (4096 * cfg.dt), cfg, guard_bins=-1)
+
+
+def test_hann_window_cached_read_only():
+    w = _periodic_hann(4096)
+    assert w is _periodic_hann(4096)
+    assert not w.flags.writeable
+    n = np.arange(4096)
+    assert np.array_equal(w, 0.5 - 0.5 * np.cos(2.0 * np.pi * n / 4096))
