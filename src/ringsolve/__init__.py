@@ -43,6 +43,7 @@ from .dynamics import (
     StateDimensionLimit,
     StateSpace,
     StepBudgetExceeded,
+    StepMapOverflow,
     UnstableSystem,
     ac_response,
     bandwidth,

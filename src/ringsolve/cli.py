@@ -32,6 +32,7 @@ from .dynamics import (
     SolverConfig,
     StateDimensionLimit,
     StepBudgetExceeded,
+    StepMapOverflow,
     UnstableSystem,
     bandwidth,
     solve,
@@ -549,7 +550,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except UnstableSystem as exc:
         print(f"unstable system: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (StateDimensionLimit, StepBudgetExceeded) as exc:
+    except (StateDimensionLimit, StepBudgetExceeded, StepMapOverflow) as exc:
         print(f"simulator limit: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except (

@@ -23,23 +23,26 @@ The negated rung is the planned circuit with its path signs swapped
 Gram system is formed only when both direct rungs are.
 
 Integration is classical fixed-step 4th-order Runge-Kutta.  For a linear
-system one RK4 step is the exact affine map z' = R z + u, so the engine
-stacks powers of that map (built by doubling) and advances a block of
-steps with one product.  simulate takes every step, in blocks, only until
-the residual window is met.  From the end of that block x jumps to t_max:
-the remaining m steps split into binary factors (a chain entry, then the
-chain-length map doubled once per bit, about log2 m products), applied to
-the state one after another.  A factor is applied only when a norm bound
-certifies that no state along it passes OVERFLOW_LIMIT.  A trace, when
-asked for, takes its rows from the trace grid with the dec-step map
-(R^dec, sum_{i<dec} R^i u), one row per grid step, under the same kind of
-certificate, and ends on the jumped x, so x does not depend on the trace.
-Every stretch no certificate covers (the rest of the horizon when the jump
-fails, the rest of the grid after the first uncertified row) is
-block-stepped exactly, as before the window, so divergence is still
-reported at the exact step.  This regroups the same arithmetic: results
-agree with one-step-at-a-time stepping to rounding and are
-byte-deterministic.
+system one RK4 step is the exact affine map z' = R z + u, kept as
+(R - I, u); doubling it gives the 2^b-step maps (R^(2^b) - I,
+sum_{i<2^b} R^i u), each with norm bounds on every state along it.  The
+engine steps in blocks of L states, one per row: the first block after a
+state comes from it by doubling (states h+1..2h from states 1..h through
+the h-step map), and each later block from the one before through the
+L-step map, Z' = Z + Z (R^L - I)^T + P_L, one matrix product.  simulate
+takes every step, in blocks, only until the residual window is met.  From
+the end of that block x jumps to t_max: the remaining m steps split into
+the power-of-two maps of m's set bits, applied to the state one after
+another.  A factor is applied only when its bound certifies that no state
+along it passes OVERFLOW_LIMIT.  A trace, when asked for, takes its rows
+from the trace grid with the dec-step map composed from the same maps,
+in blocks of its own, under the same kind of certificate per row, and ends
+on the jumped x, so x does not depend on the trace.  Every stretch no
+certificate covers (the rest of the horizon when the jump fails, the rest
+of the grid after the first uncertified row) is block-stepped exactly, as
+before the window, so divergence is still reported at the exact step.
+This regroups the same arithmetic: results agree with one-step-at-a-time
+stepping to rounding and are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -84,6 +87,12 @@ _EIG_DIM_LIMIT = 256
 # one is refused before stepping rather than run for minutes.
 _STEP_BUDGET = 100_000_000
 
+# States per block: the stepper keeps the last _BLOCK states and forms the
+# next _BLOCK from them with one matrix product.  Longer blocks take fewer
+# products per step but form more states past the block that meets the
+# window; a dense n = 20 solve settles in about 1.4-1.9 k steps.
+_BLOCK = 512
+
 
 class EigenFailure(RuntimeError):
     """The eigenvalue iteration did not converge."""
@@ -103,6 +112,10 @@ class StateDimensionLimit(ValueError):
 
 class StepBudgetExceeded(ValueError):
     """The horizon t_max / dt asks for more RK4 steps than the simulator takes."""
+
+
+class StepMapOverflow(ValueError):
+    """The RK4 step map at this dt is not finite in float64."""
 
 
 class Mode(Enum):
@@ -325,59 +338,13 @@ def _step_operators(m: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Classical RK4 on dz/dt = m z + f collapses to z' = R z + S f."""
     dim = m.shape[0]
     eye = np.eye(dim)
-    hm = dt * m
-    hm2 = hm @ hm
-    hm3 = hm2 @ hm
-    r = eye + hm + hm2 / 2.0 + hm3 / 6.0 + (hm3 @ hm) / 24.0
-    s = dt * (eye + hm / 2.0 + hm2 / 6.0 + hm3 / 24.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hm = dt * m
+        hm2 = hm @ hm
+        hm3 = hm2 @ hm
+        r = eye + hm + hm2 / 2.0 + hm3 / 6.0 + (hm3 @ hm) / 24.0
+        s = dt * (eye + hm / 2.0 + hm2 / 6.0 + hm3 / 24.0)
     return r, s
-
-
-def _power_chain(d, u, length):
-    """Stacked powers of the affine map z -> (I + d) z + u, for block stepping.
-
-    deltas[j] = (I + d)^(j+1) - I and prefix[j] = sum_{i<=j} (I + d)^i u, so
-    the next j+1 states after z are z + deltas[:j+1] @ z + prefix[:j+1], one
-    stacked product.  Built by doubling: the first L entries give the next L
-    through (I + d_L)(I + d_j) = I + d_L + d_j + d_L d_j and
-    prefix[L+j] = prefix[L-1] + deltas[j] prefix[L-1] + prefix[j], about
-    log2(length) stacked products.  Carrying R^j - I rather than R^j keeps
-    the small part of a near-identity step exact: plain doubling of R^j
-    loses about ten times the accuracy of one-step-at-a-time products,
-    which long slow runs accumulate.  The chain ends at its first entry past
-    1e100 (strongly unstable maps), so no product overflows and the caller
-    steps in shorter blocks.
-    """
-    dim = d.shape[0]
-    deltas = np.empty((length, dim, dim))
-    prefix = np.empty((length, dim))
-    deltas[0] = d
-    prefix[0] = u
-    have = 1
-    while have < length and np.abs(deltas[have - 1]).max() <= 1e100:
-        new = min(have, length - have)
-        fresh = deltas[have : have + new]
-        np.matmul(deltas[have - 1], deltas[:new], out=fresh)
-        fresh += deltas[:new]
-        fresh += deltas[have - 1]
-        fresh_p = prefix[have : have + new]
-        np.matmul(deltas[:new], prefix[have - 1], out=fresh_p)
-        fresh_p += prefix[have - 1]
-        fresh_p += prefix[:new]
-        peak = np.maximum(fresh.max(axis=(1, 2)), -fresh.min(axis=(1, 2)))
-        over = np.flatnonzero(peak > 1e100)
-        have += int(over[0]) + 1 if over.size else new
-        if over.size:
-            break
-    return deltas[:have], prefix[:have]
-
-
-def _advance(deltas, prefix, z, count):
-    """The next count states after z from a chain: one matrix-vector product
-    over the stacked powers (count <= chain length)."""
-    dim = len(z)
-    step = (deltas[:count].reshape(-1, dim) @ z).reshape(count, dim)
-    return z + step + prefix[:count]
 
 
 def _compose(later, earlier):
@@ -394,49 +361,82 @@ def _then(first, second):
     norm_p = max(q_a, r_b ||P_a|| + q_b).  np.maximum keeps a NaN bound."""
     n_a, d_a, p_a, r_a, q_a = first
     n_b, d_b, p_b, r_b, q_b = second
-    end_r = np.abs(d_a + np.eye(len(d_a))).sum(axis=1).max()
-    d, p = _compose((d_b, p_b), (d_a, p_a))
-    norm_r = np.maximum(r_a, r_b * end_r)
-    norm_p = np.maximum(q_a, r_b * np.abs(p_a).max() + q_b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        end_r = np.abs(d_a + np.eye(len(d_a))).sum(axis=1).max()
+        d, p = _compose((d_b, p_b), (d_a, p_a))
+        norm_r = np.maximum(r_a, r_b * end_r)
+        norm_p = np.maximum(q_a, r_b * np.abs(p_a).max() + q_b)
     return n_a + n_b, d, p, norm_r, norm_p
 
 
-def _factors(deltas, prefix, n):
-    """The n-step map of a chain as binary factors, smallest first.
+def _unit(d, p):
+    """The one-step factor of z -> z + d z + p (see _factors)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_r = np.maximum(1.0, np.abs(d + np.eye(len(d))).sum(axis=1).max())
+    return 1, d, p, norm_r, np.abs(p).max()
 
+
+def _factors(powers, n):
+    """The n-step map as binary factors, smallest first, one per set bit of n.
+
+    powers holds the 1, 2, 4, ... step factors of one map and is extended
+    here, each entry _then of the one before with itself, as far as n needs.
     Each factor is (steps, R^steps - I, sum_{i<steps} R^i u, norm_r, norm_p)
     with norm_r >= ||R^j||_inf and norm_p >= ||sum_{i<j} R^i u||_inf for
     every j <= steps, so no state along a factor applied to z exceeds
-    norm_r ||z||_inf + norm_p.  The factors are the (n mod L)-step chain
-    entry, then the L-step entry doubled with _compose (the R^j - I form the
-    chain is built in; R^j itself is never squared) once per bit of n // L:
-    about log2(n / L) products.  A chain entry's norm_r is the product of
-    max(1, ||R^(2^b)||_inf) over the chain's power-of-two entries 2^b <= j,
-    which bounds every power up to j without a pass over the whole chain.
-    Non-finite bounds fail every certificate.
+    norm_r ||z||_inf + norm_p.  Doubling in the R^j - I form (R^j itself is
+    never squared) keeps the small part of a near-identity step exact: plain
+    doubling of R^j loses about ten times the accuracy of one-step-at-a-time
+    products, which long slow runs accumulate.  Non-finite bounds fail every
+    certificate.
     """
-    length = len(deltas)
+    while 1 << len(powers) <= n:
+        powers.append(_then(powers[-1], powers[-1]))
+    return [powers[b] for b in range(n.bit_length()) if n >> b & 1]
+
+
+def _block_maps(powers, count):
+    """The factors a block of states needs: powers up to the L-step map,
+    L = min(_BLOCK, count) rounded down to a power of two, halved while a
+    map up to it has an entry past 1e100 (strongly unstable maps), so a
+    state within OVERFLOW_LIMIT never feeds an overflowing product.
+    Returns (maps, L)."""
+    _factors(powers, min(_BLOCK, count))
+    size = 1
+    while size < len(powers) and 1 << size <= min(_BLOCK, count):
+        if not np.abs(powers[size][1]).max() <= 1e100:
+            break
+        size += 1
+    return powers[:size], 1 << (size - 1)
+
+
+def _block(maps, start, count):
+    """The next count states, one per row (count <= L = 2^(len(maps) - 1)).
+
+    start is a state z: the block comes from z by doubling, state 1 through
+    the one-step map, then states h+1..2h from states 1..h through the
+    h-step map, about log2(count) products.  Or start is the last full
+    block of L states: the next L come from it through the L-step map,
+    Z' = Z + Z (R^L - I)^T + P_L, one product.  States after one past
+    OVERFLOW_LIMIT may be inf or NaN; the caller keeps none of them.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        pow2 = np.abs(
-            deltas[(1 << np.arange(length.bit_length())) - 1] + np.eye(deltas.shape[1])
-        ).sum(axis=2).max(axis=1)
-        pow2 = np.maximum(pow2, 1.0)
+        if start.ndim == 2:
+            return _through(maps[-1], start[:count])
+        out = np.empty((count, len(start)))
+        out[:1] = _through(maps[0], start[None])
+        for b, factor in enumerate(maps[: (count - 1).bit_length()]):
+            h = 1 << b
+            out[h : 2 * h] = _through(factor, out[: min(h, count - h)])
+    return out
 
-        def entry(j):
-            norm_r = np.prod(pow2[: j.bit_length()])
-            norm_p = np.abs(prefix[:j]).max()
-            return j, deltas[j - 1].copy(), prefix[j - 1].copy(), norm_r, norm_p
 
-        whole, rest = divmod(n, length)
-        factors = [entry(rest)] if rest else []
-        factor = entry(length) if whole else None
-        while whole:
-            if whole & 1:
-                factors.append(factor)
-            whole >>= 1
-            if whole:
-                factor = _then(factor, factor)
-    return factors
+def _through(factor, states):
+    """Each row of states carried through the factor's map."""
+    out = states @ factor[1].T
+    out += states
+    out += factor[2]
+    return out
 
 
 def _jump(factors, z):
@@ -445,15 +445,12 @@ def _jump(factors, z):
     the first that fails: (z, steps advanced)."""
     steps = 0
     for count, d, p, norm_r, norm_p in factors:
-        if not norm_r * np.abs(z).max() + norm_p <= OVERFLOW_LIMIT:
-            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not norm_r * np.abs(z).max() + norm_p <= OVERFLOW_LIMIT:
+                break
         z = z + d @ z + p
         steps += count
     return z, steps
-
-
-def _block_size(dim: int) -> int:
-    return max(8, min(1024, (1 << 18) // (dim * dim)))
 
 
 def _auto_dt(ss: StateSpace, cfg: SolverConfig) -> float:
@@ -472,22 +469,25 @@ def simulate(
 
     Convergence is declared at the first time the residual
     ||b_hat - A_hat x||_inf stays at or below cfg.eps_residual for
-    CONVERGENCE_WINDOW consecutive steps.  Every step is taken until then;
-    from the end of the block that met the window, x jumps straight to t_max
-    through about log2 of the remaining steps composed maps (see the module
-    docstring), so the cost follows the convergence time, not t_max.  Where
-    the jump's overflow certificate fails, the rest of the horizon is
-    block-stepped exactly instead.  The returned x is the state at t_max,
-    which has settled further than the detection instant, unless a state
-    magnitude exceeds OVERFLOW_LIMIT first: the run then stops there and
-    reports divergence.
+    CONVERGENCE_WINDOW consecutive steps.  Every step is taken until then,
+    in blocks of up to _BLOCK states (each formed from the block before
+    with one product; see the module docstring); from the end of the block
+    that met the window, x jumps straight to t_max through one power-of-two
+    map per set bit of the remaining steps, so the cost follows the
+    convergence time, not t_max.  Where the jump's overflow certificate
+    fails, the rest of the horizon is block-stepped exactly instead.  The
+    returned x is the state at t_max, which has settled further than the
+    detection instant, unless a state magnitude exceeds OVERFLOW_LIMIT (or
+    is not finite) first: the run then stops at that step and reports
+    divergence.
 
     trace_decimation None forms no trace (result.trace is None); 0 keeps
     about 4096 evenly spaced steps and k > 0 every k-th step, plus the last
     step reached; a negative value raises ValueError.  x does not depend on
-    it unless the jump's overflow certificate fails.  Raises
-    StepBudgetExceeded, before stepping, when t_max / dt asks for more than
-    _STEP_BUDGET steps.
+    it unless the jump's overflow certificate fails.  Raises, before
+    stepping, StepBudgetExceeded when t_max / dt asks for more than
+    _STEP_BUDGET steps, and StepMapOverflow when the RK4 step map R or its
+    offset S f is not finite at this dt.
     """
     if trace_decimation is not None and trace_decimation < 0:
         raise ValueError("trace_decimation must be nonnegative (0 = auto)")
@@ -499,8 +499,14 @@ def simulate(
             f"of {_STEP_BUDGET:.0e}"
         )
     r, s = _step_operators(ss.m, dt)
-    step_map = r - np.eye(len(r)), s @ ss.f
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = s @ ss.f
+    if not (np.isfinite(r).all() and np.isfinite(u).all()):
+        raise StepMapOverflow(
+            f"the RK4 step map at dt = {dt:.3e} s is not finite in float64"
+        )
     dim = ss.m.shape[0]
+    powers = [_unit(r - np.eye(dim), u)]  # the 1, 2, 4, ... step factors
     nm = ss.n_main
     a_hat_t = ss.a_hat.T
     b_hat = ss.b_hat
@@ -519,7 +525,6 @@ def simulate(
         kept_res = np.empty(len(kept))
         kept_res[0] = start_res
 
-    chain = _power_chain(*step_map, min(_block_size(dim), n_steps))
     win = CONVERGENCE_WINDOW + 1
     recent = np.array([start_res <= eps], dtype=int)  # last win-1 flags
     t_converge: Optional[float] = None
@@ -527,18 +532,19 @@ def simulate(
     settled = None  # (z, k) at the end of the block that met the window
 
     def step_to(z, k, end):
-        """Every step from (z, k) to end, in blocks of the step chain, keeping
-        the grid rows of a trace.  Stops at the first state past
-        OVERFLOW_LIMIT and, once the window is first met, at the end of that
-        block (traced: at the next grid step)."""
+        """Every step from (z, k) to end, in blocks, keeping the grid rows of
+        a trace.  Stops at the first state past OVERFLOW_LIMIT (a non-finite
+        peak counts as past it) and, once the window is first met, at the
+        end of that block (traced: at the next grid step)."""
         nonlocal recent, t_converge, overflow_at, settled
-        deltas, prefix = chain
+        maps, size = _block_maps(powers, end - k)
+        states = z
         while k < end:
-            take = min(len(deltas), end - k)
-            states = _advance(deltas, prefix, z, take)
-            peaks = np.abs(states).max(axis=1)
-            if peaks.max() > OVERFLOW_LIMIT:
-                take = int(np.argmax(peaks > OVERFLOW_LIMIT)) + 1
+            states = _block(maps, states, min(size, end - k))
+            take = len(states)
+            over = ~(np.abs(states).max(axis=1) <= OVERFLOW_LIMIT)
+            if over.any():
+                take = int(np.argmax(over)) + 1
                 states = states[:take]
                 overflow_at = k + take
             res = residuals(states)
@@ -572,38 +578,33 @@ def simulate(
     jumped = None
     if overflow_at is None and settled is not None and settled[1] < n_steps:
         left = n_steps - settled[1]
-        jumped, steps = _jump(_factors(*chain, left), settled[0])
+        jumped, steps = _jump(_factors(powers, left), settled[0])
         if steps < left:
             jumped = None
 
     if traced and overflow_at is None and k < grid_end:
-        # Trace rows: the dec-step map gives one row per stacked product, as
+        # Trace rows: blocks of the dec-step map, one row per grid step, as
         # far as its certificate says no state along it can pass
         # OVERFLOW_LIMIT.
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, stride_d, stride_p, norm_r, norm_p = reduce(
-                _then, _factors(*chain, dec)
-            )
+        stride = reduce(_then, _factors(powers, dec))
+        norm_r, norm_p = stride[3:]
         row, last_row = k // dec, grid_end // dec
-        chain = None  # one chain alive at a time
-        deltas, prefix = _power_chain(
-            stride_d, stride_p, min(_block_size(dim), last_row - row)
-        )
+        maps, size = _block_maps([stride], last_row - row)
+        states = z
         while row < last_row:
-            take = min(len(deltas), last_row - row)
-            states = _advance(deltas, prefix, z, take)
+            states = _block(maps, states, min(size, last_row - row))
             peaks = np.abs(states).max(axis=1)
             before = np.concatenate(([np.abs(z).max()], peaks[:-1]))
-            safe = norm_r * before + norm_p <= OVERFLOW_LIMIT
-            good = take if safe.all() else int(np.argmin(safe))
+            with np.errstate(over="ignore", invalid="ignore"):
+                safe = norm_r * before + norm_p <= OVERFLOW_LIMIT
+            good = len(states) if safe.all() else int(np.argmin(safe))
             kept[row + 1 : row + 1 + good] = states[:good, :nm]
             kept_res[row + 1 : row + 1 + good] = residuals(states[:good])
             row += good
             if good:
                 z = states[good - 1]
-            if good < take:
+            if good < len(states):
                 break
-        del deltas, prefix
         k = row * dec
 
     # Whatever no certificate covered is stepped exactly: the rest of the
@@ -611,8 +612,6 @@ def simulate(
     # walk stopped early.
     end = n_steps if jumped is None else grid_end if traced else k
     if overflow_at is None and k < end:
-        if chain is None:  # the stride chain replaced it
-            chain = _power_chain(*step_map, min(_block_size(dim), end - k))
         z, k = step_to(z, k, end)
     if jumped is not None and overflow_at is None:
         z, k = jumped, n_steps
@@ -819,14 +818,12 @@ def probe_single_path_gain(
     z = np.zeros(dim + 2)
     z[dim] = 1.0  # cosine state starts at 1 so s(t) = sin(w t)
     r, _ = _step_operators(m_aug, dt)
-    deltas, prefix = _power_chain(
-        r - np.eye(dim + 2), np.zeros(dim + 2), min(_block_size(dim + 2), n_steps)
-    )
+    maps, size = _block_maps([_unit(r - np.eye(dim + 2), np.zeros(dim + 2))], n_steps)
     series = np.empty((n_steps, 3))
-    for k in range(0, n_steps, len(deltas)):
-        states = _advance(deltas, prefix, z, min(len(deltas), n_steps - k))
+    states = z
+    for k in range(0, n_steps, size):
+        states = _block(maps, states, min(size, n_steps - k))
         series[k : k + len(states)] = states[:, [row, dim, dim + 1]]
-        z = states[-1]
 
     start = int(settle_t / dt)
     x = series[start:, 0]

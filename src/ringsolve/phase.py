@@ -239,6 +239,13 @@ def _high_taps(a: np.ndarray, duty: np.ndarray, m: int) -> np.ndarray:
     return count
 
 
+def _check_finite(series: np.ndarray) -> None:
+    """A NaN or inf sample has no phase: refuse it rather than read a level."""
+    bad = np.flatnonzero(~np.isfinite(series))
+    if bad.size:
+        raise ValueError(f"input sample {bad[0]} is not finite ({series.flat[bad[0]]})")
+
+
 def simulate_phase_integrator(
     v_in: np.ndarray, cfg: PhaseConfig, phase0: float = math.pi / 2
 ) -> np.ndarray:
@@ -254,7 +261,7 @@ def simulate_phase_integrator(
     (2*pi*k_eff) * (v_dd/pi) volts per volt-second; the switching residue
     concentrates at m_phases * f_ref and harmonics.  Warns AliasRisk when
     dt is too coarse to resolve that residue.  An empty series gives an
-    empty output.
+    empty output; a non-finite sample raises ValueError naming its index.
 
     The output is the mean of M channel levels in {0, v_dd}, summed in
     channel order as ``levels.sum(axis=0) / M`` over the (M, N) level
@@ -270,6 +277,7 @@ def simulate_phase_integrator(
     v_in = np.asarray(v_in, dtype=float)
     if v_in.ndim != 1:
         raise ValueError("input series must be one-dimensional")
+    _check_finite(v_in)
     if cfg.dt > 1.0 / (20.0 * cfg.m_phases * cfg.f_ref):
         warnings.warn(
             f"dt = {cfg.dt:.3e} s undersamples the {cfg.m_phases}-phase "
@@ -321,9 +329,11 @@ def simulate_phase_lowpass(
     The loop is sequential (each sample's duty depends on the last output),
     so it runs on Python floats: the duty law and the carrier wrap use
     float ``%``, which rounds exactly as ``np.mod`` does, so the output
-    matches the array form of ``_triangle`` bit for bit.
+    matches the array form of ``_triangle`` bit for bit.  A non-finite
+    sample raises ValueError naming its index.
     """
     b_in = np.asarray(b_in, dtype=float)
+    _check_finite(b_in)
     if rf_over_rin <= 0:
         raise ValueError("rf_over_rin must be positive")
     gain = effective_kvco(cfg)

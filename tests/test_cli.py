@@ -198,6 +198,52 @@ class TestSolveCommand:
         assert "Traceback" not in err
 
 
+class TestStepMapOverflow:
+    """A user dt at which the RK4 step map is not finite in float64 is a
+    simulator limit: exit 3, one named line on stderr, no document."""
+
+    @pytest.mark.parametrize("dt", [1e75, 1e200])
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("fixture", ["neg_file", "saddle_file"])
+    def test_exit_code(self, request, tmp_path, capsys, fixture, command, dt):
+        # the saddle's Gram rung meets inf * 0 in S f: no warning either
+        out = tmp_path / "r.out"
+        argv = [command, request.getfixturevalue(fixture), "--dt", repr(dt), "--tmax", repr(20 * dt)]
+        if command == "sweep":
+            argv += ["--kvco-list", "3e8,1e8"]
+        assert run([*argv, "--out", str(out)]) == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err == f"simulator limit: the RK4 step map at dt = {dt:.3e} s is not finite in float64\n"
+        assert not out.exists()
+
+    def test_nothing_else_reaches_stderr(self, neg_file, tmp_path):
+        out = tmp_path / "r.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringsolve.cli", "solve", neg_file,
+             "--dt", "1e75", "--tmax", "2e76", "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == EXIT_DIVERGENCE
+        assert proc.stderr.startswith("simulator limit: ")
+        assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+        assert not out.exists()
+
+    def test_finite_map_still_overflows_at_its_step(self, neg_file, tmp_path, capsys):
+        # dt = 1e30: the map is finite, the first state passes OVERFLOW_LIMIT
+        out = tmp_path / "r.json"
+        argv = ["solve", neg_file, "--dt", "1e30", "--tmax", "2e31", "--out", str(out)]
+        assert run(argv) == EXIT_DIVERGENCE
+        text = out.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        doc = json.loads(text)
+        assert doc["diagnostics"].startswith("state magnitude exceeded 1e+06 at t = 1.000e+30 s")
+        np.testing.assert_allclose(
+            doc["x"], [1.3096559370230844e149, 1.152076107934349e149], rtol=1e-12
+        )
+        assert "Warning" not in capsys.readouterr().err
+
+
 class TestSideFileFailure:
     """A run that cannot write its side file or its document leaves neither."""
 

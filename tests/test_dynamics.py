@@ -386,3 +386,24 @@ class TestAcResponse:
             measured = probe_single_path_gain(c, 0, cfg, f)
             predicted = abs(ac_response(c, 0, cfg, f))
             assert abs(measured / predicted - 1.0) <= 0.01
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 4.0, 8.0])
+    def test_probe_blocks_match_one_step_stepping(self, monkeypatch, ratio):
+        # the probe's block products against the one-step map applied one
+        # step at a time: the same fit to within rounding
+        def one_step_block(maps, start, count):
+            _, d, p = maps[0][:3]
+            z = start if start.ndim == 1 else start[-1]
+            out = np.empty((count, len(z)))
+            for i in range(count):
+                z = z + d @ z + p
+                out[i] = z
+            return out
+
+        cfg = SolverConfig(k_vco=300e6)
+        c = self._single_path_plan(ratio)
+        freqs = bandwidth(c, 0, cfg) / (2 * math.pi) * np.array([0.01, 1.0, 100.0])
+        blocked = [probe_single_path_gain(c, 0, cfg, f) for f in freqs]
+        monkeypatch.setattr(dynamics, "_block", one_step_block)
+        for f, gain in zip(freqs, blocked):
+            assert abs(gain - probe_single_path_gain(c, 0, cfg, f)) <= 1e-12 * gain

@@ -11,6 +11,7 @@ whole horizon, every residual kept, the window found afterwards.
 
 import dataclasses
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -26,6 +27,7 @@ from ringsolve.dynamics import (
     SolverConfig,
     StateSpace,
     StepBudgetExceeded,
+    StepMapOverflow,
     Trace,
     build_system,
     ideal_system,
@@ -224,7 +226,7 @@ def test_window_position(dec, where):
     cfg = SolverConfig(t_max=1e-6)
     ss = scalar_system(cfg)
     every_step = plain_simulate(ss, cfg, 1).trace
-    block = min(dynamics._block_size(1), every_step.t.size - 1)
+    block = min(dynamics._BLOCK, every_step.t.size - 1)
     start = block // 2 if where == "mid-block" else block - 4
     # a threshold between the residuals of steps start-1 and start puts the
     # first sustained window at step start
@@ -237,6 +239,35 @@ def test_window_position(dec, where):
     assert ref.t_converge == start * dt
     if where == "across-block-boundary":
         assert start <= block < start + CONVERGENCE_WINDOW
+    assert_matches(simulate(ss, cfg, dec), ref)
+
+
+@pytest.mark.parametrize("dec", [None, 0, 1, 7, 100])
+@pytest.mark.parametrize(
+    "where", ["doubled-first-block", "recurrence-block", "across-their-boundary"]
+)
+def test_window_in_each_kind_of_block(dec, where):
+    # the first block is doubled from the zero state (its second half from
+    # its first half through the L/2-step map); the next ones come from the
+    # block before through the L-step map
+    cfg = SolverConfig(t_max=1e-6)
+    ss = scalar_system(cfg)
+    every_step = plain_simulate(ss, cfg, 1).trace
+    block = dynamics._BLOCK
+    assert every_step.t.size - 1 > 2 * block
+    start = {
+        "doubled-first-block": block // 2 + 100,
+        "recurrence-block": block + block // 2,
+        "across-their-boundary": block - 4,
+    }[where]
+    residual = every_step.residual_inf
+    cfg = SolverConfig(
+        t_max=cfg.t_max, eps_residual=math.sqrt(residual[start - 1] * residual[start])
+    )
+    ref = plain_simulate(ss, cfg, dec)
+    assert ref.t_converge == start * dynamics._auto_dt(ss, cfg)
+    met = start + CONVERGENCE_WINDOW  # the window's last step
+    assert (start <= block < met) == (where == "across-their-boundary")
     assert_matches(simulate(ss, cfg, dec), ref)
 
 
@@ -303,11 +334,84 @@ def test_overflow_inside_a_skipped_stretch(
     assert_matches(simulate(ss, cfg, dec), ref)
 
 
-def test_step_budget_refused_before_any_chain(monkeypatch):
-    def no_chain(*args):
-        raise AssertionError("a power chain was built")
+def overflow_step(ss, cfg):
+    return round(plain_simulate(ss, cfg, 1).trace.t[-1] / cfg.dt)
 
-    monkeypatch.setattr(dynamics, "_power_chain", no_chain)
+
+@pytest.mark.parametrize("dec", [None, 0, 1, 7, 100])
+@pytest.mark.parametrize(
+    "dt_factor, first, last",
+    [
+        (223.0, dynamics._BLOCK // 2 + 1, dynamics._BLOCK),  # first block, second half
+        (222.2, dynamics._BLOCK + 1, 2 * dynamics._BLOCK),  # a recurrence block
+    ],
+)
+def test_overflow_in_each_kind_of_block(neg2x2, dec, dt_factor, first, last):
+    # a state past OVERFLOW_LIMIT feeds later states of its block: the
+    # overflow step is still the first one past the limit
+    ss, cfg = rk4_past_its_limit(neg2x2, 0.45, dt_factor, 3000)
+    assert first <= overflow_step(ss, cfg) <= last
+    assert_matches(simulate(ss, cfg, dec), plain_simulate(ss, cfg, dec))
+
+
+@pytest.mark.parametrize("dec", [None, 0, 1, 7, 100])
+def test_block_shortened_for_a_fast_growing_map(neg2x2, dec):
+    # ||R|| ~ 10: a 128-step map passes 1e100, so blocks hold 64 states, and
+    # a tiny input overflows a few blocks in
+    ss, cfg = rk4_past_its_limit(neg2x2, 1e-200, 400.0, 3000)
+    r, s = dynamics._step_operators(ss.m, cfg.dt)
+    powers = [dynamics._unit(r - np.eye(len(r)), s @ ss.f)]
+    _, size = dynamics._block_maps(powers, 3000)
+    assert size < dynamics._BLOCK and size < overflow_step(ss, cfg)
+    ref = plain_simulate(ss, cfg, dec)
+    res = simulate(ss, cfg, dec)
+    assert_matches(res, ref)
+    assert np.isfinite(res.x).all() and np.isfinite(res.residual_inf)
+    assert "nan" not in res.diagnostics.lower()
+
+
+@pytest.mark.parametrize("dt", [1e75, 1e200])
+def test_non_finite_step_map_refused(neg2x2, dt):
+    cfg = SolverConfig(dt=dt, t_max=20 * dt)
+    with pytest.raises(StepMapOverflow, match="not finite"):
+        simulate(build_system(plan(neg2x2), cfg), cfg)
+    with pytest.raises(StepMapOverflow, match="not finite"):
+        solve(neg2x2, cfg)
+
+
+def test_finite_step_map_overflows_at_its_step(neg2x2):
+    # dt = 1e30: R is finite (entries near 1e152), the first state overflows
+    cfg = SolverConfig(dt=1e30, t_max=2e31)
+    ss = build_system(plan(neg2x2), cfg)
+    ref = plain_simulate(ss, cfg, 0)
+    assert ref.trace.t[-1] == cfg.dt
+    res = simulate(ss, cfg, 0)
+    assert_matches(res, ref)
+    assert np.isfinite(res.x).all()
+
+
+def test_untraced_dense_run_stays_small():
+    # the block, its product and the step map's powers: no stack of L
+    # dim x dim matrices (512 of them would take 6.5 MB at dim 40)
+    rng = np.random.default_rng(3)
+    ss = build_system(plan(random_stable(rng, 20, -1)), SolverConfig())
+    assert ss.m.shape == (40, 40)
+    report = stability_report(ss)
+    tracemalloc.start()
+    try:
+        res = simulate(ss, SolverConfig(), stability=report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged and peak < 1_000_000
+
+
+def test_step_budget_refused_before_any_chain(monkeypatch):
+    def no_stepping(*args):
+        raise AssertionError("a step map power or block was formed")
+
+    monkeypatch.setattr(dynamics, "_factors", no_stepping)
+    monkeypatch.setattr(dynamics, "_block", no_stepping)
     cfg = SolverConfig(dt=1e-12, t_max=(dynamics._STEP_BUDGET + 1) * 1e-12)
     ss = scalar_system(cfg)
     with pytest.raises(StepBudgetExceeded, match="step budget"):
@@ -330,7 +434,7 @@ def transient_system(kappa, rate=1e5):
 @pytest.mark.parametrize("dec", [None, 0, 7])
 @pytest.mark.parametrize("kappa, overflows", [(1.36e6, False), (1e7, True)])
 def test_jump_certificate_fails_to_the_grid(monkeypatch, dec, kappa, overflows):
-    # a·dt = 1e-4: the first block of 1024 steps ends before the transient
+    # a·dt = 1e-4: the first block of 512 steps ends before the transient
     # peaks, so the jump starts where the state is already large
     cfg = SolverConfig(dt=1e-9, t_max=12000e-9)
     ss = transient_system(kappa)
@@ -357,6 +461,19 @@ def test_jump_certificate_fails_to_the_grid(monkeypatch, dec, kappa, overflows):
         assert f"t = {every_step[-1]:.3e} s" in res.diagnostics
 
 
+def count_block_states(monkeypatch):
+    """Record how many states (or stride rows) each block product forms."""
+    rows, real_block = [], dynamics._block
+
+    def counting_block(maps, start, count):
+        out = real_block(maps, start, count)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(dynamics, "_block", counting_block)
+    return rows
+
+
 @pytest.mark.parametrize("dec", [None, 0, 7])
 def test_failed_certificates_step_each_step_once(monkeypatch, dec):
     # after a failed certificate the rest is block-stepped: at most one state
@@ -364,15 +481,9 @@ def test_failed_certificates_step_each_step_once(monkeypatch, dec):
     # stride rows after every uncertified grid row
     cfg = SolverConfig(dt=1e-9, t_max=12000e-9)
     ss = transient_system(1.36e6)
-    rows, real_advance = [], dynamics._advance
-
-    def counting_advance(deltas, prefix, z, count):
-        rows.append(count)
-        return real_advance(deltas, prefix, z, count)
-
-    monkeypatch.setattr(dynamics, "_advance", counting_advance)
+    rows = count_block_states(monkeypatch)
     res = simulate(ss, cfg, dec)
-    assert sum(rows) <= 12000 + dynamics._block_size(3)
+    assert sum(rows) <= 12000 + dynamics._BLOCK
     assert_matches(res, plain_simulate(ss, cfg, dec))
 
 
@@ -384,13 +495,7 @@ def test_untraced_run_stops_with_the_window_block(monkeypatch, n):
     p = random_stable(np.random.default_rng(n), n, -1)
     cfg = SolverConfig()
     ss = build_system(plan(p), cfg)
-    rows, real_advance = [], dynamics._advance
-
-    def counting_advance(deltas, prefix, z, count):
-        rows.append(count)
-        return real_advance(deltas, prefix, z, count)
-
-    monkeypatch.setattr(dynamics, "_advance", counting_advance)
+    rows = count_block_states(monkeypatch)
     res = simulate(ss, cfg)
     dt = dynamics._auto_dt(ss, cfg)
     met = round(res.t_converge / dt) + CONVERGENCE_WINDOW  # the window's last step
@@ -407,7 +512,7 @@ def test_factor_bounds_cover_every_state(seed):
     # every skipped state R^j z + sum_{i<j} R^i u must lie inside a factor's
     # bounds; the maps below grow, shrink and are non-normal
     rng = np.random.default_rng(seed)
-    dim, length, n = 3, 8, 8 * 13 + 5
+    dim, n = 3, 109
     r = np.eye(dim) + rng.normal(0.0, 0.05, (dim, dim))
     r[0, 2] += 0.5 * seed
     if seed == 6:
@@ -415,9 +520,8 @@ def test_factor_bounds_cover_every_state(seed):
         # shrink the bound for the powers before it
         r = np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.9]])
     u = rng.normal(0.0, 1.0, dim)
-    deltas, prefix = dynamics._power_chain(r - np.eye(dim), u, length)
-    factors = dynamics._factors(deltas, prefix, n)
-    assert [f[0] for f in factors] == [5, 8, 32, 64]  # n mod L, then bits of 13
+    factors = dynamics._factors([dynamics._unit(r - np.eye(dim), u)], n)
+    assert [f[0] for f in factors] == [1, 4, 8, 32, 64]  # the set bits of 109
     combined = reduce(dynamics._then, factors)
     for steps, d, p, norm_r, norm_p in [*factors, combined]:
         power, offset = np.eye(dim), np.zeros(dim)

@@ -448,6 +448,8 @@ class TestIntegratorMatchesCarrierOracle:
                 assert np.array_equal(got, _integrator_oracle(v, cfg, float(p0)))
 
     def test_non_finite_inputs(self):
+        # a NaN or inf sample has no phase: it is refused by its index, not
+        # read as level 0 by the integrator or the closed loop
         cfg = PhaseConfig(m_phases=8, f0=5e6, k_vco=10e6)
         series = [
             [np.nan, 0.75, np.inf, 0.75],
@@ -455,13 +457,15 @@ class TestIntegratorMatchesCarrierOracle:
             [0.75, 0.8, -np.inf, 0.75],
             [0.75, 0.76, 0.77, np.nan, 0.75, 0.75],
         ]
-        # inf reaches the duty law as an inf phase error: np.mod flags it
-        with np.errstate(invalid="ignore"):
-            for v in map(np.array, series):
-                got = simulate_phase_integrator(v, cfg)
-                assert np.array_equal(got, _integrator_oracle(v, cfg)), v
-        np.testing.assert_array_equal(
-            simulate_phase_integrator(np.array(series[0]), cfg), [0.5, 0.0, 0.0, 0.0]
+        for first, v in enumerate(map(np.array, series)):
+            message = f"input sample {first} is not finite"
+            with pytest.raises(ValueError, match=message):
+                simulate_phase_integrator(v, cfg)
+            with pytest.raises(ValueError, match=message):
+                simulate_phase_lowpass(v, 1.0, cfg)
+        finite = np.array([0.75, 0.76, 0.77, 0.78, 0.75, 0.75])
+        assert np.array_equal(
+            simulate_phase_integrator(finite, cfg), _integrator_oracle(finite, cfg)
         )
 
     def test_empty_series(self):
