@@ -317,8 +317,11 @@ def _result_document(result: SolveResult, problem: LinearProblem, rc: RunConfig)
         },
         "scale_factor": result.scale_factor,
         "diagnostics": result.diagnostics,
-        "plan_summary": plan_to_dict(result.plan)["census"] | {
-            "negated": result.plan.negated
+        "plan_summary": {
+            "main_integrators": result.plan.main_integrators,
+            "inverters": result.plan.inverter_count,
+            "total_integrators": result.plan.total_integrators,
+            "negated": result.plan.negated,
         } if result.plan else None,
         "config": rc.to_dict(),
     }

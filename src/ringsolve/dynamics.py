@@ -58,7 +58,6 @@ import numpy as np
 from .netlist import (
     CircuitPlan,
     MemristorBank,
-    PathSign,
     QuantizerSpec,
     negated_plan,
     plan as compile_plan,
@@ -257,43 +256,42 @@ def build_system(circuit: CircuitPlan, cfg: SolverConfig) -> StateSpace:
 
     Every inverter fed by source column j obeys dy/dt = -g (x_j + y)/2 from
     the same zero start, so all of them carry the same trajectory and share
-    one lag state y_j; each row couples to it with its own realized weight.
+    one lag state y_j.  The plan's sign and weight arrays are scattered into
+    m in one step: each direct path into its source's x column, each
+    inverter path, with its own realized weight, into its source's lag
+    column.
     """
     n = circuit.n
     g = cfg.g
-    sources = [
-        path.col
-        for row in circuit.paths
-        for path in row
-        if path.sign is PathSign.VIA_INVERTER
-    ]
-    inverted = sorted(set(sources))
-    lag = {j: n + k for k, j in enumerate(inverted)}
-    dim = n + len(inverted)
+    sign, weight = circuit.sign, circuit.weight
+    inverted = np.flatnonzero((sign > 0).any(axis=0))
+    lags = n + np.arange(inverted.size)
+    dim = n + inverted.size
 
-    gamma = np.ones(n)
-    for i, row in enumerate(circuit.paths):
-        gamma[i] += sum(path.realized_weight for path in row)
+    # summed left to right: a pairwise sum can move gamma, and the auto dt,
+    # by an ulp
+    gamma = 1.0 + np.cumsum(weight, axis=1)[:, -1]
+    coef = -g / gamma
 
+    lag_of = np.arange(n)
+    lag_of[inverted] = lags
+    rows, cols = np.nonzero(sign)
     m = np.zeros((dim, dim))
+    # each (row, state) pair occurs once; += onto zeros keeps +0.0 where a
+    # connected weight is zero
+    m[rows, np.where(sign[rows, cols] < 0, cols, lag_of[cols])] += (
+        coef[rows] * weight[rows, cols]
+    )
+    m[lags, inverted] = -g / 2.0
+    m[lags, lags] = -g / 2.0
     f = np.zeros(dim)
-    for i, row in enumerate(circuit.paths):
-        coef = -g / gamma[i]
-        f[i] = coef * circuit.b_compiled[i]
-        for path in row:
-            if path.sign is PathSign.DIRECT:
-                m[i, path.col] += coef * path.realized_weight
-            elif path.sign is PathSign.VIA_INVERTER:
-                m[i, lag[path.col]] += coef * path.realized_weight
-    for j, k in lag.items():
-        m[k, j] = -g / 2.0
-        m[k, k] = -g / 2.0
+    f[:n] = coef * circuit.b_compiled
 
     labels = tuple(f"x{i}" for i in range(n)) + tuple(
-        f"inv_col{j}" for j in inverted
+        f"inv_col{j}" for j in inverted.tolist()
     )
     a_hat, b_hat = realized_matrix(circuit)
-    merged = -g / 2.0 if len(sources) > len(inverted) else None
+    merged = -g / 2.0 if circuit.inverter_count > inverted.size else None
     return StateSpace(m, f, gamma, labels, n, a_hat, b_hat, merged)
 
 
@@ -749,33 +747,28 @@ def solve(
     raise UnstableSystem(f"no stable orientation found ({summary})")
 
 
-def _single_path(circuit: CircuitPlan, row: int):
-    paths = [
-        path
-        for path in circuit.paths[row]
-        if path.sign is not PathSign.DISCONNECTED
-    ]
-    if len(paths) != 1:
+def _single_path(circuit: CircuitPlan, row: int) -> float:
+    """R_f / R_in of a row's only feedback path."""
+    (cols,) = np.nonzero(circuit.sign[row])
+    if cols.size != 1:
         raise MultiPathRow(
-            f"row {row} has {len(paths)} feedback paths; AC analysis needs 1"
+            f"row {row} has {cols.size} feedback paths; AC analysis needs 1"
         )
-    return paths[0]
+    return circuit.r_feedback[row, cols[0]] / circuit.r_in[row]
 
 
 def ac_response(
     circuit: CircuitPlan, row: int, cfg: SolverConfig, freq_hz: float
 ) -> complex:
     """Single-path transfer H(jw) = -(R_f/R_in) / (1 + jw (1 + R_f/R_in) / g)."""
-    path = _single_path(circuit, row)
-    ratio = path.r_feedback / circuit.r_in[row]
+    ratio = _single_path(circuit, row)
     omega = 2.0 * math.pi * freq_hz
     return -ratio / (1.0 + 1j * omega * (1.0 + ratio) / cfg.g)
 
 
 def bandwidth(circuit: CircuitPlan, row: int, cfg: SolverConfig) -> float:
     """3-dB bandwidth g / (1 + R_f/R_in) of a single-path row, in rad/s."""
-    path = _single_path(circuit, row)
-    ratio = path.r_feedback / circuit.r_in[row]
+    ratio = _single_path(circuit, row)
     return cfg.g / (1.0 + ratio)
 
 

@@ -9,6 +9,12 @@ is negated first so the cheaper direct paths dominate; the solution is
 unchanged.  Optional stages model the binary-weighted programmable resistor
 ladder (with switch on-resistance) and memristive replacements with a seeded
 write-noise model.
+
+A plan is n x n arrays, one entry per coefficient: the path sign, the
+realized weight R_in / R_f, R_f and the ladder or memristor code.  Compiling,
+negating, programming and reading back a plan are whole-array expressions;
+``CircuitPlan.paths`` derives one FeedbackPath per coefficient from the
+arrays for callers that want the objects.
 """
 
 from __future__ import annotations
@@ -126,10 +132,19 @@ class FeedbackPath:
     realized_weight: float       # dimensionless R_in / R_f, >= 0
 
 
+_PATH_SIGNS = {-1: PathSign.DIRECT, 1: PathSign.VIA_INVERTER, 0: PathSign.DISCONNECTED}
+
+
 @dataclass(frozen=True)
 class CircuitPlan:
     """A compiled netlist: resistances, sign paths, and the integrator census.
 
+    The plan is n x n arrays, one entry per matrix coefficient, all
+    read-only: ``sign`` is -1 for a direct path, +1 for a path through an
+    inverter and 0 when disconnected; ``weight`` is the realized R_in / R_f
+    (0 where disconnected); ``r_feedback`` is R_f in ohms (inf where
+    disconnected); ``code`` is the ladder or memristor grid code (-1 where
+    there is none).  ``paths`` derives the FeedbackPath objects from them.
     ``b_compiled`` is the input vector actually applied (negated along with
     the matrix when ``negated`` is set, so the solution is unchanged).  The
     after-reuse bound inverter_count <= floor(n^2 / 2) holds for compiled
@@ -138,7 +153,10 @@ class CircuitPlan:
 
     n: int
     r_in: np.ndarray
-    paths: tuple[tuple[FeedbackPath, ...], ...]
+    sign: np.ndarray
+    weight: np.ndarray
+    r_feedback: np.ndarray
+    code: np.ndarray
     b_compiled: np.ndarray
     negated: bool
     inverter_count: int
@@ -146,12 +164,21 @@ class CircuitPlan:
     memristors: Optional[MemristorBank] = None
 
     def __post_init__(self) -> None:
-        r_in = np.array(self.r_in, dtype=float)
-        b = np.array(self.b_compiled, dtype=float)
-        r_in.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "r_in", r_in)
-        object.__setattr__(self, "b_compiled", b)
+        for name, dtype in (
+            ("r_in", float), ("sign", np.int8), ("weight", float),
+            ("r_feedback", float), ("code", np.int64), ("b_compiled", float),
+        ):
+            value = np.array(getattr(self, name), dtype=dtype)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @property
+    def paths(self) -> tuple[tuple[FeedbackPath, ...], ...]:
+        """One FeedbackPath per coefficient, row by row, built from the
+        arrays on each access (the solve path never reads it)."""
+        return tuple(
+            tuple(FeedbackPath(*fields) for fields in row) for row in _path_rows(self)
+        )
 
     @property
     def main_integrators(self) -> int:
@@ -160,6 +187,18 @@ class CircuitPlan:
     @property
     def total_integrators(self) -> int:
         return self.n + self.inverter_count
+
+
+def _path_rows(circuit: CircuitPlan):
+    """Per row, the FeedbackPath fields of each coefficient, in Python types."""
+    for i, row in enumerate(zip(
+        circuit.sign.tolist(), circuit.r_feedback.tolist(),
+        circuit.code.tolist(), circuit.weight.tolist(),
+    )):
+        yield [
+            (i, j, _PATH_SIGNS[s], r if s else None, c if c >= 0 else None, w)
+            for j, (s, r, c, w) in enumerate(zip(*row))
+        ]
 
 
 def integrator_count(n: int, scheme: CountScheme) -> int:
@@ -175,8 +214,37 @@ def integrator_count(n: int, scheme: CountScheme) -> int:
     raise ValueError(f"unknown scheme {scheme!r}")  # pragma: no cover
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def _ladder(
+    magnitude: np.ndarray, q: QuantizerSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ladder law on an array of magnitudes: (codes, realized magnitudes).
+
+    Each magnitude is rounded (half up) to the nearest code.  With ideal
+    switches code k realizes (1 + k) * step; with r_on > 0 the realized
+    magnitude is r_in * sum(1 / (R_branch + r_on)) over the always-on branch
+    and the set bits, added in bit order, and is strictly below the ideal
+    value.  Raises OutOfRange, naming the first such entry in row-major
+    order, when a magnitude exceeds the top code's ideal magnitude by more
+    than half a step.
+    """
+    step = q.step
+    top = (1 << q.bits) * step
+    over = np.flatnonzero(magnitude > top + step / 2)
+    if over.size:
+        raise OutOfRange(
+            f"|target| = {magnitude.flat[over[0]]:.6g} exceeds ladder maximum "
+            f"{top:.6g} (bits={q.bits}, step={step:.6g})"
+        )
+    code = np.clip(
+        np.floor(magnitude / step - 1.0 + 0.5), 0, (1 << q.bits) - 1
+    ).astype(np.int64)
+    if q.r_on == 0.0:
+        return code, (1 + code) * step
+    conductance = np.full(magnitude.shape, 1.0 / (q.r_unit + q.r_on))  # always-on
+    for bit in range(q.bits):
+        branch = 1.0 / (q.r_unit / (1 << bit) + q.r_on)
+        conductance += np.where(code >> bit & 1, branch, 0.0)
+    return code, q.r_in * conductance
 
 
 def quantize_entry(
@@ -185,35 +253,16 @@ def quantize_entry(
     """Map a coefficient onto the ladder, returning (code, realized value).
 
     A zero target means a disconnected path: (None, 0.0).  Otherwise the
-    magnitude is rounded (half up) to the nearest code; the realized value
-    carries the target's sign.  With r_on > 0 the realized magnitude is
-    computed from the branch conductances r_in * sum(1 / (R_branch + r_on))
-    and is strictly below the ideal value.  Raises OutOfRange when |target|
-    exceeds the top code's ideal magnitude by more than half a step.
+    code and magnitude follow the ladder law ``plan`` applies, and the
+    realized value carries the target's sign.  Raises OutOfRange when
+    |target| exceeds the top code's ideal magnitude by more than half a step.
     """
     if not np.isfinite(target):
         raise NonFiniteEntry(f"target {target!r} is not finite")
     if target == 0.0:
         return None, 0.0
-    magnitude = abs(target)
-    step = q.step
-    top = (1 << q.bits) * step
-    if magnitude > top + step / 2:
-        raise OutOfRange(
-            f"|target| = {magnitude:.6g} exceeds ladder maximum {top:.6g} "
-            f"(bits={q.bits}, step={step:.6g})"
-        )
-    code = _round_half_up(magnitude / step - 1.0)
-    code = min(max(code, 0), (1 << q.bits) - 1)
-    if q.r_on == 0.0:
-        realized = (1 + code) * step
-    else:
-        conductance = 1.0 / (q.r_unit + q.r_on)  # always-on branch
-        for bit in range(q.bits):
-            if code >> bit & 1:
-                conductance += 1.0 / (q.r_unit / (1 << bit) + q.r_on)
-        realized = q.r_in * conductance
-    return code, math.copysign(realized, target)
+    code, realized = _ladder(np.array([abs(target)], dtype=float), q)
+    return int(code[0]), math.copysign(float(realized[0]), target)
 
 
 def plan(
@@ -225,8 +274,9 @@ def plan(
 
     Sign census first: the system is negated whenever positive entries
     strictly outnumber negative ones (ties keep the caller's orientation),
-    which keeps the inverter count at min(p+, p-).  Each compiled entry then
-    becomes a FeedbackPath; with no quantizer attached the realized
+    which keeps the inverter count at min(p+, p-).  Each compiled entry's
+    sign picks its path, and its magnitude (on the ladder, if a quantizer is
+    attached) is the realized weight; with no quantizer the realized
     coefficients equal the compiled matrix exactly.
     """
     if not (np.isfinite(p.a).all() and np.isfinite(p.b).all()):
@@ -243,40 +293,26 @@ def plan(
     negatives = int(np.count_nonzero(p.a < 0))
     negated = positives > negatives
     compiled = -p.a if negated else p.a
-    b_compiled = -p.b if negated else p.b
-
-    rows = []
-    inverter_count = 0
-    for i in range(p.n):
-        row_paths = []
-        for j in range(p.n):
-            entry = compiled[i, j]
-            if entry == 0.0:
-                row_paths.append(
-                    FeedbackPath(i, j, PathSign.DISCONNECTED, None, None, 0.0)
-                )
-                continue
-            sign = PathSign.DIRECT if entry < 0 else PathSign.VIA_INVERTER
-            if sign is PathSign.VIA_INVERTER:
-                inverter_count += 1
-            if quantizer is None:
-                weight = abs(entry)
-                code = None
-            else:
-                code, realized = quantize_entry(entry, quantizer)
-                weight = abs(realized)
-            row_paths.append(
-                FeedbackPath(i, j, sign, r_in_default / weight, code, weight)
-            )
-        rows.append(tuple(row_paths))
-
+    connected = compiled != 0.0
+    weight = np.abs(compiled)
+    code = np.full(weight.shape, -1)
+    if quantizer is not None:
+        ladder_code, ladder_weight = _ladder(weight, quantizer)
+        code = np.where(connected, ladder_code, -1)
+        weight = np.where(connected, ladder_weight, 0.0)
     return CircuitPlan(
         n=p.n,
         r_in=np.full(p.n, float(r_in_default)),
-        paths=tuple(rows),
-        b_compiled=b_compiled,
+        sign=np.sign(compiled),
+        weight=weight,
+        r_feedback=np.divide(
+            float(r_in_default), weight, out=np.full(weight.shape, np.inf),
+            where=connected,
+        ),
+        code=code,
+        b_compiled=-p.b if negated else p.b,
         negated=negated,
-        inverter_count=inverter_count,
+        inverter_count=min(positives, negatives),
         quantizer=quantizer,
     )
 
@@ -290,25 +326,12 @@ def negated_plan(circuit: CircuitPlan) -> CircuitPlan:
     order over the same paths.  So the result equals compiling the negated
     problem (and programming it with the same bank and seed).
     """
-    swap = {
-        PathSign.DIRECT: PathSign.VIA_INVERTER,
-        PathSign.VIA_INVERTER: PathSign.DIRECT,
-    }
-    rows = tuple(
-        tuple(
-            FeedbackPath(p.row, p.col, swap.get(p.sign, p.sign),
-                         p.r_feedback, p.code, p.realized_weight)
-            for p in row
-        )
-        for row in circuit.paths
-    )
-    connected = sum(p.sign in swap for row in rows for p in row)
     return dataclasses.replace(
         circuit,
-        paths=rows,
+        sign=-circuit.sign,
         b_compiled=-circuit.b_compiled,
         negated=not circuit.negated,
-        inverter_count=connected - circuit.inverter_count,
+        inverter_count=int(np.count_nonzero(circuit.sign)) - circuit.inverter_count,
     )
 
 
@@ -322,56 +345,33 @@ def program_memristors(
     with the same seed reproduce bit-exactly), then snap to the device's
     write grid.  Returns a new plan; the input plan is untouched.
     """
-    targets = []
-    for row in circuit.paths:
-        for path in row:
-            if path.sign is not PathSign.DISCONNECTED:
-                targets.append(1.0 / path.r_feedback)
-    targets_arr = np.array(targets)
-    if targets_arr.size and (
-        targets_arr.min() < bank.g_min or targets_arr.max() > bank.g_max
-    ):
+    connected = circuit.sign != 0
+    targets = 1.0 / circuit.r_feedback[connected]  # row-major
+    if targets.size and (targets.min() < bank.g_min or targets.max() > bank.g_max):
         raise TargetOutOfDeviceRange(
-            f"target conductances span [{targets_arr.min():.3e}, "
-            f"{targets_arr.max():.3e}] S but devices accept "
+            f"target conductances span [{targets.min():.3e}, "
+            f"{targets.max():.3e}] S but devices accept "
             f"[{bank.g_min:.3e}, {bank.g_max:.3e}] S"
         )
 
     rng = np.random.default_rng(rng_seed)
-    noise = rng.standard_normal(targets_arr.size) * bank.write_noise_sigma
-    written = targets_arr * (1.0 + noise)
+    noise = rng.standard_normal(targets.size) * bank.write_noise_sigma
+    written = targets * (1.0 + noise)
     codes = np.clip(
         np.floor((written - bank.g_min) / bank.step + 0.5),
         0,
         MEMRISTOR_LEVELS - 1,
     ).astype(int)
-    programmed = bank.g_min + codes * bank.step
 
     grid = np.full((circuit.n, circuit.n), np.nan)
-    rows = []
-    idx = 0
-    for i, row in enumerate(circuit.paths):
-        new_row = []
-        for path in row:
-            if path.sign is PathSign.DISCONNECTED:
-                new_row.append(path)
-                continue
-            g = programmed[idx]
-            grid[i, path.col] = g
-            new_row.append(
-                dataclasses.replace(
-                    path,
-                    r_feedback=1.0 / g,
-                    code=int(codes[idx]),
-                    realized_weight=float(circuit.r_in[i] * g),
-                )
-            )
-            idx += 1
-        rows.append(tuple(new_row))
-
+    grid[connected] = bank.g_min + codes * bank.step
+    code = np.full((circuit.n, circuit.n), -1)
+    code[connected] = codes
     return dataclasses.replace(
         circuit,
-        paths=tuple(rows),
+        weight=np.where(connected, circuit.r_in[:, None] * grid, 0.0),
+        r_feedback=np.where(connected, 1.0 / grid, np.inf),
+        code=code,
         memristors=dataclasses.replace(bank, conductances=grid),
     )
 
@@ -384,15 +384,9 @@ def realized_matrix(circuit: CircuitPlan) -> tuple[np.ndarray, np.ndarray]:
     no quantizer or memristors attached this round-trips the compiled
     problem exactly.
     """
-    a_hat = np.zeros((circuit.n, circuit.n))
-    for row in circuit.paths:
-        for path in row:
-            if path.sign is PathSign.DIRECT:
-                a_hat[path.row, path.col] = -path.realized_weight
-            elif path.sign is PathSign.VIA_INVERTER:
-                a_hat[path.row, path.col] = path.realized_weight
+    a_hat = circuit.sign * circuit.weight
     if circuit.negated:
-        return -a_hat, -np.array(circuit.b_compiled)
+        return -a_hat, -circuit.b_compiled
     return a_hat, np.array(circuit.b_compiled)
 
 
@@ -400,15 +394,15 @@ def plan_to_dict(circuit: CircuitPlan) -> dict:
     """JSON-ready plan dump for the command-line front end."""
     paths = [
         {
-            "row": path.row,
-            "col": path.col,
-            "sign": path.sign.value,
-            "r_feedback_ohms": path.r_feedback,
-            "code": path.code,
-            "realized_weight": path.realized_weight,
+            "row": i,
+            "col": j,
+            "sign": sign.value,
+            "r_feedback_ohms": r_feedback,
+            "code": code,
+            "realized_weight": weight,
         }
-        for row in circuit.paths
-        for path in row
+        for row in _path_rows(circuit)
+        for i, j, sign, r_feedback, code, weight in row
     ]
     return {
         "n": circuit.n,
