@@ -9,6 +9,7 @@ module binds everything behind a command-line front end.
 
 from .problem import (
     LinearProblem,
+    NormOverflow,
     RangeViolation,
     ScaledProblem,
     ScalePolicy,

@@ -2,9 +2,10 @@
 
 Subcommands: solve, plan, scale, sfdr, metrics, sweep.  Every output
 document embeds the fully resolved configuration so identical invocations
-produce byte-identical files.  Exit codes: 0 success, 2 validation error,
-3 solver divergence / no stable orientation / state dimension or step
-count over the simulator's limit, 4 singular matrix.
+produce byte-identical files.  Exit codes: 0 success, 2 validation error
+(an overflowing ||A||_inf among them), 3 solver divergence / no stable
+orientation / state dimension or step count over the simulator's limit,
+4 singular matrix.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .netlist import (
 )
 from .problem import (
     LinearProblem,
+    NormOverflow,
     RangeViolation,
     ScalePolicy,
     SingularMatrix,
@@ -558,6 +560,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         return EXIT_DIVERGENCE
     except (
         RangeViolation,
+        NormOverflow,
         NonFiniteEntry,
         OutOfRange,
         TargetOutOfDeviceRange,

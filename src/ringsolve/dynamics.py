@@ -16,20 +16,29 @@ The unique equilibrium of that system solves the realized A_hat x = b_hat.
 The inverting convention is the one under which the single-path transfer
 function has DC gain -R_f/R_in and under which all-negative matrices settle;
 saddle-spectrum systems are stable in neither orientation, so solve() walks a
-ladder: planned orientation, negated orientation, then the always-stable
-normal-equations (Gram) system, and reports which rung produced the answer.
+ladder: planned orientation, negated orientation, then the normal-equations
+(Gram) system in both, and reports which rung produced the answer.  The
+exact Gram system is stable in one orientation; a realized (quantized or
+programmed) one need not be.
 The negated rung is the planned circuit with its path signs swapped
 (netlist.negated_plan), derived only when the planned rung is unstable; the
-Gram system is formed only when both direct rungs are.
+Gram system is formed only when both direct rungs are.  A rung whose trace
+exceeds a small margin has an eigenvalue in the right half-plane, so the
+ladder skips its eigensolve (_unstable_by_trace); in ideal mode that is one
+of the two direct rungs and the planned Gram rung, while a structural state
+matrix never has a positive trace.  The report of a skipped rung is formed
+only for the UnstableSystem message.
 
 Integration is classical fixed-step 4th-order Runge-Kutta.  For a linear
 system one RK4 step is the exact affine map z' = R z + u, kept as
-(R - I, u); doubling it gives the 2^b-step maps (R^(2^b) - I,
-sum_{i<2^b} R^i u), each with norm bounds on every state along it.  The
-engine steps in blocks of L states, one per row: the first block after a
-state comes from it by doubling (states h+1..2h from states 1..h through
-the h-step map), and each later block from the one before through the
-L-step map, Z' = Z + Z (R^L - I)^T + P_L, one matrix product.  simulate
+(R - I, u); doubling it in one loop gives the 2^b-step maps (R^(2^b) - I,
+sum_{i<2^b} R^i u).  Norm bounds on every state along a map are formed only
+where a certificate reads them (the jump and the trace stride), for all the
+maps in one pass over their stack.  The engine steps in blocks of L states,
+one per row: the first block after a state comes from it by doubling
+(states h+1..2h from states 1..h through the h-step map), and each later
+block from the one before through the L-step map,
+Z' = Z + Z (R^L - I)^T + P_L, one matrix product.  simulate
 takes every step, in blocks, only until the residual window is met.  From
 the end of that block x jumps to t_max: the remaining m steps split into
 the power-of-two maps of m's set bits, applied to the state one after
@@ -41,8 +50,11 @@ on the jumped x, so x does not depend on the trace.  Every stretch no
 certificate covers (the rest of the horizon when the jump fails, the rest
 of the grid after the first uncertified row) is block-stepped exactly, as
 before the window, so divergence is still reported at the exact step.
-This regroups the same arithmetic: results agree with one-step-at-a-time
-stepping to rounding and are byte-deterministic.
+Row peaks (the overflow scan, the residuals, the stride certificate) are
+reduced from a transposed copy (_row_max), since numpy reduces short rows
+one at a time; a block's overflow scan looks at rows only when the whole
+block's peak fails.  This regroups the same arithmetic: results agree with
+one-step-at-a-time stepping to rounding and are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -315,13 +327,17 @@ def ideal_system(
     )
 
 
-def stability_report(ss: StateSpace) -> StabilityReport:
-    """Largest real part of the spectrum, merged inverter modes included."""
-    dim = ss.m.shape[0]
+def _check_eig_dim(m: np.ndarray) -> None:
+    dim = m.shape[0]
     if dim > _EIG_DIM_LIMIT:
         raise StateDimensionLimit(
             f"state dimension {dim} exceeds {_EIG_DIM_LIMIT}"
         )
+
+
+def stability_report(ss: StateSpace) -> StabilityReport:
+    """Largest real part of the spectrum, merged inverter modes included."""
+    _check_eig_dim(ss.m)
     try:
         eig = np.linalg.eigvals(ss.m)
     except np.linalg.LinAlgError as exc:
@@ -330,6 +346,27 @@ def stability_report(ss: StateSpace) -> StabilityReport:
     if ss.merged_mode is not None:
         max_re = max(max_re, ss.merged_mode)
     return StabilityReport(max_re_eig=max_re, stable=max_re < 0.0)
+
+
+def _unstable_by_trace(m: np.ndarray) -> bool:
+    """True when trace(m) alone shows that stability_report(m) says unstable.
+
+    The eigenvalues sum to the trace, so trace(m) > 0 puts one in the right
+    half-plane.  The computed ones are the exact eigenvalues of m + E, with
+    ||E||_F <= p(dim) u ||m||_F for the backward-stable QR algorithm
+    (u = 2^-53, p a modest polynomial, about 10 dim), so their real parts
+    sum to trace(m) + trace(E), and |trace(E)| <= sqrt(dim) ||E||_F
+    <= sqrt(dim) p(dim) u dim max|m_ij|, about 1e-15 dim^2.5 max|m_ij|.
+    The margin 1e-9 dim max|m_ij| is over 200 times that for every dim up
+    to the 256-state cap, so past it the computed real parts still sum
+    above 0, their largest is above 0 and the report is unstable.  A
+    non-finite m gives a non-finite margin, which no trace exceeds: such a
+    rung still reaches eigvals.  The state-dimension cap is checked first,
+    as stability_report does.
+    """
+    _check_eig_dim(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(m.trace() > 1e-9 * len(m) * np.abs(m).max())
 
 
 def _step_operators(m: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -343,6 +380,13 @@ def _step_operators(m: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
         r = eye + hm + hm2 / 2.0 + hm3 / 6.0 + (hm3 @ hm) / 24.0
         s = dt * (eye + hm / 2.0 + hm2 / 6.0 + hm3 / 24.0)
     return r, s
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=1) without numpy's per-row cost on short rows: the
+    transposed copy is reduced along its long axis.  max is exact, so the
+    order of reduction changes no bit; a NaN in a row gives NaN."""
+    return np.ascontiguousarray(a.T).max(axis=0)
 
 
 def _compose(later, earlier):
@@ -367,44 +411,81 @@ def _then(first, second):
     return n_a + n_b, d, p, norm_r, norm_p
 
 
-def _unit(d, p):
-    """The one-step factor of z -> z + d z + p (see _factors)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm_r = np.maximum(1.0, np.abs(d + np.eye(len(d))).sum(axis=1).max())
-    return 1, d, p, norm_r, np.abs(p).max()
+def _extend(powers, n):
+    """Extend powers, the 1, 2, 4, ... step maps (steps, R^steps - I,
+    sum_{i<steps} R^i u) of one map, as far as n steps need: each entry is
+    the one before after itself, in _compose's order of operations.
+    Doubling in the R^j - I form (R^j itself is never squared) keeps the
+    small part of a near-identity step exact: plain doubling of R^j loses
+    about ten times the accuracy of one-step-at-a-time products, which long
+    slow runs accumulate."""
+    if 1 << len(powers) <= n:
+        with np.errstate(over="ignore", invalid="ignore"):
+            while 1 << len(powers) <= n:
+                steps, d, p = powers[-1]
+                d2 = d + d
+                d2 += d @ d
+                p2 = d @ p
+                p2 += p
+                p2 += p
+                powers.append((steps + steps, d2, p2))
+
+
+def _nan_max(a: float, b: float) -> float:
+    """np.maximum of two floats: NaN when either is NaN."""
+    return a if a >= b or a != a else b
 
 
 def _factors(powers, n):
     """The n-step map as binary factors, smallest first, one per set bit of n.
 
-    powers holds the 1, 2, 4, ... step factors of one map and is extended
-    here, each entry _then of the one before with itself, as far as n needs.
-    Each factor is (steps, R^steps - I, sum_{i<steps} R^i u, norm_r, norm_p)
-    with norm_r >= ||R^j||_inf and norm_p >= ||sum_{i<j} R^i u||_inf for
-    every j <= steps, so no state along a factor applied to z exceeds
-    norm_r ||z||_inf + norm_p.  Doubling in the R^j - I form (R^j itself is
-    never squared) keeps the small part of a near-identity step exact: plain
-    doubling of R^j loses about ten times the accuracy of one-step-at-a-time
-    products, which long slow runs accumulate.  Non-finite bounds fail every
+    powers holds the 1, 2, 4, ... step maps of one map (see _extend) and is
+    extended here as far as n needs.  Each factor is (steps, R^steps - I,
+    sum_{i<steps} R^i u, norm_r, norm_p) with norm_r >= ||R^j||_inf and
+    norm_p >= ||sum_{i<j} R^i u||_inf for every j <= steps, so no state
+    along a factor applied to z exceeds norm_r ||z||_inf + norm_p.  The
+    bounds are those of the one-step factor, (max(1, ||R||), ||u||), each
+    doubled as _then doubles a factor with itself: ||R^steps|| and ||P|| of
+    every power come from one pass over the stacked maps, then the scalar
+    recurrence runs in Python floats (the same IEEE products and sums as
+    _then, _nan_max for np.maximum).  Non-finite bounds fail every
     certificate.
     """
-    while 1 << len(powers) <= n:
-        powers.append(_then(powers[-1], powers[-1]))
-    return [powers[b] for b in range(n.bit_length()) if n >> b & 1]
+    _extend(powers, n)
+    count = n.bit_length()
+    maps = powers[:count]
+    dim = len(maps[0][1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = np.array([d for _, d, _ in maps])
+        ends.reshape(count, -1)[:, :: dim + 1] += 1.0  # R^steps of each power
+        end_r = _row_max(np.abs(ends, out=ends).sum(axis=2)).tolist()
+        peak_p = _row_max(np.abs(np.array([p for _, _, p in maps]))).tolist()
+    norm_r, norm_p = _nan_max(1.0, end_r[0]), peak_p[0]
+    bounds = [(norm_r, norm_p)]
+    for e, q in zip(end_r[:-1], peak_p[:-1]):
+        norm_r, norm_p = (
+            _nan_max(norm_r, norm_r * e), _nan_max(norm_p, norm_r * q + norm_p)
+        )
+        bounds.append((norm_r, norm_p))
+    return [(*maps[b], *bounds[b]) for b in range(count) if n >> b & 1]
 
 
 def _block_maps(powers, count):
-    """The factors a block of states needs: powers up to the L-step map,
+    """The maps a block of states needs: powers up to the L-step map,
     L = min(_BLOCK, count) rounded down to a power of two, halved while a
     map up to it has an entry past 1e100 (strongly unstable maps), so a
     state within OVERFLOW_LIMIT never feeds an overflowing product.
     Returns (maps, L)."""
-    _factors(powers, min(_BLOCK, count))
-    size = 1
-    while size < len(powers) and 1 << size <= min(_BLOCK, count):
-        if not np.abs(powers[size][1]).max() <= 1e100:
-            break
-        size += 1
+    top = min(_BLOCK, count)
+    _extend(powers, top)
+    size = top.bit_length()
+    if size > 1:
+        peaks = _row_max(
+            np.abs(np.array([d for _, d, _ in powers[1:size]])).reshape(size - 1, -1)
+        )
+        over = ~(peaks <= 1e100)
+        if over.any():
+            size = 1 + int(np.argmax(over))
     return powers[:size], 1 << (size - 1)
 
 
@@ -442,12 +523,12 @@ def _jump(factors, z):
     the running state that no state along it passes OVERFLOW_LIMIT; stop at
     the first that fails: (z, steps advanced)."""
     steps = 0
-    for count, d, p, norm_r, norm_p in factors:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for count, d, p, norm_r, norm_p in factors:
             if not norm_r * np.abs(z).max() + norm_p <= OVERFLOW_LIMIT:
                 break
-        z = z + d @ z + p
-        steps += count
+            z = z + d @ z + p
+            steps += count
     return z, steps
 
 
@@ -469,15 +550,20 @@ def simulate(
     ||b_hat - A_hat x||_inf stays at or below cfg.eps_residual for
     CONVERGENCE_WINDOW consecutive steps.  Every step is taken until then,
     in blocks of up to _BLOCK states (each formed from the block before
-    with one product; see the module docstring); from the end of the block
-    that met the window, x jumps straight to t_max through one power-of-two
-    map per set bit of the remaining steps, so the cost follows the
-    convergence time, not t_max.  Where the jump's overflow certificate
-    fails, the rest of the horizon is block-stepped exactly instead.  The
-    returned x is the state at t_max, which has settled further than the
-    detection instant, unless a state magnitude exceeds OVERFLOW_LIMIT (or
-    is not finite) first: the run then stops at that step and reports
-    divergence.
+    with one product; see the module docstring).  A block's residuals are
+    row peaks taken with _row_max; its overflow scan looks at rows only
+    when the whole block's peak is past OVERFLOW_LIMIT or NaN, so the
+    overflow step stays exact.  The power-of-two maps carry no bounds while
+    stepping: _factors forms them, in one pass, for the jump and the trace
+    stride, the only certificates that read them.  From the end of the
+    block that met the window, x jumps straight to t_max through one
+    power-of-two map per set bit of the remaining steps, so the cost
+    follows the convergence time, not t_max.  Where the jump's overflow
+    certificate fails, the rest of the horizon is block-stepped exactly
+    instead.  The returned x is the state at t_max, which has settled
+    further than the detection instant, unless a state magnitude exceeds
+    OVERFLOW_LIMIT (or is not finite) first: the run then stops at that
+    step and reports divergence.
 
     trace_decimation None forms no trace (result.trace is None); 0 keeps
     about 4096 evenly spaced steps and k > 0 every k-th step, plus the last
@@ -504,14 +590,14 @@ def simulate(
             f"the RK4 step map at dt = {dt:.3e} s is not finite in float64"
         )
     dim = ss.m.shape[0]
-    powers = [_unit(r - np.eye(dim), u)]  # the 1, 2, 4, ... step factors
+    powers = [(1, r - np.eye(dim), u)]  # the 1, 2, 4, ... step maps
     nm = ss.n_main
     a_hat_t = ss.a_hat.T
     b_hat = ss.b_hat
     eps = cfg.eps_residual
 
     def residuals(states):
-        return np.abs(b_hat - states[:, :nm] @ a_hat_t).max(axis=1)
+        return _row_max(np.abs(b_hat - states[:, :nm] @ a_hat_t))
 
     # A trace keeps steps 0, dec, 2 dec, ... (the grid), then the last step.
     traced = trace_decimation is not None
@@ -540,8 +626,8 @@ def simulate(
         while k < end:
             states = _block(maps, states, min(size, end - k))
             take = len(states)
-            over = ~(np.abs(states).max(axis=1) <= OVERFLOW_LIMIT)
-            if over.any():
+            if not np.abs(states).max() <= OVERFLOW_LIMIT:  # a row past it, or NaN
+                over = ~(_row_max(np.abs(states)) <= OVERFLOW_LIMIT)
                 take = int(np.argmax(over)) + 1
                 states = states[:take]
                 overflow_at = k + take
@@ -587,11 +673,11 @@ def simulate(
         stride = reduce(_then, _factors(powers, dec))
         norm_r, norm_p = stride[3:]
         row, last_row = k // dec, grid_end // dec
-        maps, size = _block_maps([stride], last_row - row)
+        maps, size = _block_maps([stride[:3]], last_row - row)
         states = z
         while row < last_row:
             states = _block(maps, states, min(size, last_row - row))
-            peaks = np.abs(states).max(axis=1)
+            peaks = _row_max(np.abs(states))
             before = np.concatenate(([np.abs(z).max()], peaks[:-1]))
             with np.errstate(over="ignore", invalid="ignore"):
                 safe = norm_r * before + norm_p <= OVERFLOW_LIMIT
@@ -689,8 +775,10 @@ def solve(
     its path signs swapped, and the Gram system is formed and compiled only
     after both direct rungs fail.  The Gram rungs exist because
     saddle-spectrum matrices are stable in neither direct orientation; the
-    normal equations always admit a stable one.  Raises UnstableSystem when
-    every permitted rung is unstable.
+    exact normal equations admit a stable one, though a realized (quantized
+    or programmed) Gram plan need not.  A rung whose trace proves it
+    unstable is not eigensolved (_unstable_by_trace).  Raises UnstableSystem
+    when every permitted rung is unstable.
     """
     cfg = cfg or SolverConfig()
     options = options or SolveOptions()
@@ -717,15 +805,16 @@ def solve(
             )
 
     primary_plan: Optional[CircuitPlan] = None
-    reports: list[tuple[str, StabilityReport]] = []
+    # (tag, state space, report); None where the trace showed the rung unstable
+    tried: list[tuple[str, StateSpace, Optional[StabilityReport]]] = []
     for system_tag, prob in systems():
         for orient_tag, ss, circuit in attempts(prob, cfg, options):
             tag = "-".join(t for t in (system_tag, orient_tag) if t) or "none"
             if primary_plan is None and circuit is not None:
                 primary_plan = circuit
-            report = stability_report(ss)
-            reports.append((tag, report))
-            if not report.stable:
+            report = None if _unstable_by_trace(ss.m) else stability_report(ss)
+            tried.append((tag, ss, report))
+            if report is None or not report.stable:
                 continue
             res = simulate(ss, cfg, options.trace_decimation, stability=report)
             return SolveResult(
@@ -742,7 +831,8 @@ def solve(
             )
 
     summary = "; ".join(
-        f"{tag}: max Re(eig) = {rep.max_re_eig:.3e}" for tag, rep in reports
+        f"{tag}: max Re(eig) = {(rep or stability_report(ss)).max_re_eig:.3e}"
+        for tag, ss, rep in tried
     )
     raise UnstableSystem(f"no stable orientation found ({summary})")
 
@@ -811,7 +901,7 @@ def probe_single_path_gain(
     z = np.zeros(dim + 2)
     z[dim] = 1.0  # cosine state starts at 1 so s(t) = sin(w t)
     r, _ = _step_operators(m_aug, dt)
-    maps, size = _block_maps([_unit(r - np.eye(dim + 2), np.zeros(dim + 2))], n_steps)
+    maps, size = _block_maps([(1, r - np.eye(dim + 2), np.zeros(dim + 2))], n_steps)
     series = np.empty((n_steps, 3))
     states = z
     for k in range(0, n_steps, size):

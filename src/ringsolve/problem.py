@@ -32,6 +32,10 @@ class SingularMatrix(Exception):
     """Elimination met a pivot below the singularity tolerance."""
 
 
+class NormOverflow(ValueError):
+    """||A||_inf is not finite in float64, so no pivot tolerance exists."""
+
+
 class RangeViolation(ValueError):
     """An input vector entry falls outside the [-0.5, 0.5] V window."""
 
@@ -120,17 +124,27 @@ def inf_norm(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=1).max())
 
 
+def _finite_inf_norm(a: np.ndarray) -> float:
+    """inf_norm(a), raising NormOverflow when the row sums overflow."""
+    with np.errstate(over="ignore"):
+        norm = inf_norm(a)
+    if not np.isfinite(norm):
+        raise NormOverflow(f"||A||_inf = {norm} is not finite in float64")
+    return norm
+
+
 def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LU factorization with partial pivoting.
 
     Returns (lu, perm) where lu packs the unit-lower and upper factors and
     perm maps logical rows to original rows.  Raises SingularMatrix when the
-    best available pivot falls below PIVOT_RTOL * ||A||_inf.
+    best available pivot falls below PIVOT_RTOL * ||A||_inf, and
+    NormOverflow when ||A||_inf is not finite.
     """
     lu = np.array(a, dtype=float)
     n = lu.shape[0]
     perm = np.arange(n)
-    tol = PIVOT_RTOL * inf_norm(lu)
+    tol = PIVOT_RTOL * _finite_inf_norm(lu)
     if tol == 0.0:
         raise SingularMatrix("zero matrix")
     for k in range(n):
@@ -141,10 +155,10 @@ def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             )
         if p != k:
             lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
+            perm[k], perm[p] = perm[p], perm[k]
         lu[k + 1 :, k] /= lu[k, k]
         if k + 1 < n:
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+            lu[k + 1 :, k + 1 :] -= lu[k + 1 :, k, None] * lu[k, k + 1 :]
     return lu, perm
 
 
@@ -157,11 +171,11 @@ def _lu_solve(lu: np.ndarray, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         x = x.reshape(-1, 1)
     x = x[perm]
     for k in range(n):  # forward, unit lower triangle
-        x[k + 1 :] -= np.outer(lu[k + 1 :, k], x[k])
+        x[k + 1 :] -= lu[k + 1 :, k, None] * x[k]
     for k in range(n - 1, -1, -1):  # backward
         x[k] /= lu[k, k]
         if k > 0:
-            x[:k] -= np.outer(lu[:k, k], x[k])
+            x[:k] -= lu[:k, k, None] * x[k]
     return x[:, 0] if one_d else x
 
 
@@ -212,11 +226,11 @@ def scale_problem(
     ESTIMATE uses factor = estimate_c / ||A||_inf.  Both policies record the
     exact norms and condition number for reporting.
 
-    Raises RangeViolation when any |b_i| > 0.5 and SingularMatrix for a
-    singular matrix.
+    Raises RangeViolation when any |b_i| > 0.5, NormOverflow when ||A||_inf
+    is not finite, and SingularMatrix for a singular matrix.
     """
     check_input_window(p.b)
-    a_norm = inf_norm(p.a)
+    a_norm = _finite_inf_norm(p.a)
     inv_norm = inv_inf_norm(p.a)
     if policy is ScalePolicy.EXACT:
         factor = max(inv_norm, 1.0)

@@ -133,6 +133,33 @@ class TestSolveCommand:
         assert capsys.readouterr().err == plain
         assert plain.startswith("singular matrix: pivot")
 
+    @pytest.mark.parametrize(
+        "argv", [["solve"], ["scale"], ["solve", "--scale", "exact"]]
+    )
+    def test_overflowing_norm_is_not_singular(self, tmp_path, capsys, argv):
+        # ||A||_inf = inf leaves no pivot tolerance: a named validation
+        # error, not "pivot 1.000e+308 below tolerance inf" (exit 4) after a
+        # numpy overflow warning
+        path = tmp_path / "o.json"
+        path.write_text(
+            json.dumps({"a": [[1e308, 1e308], [1e308, -1e308]], "b": [0.1, 0.2]})
+        )
+        out = tmp_path / "r.json"
+        assert run([argv[0], str(path), *argv[1:], "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: ||A||_inf = inf is not finite in float64\n"
+        assert not out.exists()
+
+    def test_quantized_gram_rung_can_be_unstable(self, saddle_file, capsys):
+        # a realized (quantized) Gram rung need not be stable in either
+        # orientation: all four rungs are refused
+        argv = ["solve", saddle_file, "--quantize-bits", "8", "--r-unit", "16000", "--r-on", "10"]
+        assert run(argv) == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == (
+            "unstable system: no stable orientation found (none: max Re(eig) = 6.839e+06; "
+            "negated: max Re(eig) = 2.440e+07; gram: max Re(eig) = 6.172e+07; "
+            "gram-negated: max Re(eig) = 2.938e+05)\n"
+        )
+
     def test_range_violation_exit_code(self, tmp_path):
         path = tmp_path / "r.json"
         path.write_text(json.dumps({"a": [[-1]], "b": [0.7]}))

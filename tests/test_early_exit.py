@@ -360,7 +360,7 @@ def test_block_shortened_for_a_fast_growing_map(neg2x2, dec):
     # a tiny input overflows a few blocks in
     ss, cfg = rk4_past_its_limit(neg2x2, 1e-200, 400.0, 3000)
     r, s = dynamics._step_operators(ss.m, cfg.dt)
-    powers = [dynamics._unit(r - np.eye(len(r)), s @ ss.f)]
+    powers = [(1, r - np.eye(len(r)), s @ ss.f)]
     _, size = dynamics._block_maps(powers, 3000)
     assert size < dynamics._BLOCK and size < overflow_step(ss, cfg)
     ref = plain_simulate(ss, cfg, dec)
@@ -410,6 +410,7 @@ def test_step_budget_refused_before_any_chain(monkeypatch):
     def no_stepping(*args):
         raise AssertionError("a step map power or block was formed")
 
+    monkeypatch.setattr(dynamics, "_extend", no_stepping)
     monkeypatch.setattr(dynamics, "_factors", no_stepping)
     monkeypatch.setattr(dynamics, "_block", no_stepping)
     cfg = SolverConfig(dt=1e-12, t_max=(dynamics._STEP_BUDGET + 1) * 1e-12)
@@ -520,7 +521,7 @@ def test_factor_bounds_cover_every_state(seed):
         # shrink the bound for the powers before it
         r = np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.9]])
     u = rng.normal(0.0, 1.0, dim)
-    factors = dynamics._factors([dynamics._unit(r - np.eye(dim), u)], n)
+    factors = dynamics._factors([(1, r - np.eye(dim), u)], n)
     assert [f[0] for f in factors] == [1, 4, 8, 32, 64]  # the set bits of 109
     combined = reduce(dynamics._then, factors)
     for steps, d, p, norm_r, norm_p in [*factors, combined]:

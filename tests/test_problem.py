@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from ringsolve.problem import (
+    PIVOT_RTOL,
     LinearProblem,
+    NormOverflow,
     RangeViolation,
     ScalePolicy,
     SingularMatrix,
+    _lu_factor,
     direct_solve_oracle,
     inf_norm,
     inv_inf_norm,
@@ -225,3 +228,99 @@ class TestProblemFile:
     def test_missing_keys(self):
         with pytest.raises(ValueError):
             problem_from_dict({"a": [[1]]})
+
+
+def old_lu_factor(a):
+    """The elimination loop before broadcasting: np.outer and fancy swaps."""
+    lu = np.array(a, dtype=float)
+    n = lu.shape[0]
+    perm = np.arange(n)
+    tol = PIVOT_RTOL * inf_norm(lu)
+    if tol == 0.0:
+        raise SingularMatrix("zero matrix")
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if abs(lu[p, k]) < tol:
+            raise SingularMatrix(
+                f"pivot {lu[p, k]:.3e} below tolerance {tol:.3e} at column {k}"
+            )
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+        lu[k + 1 :, k] /= lu[k, k]
+        if k + 1 < n:
+            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+    return lu, perm
+
+
+def old_lu_solve(lu, perm, rhs):
+    n = lu.shape[0]
+    x = np.array(rhs, dtype=float)
+    one_d = x.ndim == 1
+    if one_d:
+        x = x.reshape(-1, 1)
+    x = x[perm]
+    for k in range(n):
+        x[k + 1 :] -= np.outer(lu[k + 1 :, k], x[k])
+    for k in range(n - 1, -1, -1):
+        x[k] /= lu[k, k]
+        if k > 0:
+            x[:k] -= np.outer(lu[:k, k], x[k])
+    return x[:, 0] if one_d else x
+
+
+def outcome(factor, a):
+    try:
+        return factor(a)
+    except SingularMatrix as exc:
+        return str(exc)
+
+
+class TestEliminationAgainstTheOuterLoop:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_same_bits(self, n):
+        rng = np.random.default_rng(n)
+        for a in (
+            rng.uniform(-1.0, 1.0, (n, n)),
+            rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4, (n, 1)),
+            np.triu(rng.normal(size=(n, n))) + 1e-3 * np.eye(n),
+        ):
+            lu, perm = _lu_factor(a)
+            want_lu, want_perm = old_lu_factor(a)
+            assert lu.tobytes() == want_lu.tobytes()
+            assert perm.tobytes() == want_perm.tobytes()
+            inv = matrix_inverse(a)
+            assert inv.tobytes() == old_lu_solve(want_lu, want_perm, np.eye(n)).tobytes()
+            b = rng.uniform(-0.5, 0.5, n)
+            assert solve_dense(a, b).tobytes() == old_lu_solve(want_lu, want_perm, b).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_same_singular_message(self, n):
+        rng = np.random.default_rng(100 + n)
+        low_rank = rng.normal(size=(n, 1)) @ rng.normal(size=(1, n))
+        tiny_pivot = np.eye(n)
+        tiny_pivot[-1, -1] = 1e-13
+        for a in (np.zeros((n, n)), low_rank, tiny_pivot):
+            want = outcome(old_lu_factor, a)
+            got = outcome(_lu_factor, a)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got[0].tobytes() == want[0].tobytes()
+
+
+class TestNormOverflow:
+    A = [[1e308, 1e308], [1e308, -1e308]]
+
+    def test_factor_names_the_overflow(self):
+        with pytest.raises(NormOverflow, match="not finite"):
+            _lu_factor(np.array(self.A))
+
+    @pytest.mark.parametrize("policy", list(ScalePolicy))
+    def test_scale_names_the_overflow(self, policy):
+        with pytest.raises(NormOverflow, match="not finite"):
+            scale_problem(LinearProblem(self.A, [0.1, 0.2]), policy)
+
+    def test_largest_finite_norm_still_factors(self):
+        lu, _ = _lu_factor(np.array([[8e307, 8e307], [8e307, -8e307]]))
+        assert np.isfinite(lu).all()
