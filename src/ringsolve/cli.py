@@ -4,8 +4,8 @@ Subcommands: solve, plan, scale, sfdr, metrics, sweep.  Every output
 document embeds the fully resolved configuration so identical invocations
 produce byte-identical files.  Exit codes: 0 success, 2 validation error
 (an overflowing ||A||_inf among them), 3 solver divergence / no stable
-orientation / state dimension or step count over the simulator's limit,
-4 singular matrix.
+orientation / state dimension or step count over the simulator's limit /
+an SFDR tone that does not stand above the noise floor, 4 singular matrix.
 """
 
 from __future__ import annotations
@@ -557,6 +557,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         return EXIT_DIVERGENCE
     except (StateDimensionLimit, StepBudgetExceeded, StepMapOverflow) as exc:
         print(f"simulator limit: {exc}", file=sys.stderr)
+        return EXIT_DIVERGENCE
+    except phase_mod.NoFundamental as exc:
+        print(f"no fundamental: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except (
         RangeViolation,

@@ -21,7 +21,14 @@ of comparing all M carriers.  With ``a = f_ref * t`` the carriers
 ``(frac(M*a) + j) / M``, j = 0..M-1, so the number of carriers below the
 duty ``d`` is ``clip(ceil(M*d - frac(M*a)), 0, M)``.  The float form of
 this count is kept only where its rounding is certified; every other
-sample takes the M-carrier comparison (see ``_high_taps``).
+sample takes the M-carrier comparison.  One certificate serves both the
+open-loop integrator and the closed loop (see ``_wrap_certificate``).
+
+Every remainder is formed by ``_remainder``, as ``x - p*floor(x/p)`` with
+in-place ufuncs, instead of ``np.mod`` (which runs ``fmod`` and a sign fix
+and costs over ten times as much).  Both are the exact remainder rounded
+once, so they agree bit for bit; for ``x >= 0`` the subtraction is exact
+(Sterbenz's lemma).
 """
 
 from __future__ import annotations
@@ -92,8 +99,14 @@ class PhaseConfig:
     def __post_init__(self) -> None:
         if self.m_phases < 1:
             raise ValueError("m_phases must be at least 1")
+        _require_finite(
+            f0=self.f0, f_ref=self.f_ref, k_vco=self.k_vco, v0=self.v0,
+            v_dd=self.v_dd, dt=self.dt,
+        )
         if self.f0 <= 0 or self.k_vco <= 0 or self.v_dd <= 0:
             raise ValueError("f0, k_vco, and v_dd must be positive")
+        if self.dt < 0:
+            raise ValueError("dt must be non-negative (0 = auto)")
         if self.f_ref == 0.0:
             object.__setattr__(
                 self, "f_ref", self.f0 / _METHOD_DIVIDER[self.method]
@@ -186,9 +199,36 @@ def effective_kvco(cfg: PhaseConfig) -> EffectiveGain:
     )
 
 
-def _triangle(phase):
-    """Normalized XOR duty law: 0 at phase 0, 1 at pi, period 2*pi."""
-    return 1.0 - np.abs(np.mod(phase / math.pi, 2.0) - 1.0)
+def _remainder(x: np.ndarray, p: float) -> np.ndarray:
+    """``np.mod(x, p)`` for p = 1 or 2: overwrites the float array x with
+    ``x - p*floor(x/p)`` and returns it, allocating one array on the way.
+
+    ``x/p`` and ``p*floor(x/p)`` are exact, and the subtraction rounds once:
+    the result is the exact remainder rounded once, as np.mod's ``fmod``
+    plus sign fix is.  For x >= 0 nothing rounds (Sterbenz's lemma:
+    ``p*floor(x/p)`` is 0 or within a factor 2 of x).  The one exception is
+    x = -2**-1074 with p = 2, whose half rounds to -0.0: it is kept as x
+    where np.mod gives 2.0, and ``_triangle`` maps both to 0.
+    """
+    if p == 1.0:
+        q = np.floor(x)
+    else:
+        q = np.divide(x, p, out=np.empty_like(x))
+        np.floor(q, out=q)
+        q *= p
+    x -= q
+    return x
+
+
+def _triangle(phase: np.ndarray) -> np.ndarray:
+    """Normalized XOR duty law: 0 at phase 0, 1 at pi, period 2*pi.
+
+    ``1 - |mod(phase/pi, 2) - 1|``, formed in place in one new array.
+    """
+    r = _remainder(phase / math.pi, 2.0)
+    r -= 1.0
+    np.abs(r, out=r)
+    return np.subtract(1.0, r, out=r)
 
 
 # Carrier values per block of the exact fallback in _high_taps (512 kB of
@@ -199,44 +239,83 @@ _FALLBACK_CARRIERS = 1 << 16
 def _carriers_below(a: np.ndarray, duty: np.ndarray, m: int) -> np.ndarray:
     """The M-carrier comparison: (m, n) mask of carrier k below the duty."""
     taps = np.arange(m)[:, None] / m
-    return np.mod(a[None, :] + taps, 1.0) < duty[None, :]
+    return _remainder(a[None, :] + taps, 1.0) < duty[None, :]
+
+
+def _count_carriers_below(ref: float, duty: float, taps: list) -> int:
+    """The M-carrier comparison of one closed-loop sample, on Python floats:
+    how many carriers ``(ref + tap) % 1.0`` lie below ``duty``.  Float ``%``
+    is the same fmod-and-sign-fix as np.mod, so this is the integer that
+    ``_carriers_below`` counts."""
+    high = 0
+    for tap in taps:
+        if (ref + tap) % 1.0 < duty:
+            high += 1
+    return high
+
+
+def _wrap_certificate(a: np.ndarray, m: int) -> tuple[np.ndarray, float]:
+    """The carrier wrap ``frac(m*a)`` per sample, NaN where it is uncertain,
+    and the margin ``tol`` of the closed-form tap count.
+
+    A sample's count of carriers ``frac(a + k/m)`` below a duty d is
+    ``ceil(y)`` with ``y = m*d - wrap`` (at most m, and at least 0 for
+    d >= 0).  Its float form is certified when the wrap lies in
+    ``(tol, 1 - tol)`` (no carrier within rounding of its wrap from 1 to 0)
+    and ``frac(y)`` does too (no carrier within rounding of the duty).  A
+    NaN wrap makes y NaN, so one test ``tol < frac(y) < 1 - tol`` covers
+    both, and a NaN duty as well.  Every other sample takes the M-carrier
+    comparison.  ``_high_taps`` applies the test with numpy, the closed
+    loop with float ``%``, which rounds as ``_remainder`` does.
+
+    The margin, in units of y: each float carrier is within
+    ``spacing(max|a| + 1)`` of the exact ``frac(a + k/m)`` (k/m and the sum
+    round once each, the remainder of a non-negative float is exact), which
+    is m times that in y units; the float y is within
+    ``m*spacing(max|a|) + spacing(m)`` of the exact one (the products and
+    the difference round once each), and ``frac(y)`` within ``spacing(1)``
+    of its own exact value.
+    ``tol = 16*m*spacing(max|a| + 2) + 16*spacing(m)`` exceeds their sum
+    eight times over.
+    """
+    tol = float(
+        16.0 * m * np.spacing(np.max(np.abs(a)) + 2.0) + 16.0 * np.spacing(float(m))
+    )
+    wrap = _remainder(np.multiply(m, a), 1.0)
+    wrap[(wrap <= tol) | (wrap >= 1.0 - tol)] = np.nan
+    return wrap, tol
 
 
 def _high_taps(a: np.ndarray, duty: np.ndarray, m: int) -> np.ndarray:
     """Per sample, how many of the m carriers ``np.mod(a + k/m, 1.0)`` lie
     below ``duty``: the integer the M-carrier comparison counts.
 
-    Closed form: ``clip(ceil(y), 0, m)`` with ``y = m*duty - frac(m*a)``,
-    kept only where it is certified.  The fallback set is every sample
-    where ``y`` is not finite (a NaN duty), ``y`` is within ``tol`` of an
-    integer (a carrier within rounding of the duty), or ``frac(m*a)`` is
-    within ``tol`` of 0 or 1 (a carrier within rounding of its wrap from 1
-    to 0).  Those samples are counted by the M-carrier comparison, in
-    blocks of at most ``_FALLBACK_CARRIERS`` carrier values.
-
-    The margin, in units of y: each float carrier is within
-    ``spacing(max|a| + 1)`` of the exact ``frac(a + k/m)`` (k/m and the sum
-    round once each, np.mod of a non-negative float is exact), which is m
-    times that in y units; the float y is within
-    ``m*spacing(max|a|) + spacing(m)`` of the exact one (the products and
-    the difference round once each).
-    ``tol = 16*m*spacing(max|a| + 2) + 16*spacing(m)`` exceeds their sum
-    eight times over.
+    The closed form ``clip(ceil(y), 0, m)`` is kept where
+    ``_wrap_certificate`` certifies it; the rest are counted by the
+    M-carrier comparison, in blocks of at most ``_FALLBACK_CARRIERS``
+    carrier values.
     """
-    tol = 16.0 * m * np.spacing(np.max(np.abs(a)) + 2.0) + 16.0 * np.spacing(float(m))
-    wrap = np.mod(m * a, 1.0)
-    y = m * duty - wrap
-    uncertain = ~np.isfinite(y)
-    uncertain |= np.abs(y - np.rint(y)) <= tol
-    uncertain |= (wrap <= tol) | (wrap >= 1.0 - tol)
-    y[uncertain] = 0.0
-    count = np.clip(np.ceil(y), 0, m).astype(np.intp)
+    wrap, tol = _wrap_certificate(a, m)
+    y = np.multiply(m, duty)
+    y -= wrap
+    count = np.ceil(y)
+    frac = _remainder(y, 1.0)
+    uncertain = ~((frac > tol) & (frac < 1.0 - tol))
+    count[uncertain] = 0.0
+    count = np.clip(count, 0, m, out=count).astype(np.intp)
     fallback = np.flatnonzero(uncertain)
     block = max(1, _FALLBACK_CARRIERS // m)
     for lo in range(0, fallback.size, block):
         idx = fallback[lo : lo + block]
         count[idx] = np.count_nonzero(_carriers_below(a[idx], duty[idx], m), axis=0)
     return count
+
+
+def _require_finite(**values: float) -> None:
+    """Refuse a NaN or infinite scalar argument by its name."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _check_finite(series: np.ndarray) -> None:
@@ -278,6 +357,7 @@ def simulate_phase_integrator(
     if v_in.ndim != 1:
         raise ValueError("input series must be one-dimensional")
     _check_finite(v_in)
+    _require_finite(phase0=phase0)
     if cfg.dt > 1.0 / (20.0 * cfg.m_phases * cfg.f_ref):
         warnings.warn(
             f"dt = {cfg.dt:.3e} s undersamples the {cfg.m_phases}-phase "
@@ -295,12 +375,20 @@ def simulate_phase_integrator(
 
     t = np.arange(v_in.size) * cfg.dt
     # Cumulative trapezoid-free phase: left-rectangle accumulation matches
-    # repeated vco_phase_step calls exactly.
-    inst_freq = f_center + k_eff * (v_in - cfg.v0)
-    theta = np.empty(v_in.size)
-    theta[0] = 0.0
-    np.cumsum(2.0 * math.pi * inst_freq[:-1] * cfg.dt, out=theta[1:])
-    phase_err = theta - 2.0 * math.pi * cfg.f_ref * t + phase0
+    # repeated vco_phase_step calls exactly.  In place, in the order of
+    # 2*pi * (f_center + k_eff*(v - v0)) * dt.
+    step = np.subtract(v_in, cfg.v0)
+    step *= k_eff
+    step += f_center
+    step *= 2.0 * math.pi
+    step *= cfg.dt
+    phase_err = np.empty(v_in.size)
+    phase_err[0] = 0.0
+    np.cumsum(step[:-1], out=phase_err[1:])
+    # theta - 2*pi*f_ref*t + phase0, reusing step for the reference phase
+    np.multiply(2.0 * math.pi * cfg.f_ref, t, out=step)
+    phase_err -= step
+    phase_err += phase0
     duty = _triangle(phase_err)
 
     a = cfg.f_ref * t
@@ -310,6 +398,11 @@ def simulate_phase_integrator(
     high = np.arange(m)[:, None] < np.arange(m + 1)  # column c: c taps high
     table = np.where(high, cfg.v_dd, 0.0).sum(axis=0) / m
     return table[_high_taps(a, duty, m)]
+
+
+# Samples per pass of the closed loop: the loop walks Python lists of this
+# length, not of the whole series.
+_LOOP_CHUNK = 1024
 
 
 def simulate_phase_lowpass(
@@ -327,15 +420,33 @@ def simulate_phase_lowpass(
     the test signal.
 
     The loop is sequential (each sample's duty depends on the last output),
-    so it runs on Python floats: the duty law and the carrier wrap use
-    float ``%``, which rounds exactly as ``np.mod`` does, so the output
-    matches the array form of ``_triangle`` bit for bit.  A non-finite
-    sample raises ValueError naming its index.
+    so the node, the phase error and the duty run on Python floats: the
+    duty law uses float ``%``, which rounds exactly as ``np.mod`` does, so
+    it matches the array form of ``_triangle`` bit for bit.  What does not
+    depend on the output is formed before the loop with numpy:
+
+    - the reference phase, as one in-order ``np.cumsum`` of ``f_ref * dt``
+      from 0.0 (``add.accumulate`` adds in order, so sample k holds the
+      same bits as k repeated ``ref += f_ref * dt``);
+    - its carrier wrap and the margin from ``_wrap_certificate``, which the
+      open-loop integrator shares.
+
+    Each sample then counts its high channels as ``ceil(M*duty - wrap)``
+    (a finite duty lies in [0, 1], so this is already clipped to [0, M])
+    where ``tol < frac(M*duty - wrap) < 1 - tol`` certifies it, and by the
+    M-carrier comparison elsewhere (about 1 % of the samples of an
+    8192-sample step response at M = 8, 24 samples per carrier period).
+    The next feedback ``v_out / ratio`` is read from an (M+1)-entry table,
+    and the output is the table of levels indexed by the counts.  A
+    non-finite sample, ratio or phase0 raises ValueError naming it.
     """
     b_in = np.asarray(b_in, dtype=float)
     _check_finite(b_in)
+    _require_finite(rf_over_rin=rf_over_rin, phase0=phase0)
     if rf_over_rin <= 0:
         raise ValueError("rf_over_rin must be positive")
+    if b_in.size == 0:
+        return np.empty(0)
     gain = effective_kvco(cfg)
     div = _METHOD_DIVIDER[cfg.method]
     f_center = cfg.f0 / div
@@ -343,26 +454,37 @@ def simulate_phase_lowpass(
     m = cfg.m_phases
     taps = (np.arange(m) / m).tolist()
     two_pi = 2.0 * math.pi
+    pi = math.pi
     v_dd, v0, f_ref, dt = cfg.v_dd, cfg.v0, cfg.f_ref, cfg.dt
     node_gain = 1.0 + 1.0 / rf_over_rin
-    ref_step = f_ref * dt
+    levels = [v_dd * float(high) / m for high in range(m + 1)]
+    feedback = [level / rf_over_rin for level in levels]
 
-    out = np.empty(b_in.size)
-    v_out = v_dd * float(_triangle(phase0))
+    ref = np.full(b_in.size, f_ref * dt)
+    ref[:1] = 0.0
+    np.cumsum(ref, out=ref)
+    wrap, tol = _wrap_certificate(ref, m)
+    upper = 1.0 - tol
+
+    counts = np.empty(b_in.size, dtype=np.intp)
+    v_fb = v_dd * (1.0 - abs((phase0 / pi) % 2.0 - 1.0)) / rf_over_rin
     phase_err = phase0
-    ref_cycles = 0.0
-    for k, b in enumerate(b_in.tolist()):
-        v_node = (b + v_out / rf_over_rin) / node_gain
-        phase_err += two_pi * (f_center + k_eff * (v_node - v0) - f_ref) * dt
-        duty = 1.0 - abs((phase_err / math.pi) % 2.0 - 1.0)
-        high = 0
-        for tap in taps:
-            if (ref_cycles + tap) % 1.0 < duty:
-                high += 1
-        v_out = v_dd * float(high) / m
-        ref_cycles += ref_step
-        out[k] = v_out
-    return out
+    for lo in range(0, b_in.size, _LOOP_CHUNK):
+        hi = lo + _LOOP_CHUNK
+        chunk = []
+        for b, w in zip(b_in[lo:hi].tolist(), wrap[lo:hi].tolist()):
+            v_node = (b + v_fb) / node_gain
+            phase_err += two_pi * (f_center + k_eff * (v_node - v0) - f_ref) * dt
+            duty = 1.0 - abs((phase_err / pi) % 2.0 - 1.0)
+            y = m * duty - w
+            if tol < y % 1.0 < upper:
+                high = math.ceil(y)
+            else:
+                high = _count_carriers_below(float(ref[lo + len(chunk)]), duty, taps)
+            v_fb = feedback[high]
+            chunk.append(high)
+        counts[lo:hi] = chunk
+    return np.array(levels)[counts]
 
 
 def measure_kvco(

@@ -461,6 +461,27 @@ class TestSfdrCommand:
     def test_bad_samples(self):
         assert run(["sfdr", "--samples", "1000"]) == EXIT_VALIDATION
 
+    def test_negative_dt_is_a_validation_error(self, tmp_path, capsys):
+        # it used to report a negative spur frequency and an SFDR below 0 dB
+        out = tmp_path / "sfdr.json"
+        assert run(["sfdr", "--dt=-1e-12", "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: dt must be non-negative (0 = auto)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m", ["4", "32"])
+    @pytest.mark.parametrize("amp", ["1e-4", "1e-5", "1e-9"])
+    def test_no_fundamental_exit_code(self, tmp_path, capsys, m, amp):
+        # the run completes but the tone does not stand above the floor: one
+        # line on stderr, no traceback, and neither file written
+        out = tmp_path / "sfdr.json"
+        spectrum = tmp_path / "spectrum.csv"
+        argv = ["sfdr", "--m-phases", m, "--tone-amp", amp, "--out", str(out),
+                "--spectrum", str(spectrum)]
+        assert run(argv) == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("no fundamental: bin ") and err.count("\n") == 1
+        assert not out.exists() and not spectrum.exists()
+
 
 class TestMetricsCommand:
     def test_table_row_from_dimension(self, tmp_path):

@@ -309,12 +309,15 @@ class TestPhaseVsBehavioral:
             assert abs(measured / predicted - 1.0) <= 0.05
 
 
+def _np_mod_triangle(phase):
+    """The XOR duty law written with np.mod, the oracles' own remainder."""
+    return 1.0 - np.abs(np.mod(phase / math.pi, 2.0) - 1.0)
+
+
 def _lowpass_numpy_oracle(b_in, rf_over_rin, cfg, phase0=1.5 * math.pi):
     """The array-per-sample form of the closed loop: numpy duty law, np.mod
     carriers and np.count_nonzero on every sample."""
-    def triangle(phase):
-        return 1.0 - np.abs(np.mod(phase / math.pi, 2.0) - 1.0)
-
+    triangle = _np_mod_triangle
     f_center = cfg.f0 / _METHOD_DIVIDER[cfg.method]
     k_eff = effective_kvco(cfg).k_vco_hz_per_v
     m = cfg.m_phases
@@ -354,6 +357,121 @@ def test_lowpass_scalar_loop_matches_numpy_oracle(m, ratio):
             assert np.array_equal(got, _lowpass_numpy_oracle(b, ratio, cfg, p0))
 
 
+def _benchmark_lowpass_cases():
+    """The closed-loop step responses of the phase benchmark: M = 8, 8192
+    samples, R_f/R_in of 1, 2 and 4, output steps of -+0.2 V."""
+    cfg = PhaseConfig(m_phases=8, f0=200e6, f_ref=200e6, k_vco=100e6, dt=1.0 / (24 * 8 * 200e6))
+    for ratio in (1.0, 2.0, 4.0):
+        bias = cfg.v0 * (1.0 + 1.0 / ratio) - cfg.v_dd / (2.0 * ratio)
+        for sign in (1.0, -1.0):
+            yield cfg, ratio, np.full(8192, bias + sign * 0.2 / ratio)
+
+
+def test_lowpass_benchmark_steps_match_numpy_oracle():
+    for cfg, ratio, b in _benchmark_lowpass_cases():
+        got = simulate_phase_lowpass(b, ratio, cfg)
+        assert np.array_equal(got, _lowpass_numpy_oracle(b, ratio, cfg)), ratio
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 16, 32, 64])
+def test_lowpass_closed_form_matches_numpy_oracle(m):
+    # an aligned dt puts every 24th reference wrap on an exact integer (the
+    # certificate's fallback); an unaligned one puts none there
+    rng = np.random.default_rng(m)
+    for samples_per_period in (24.0, 24.37):
+        cfg = PhaseConfig(
+            m_phases=m, f0=200e6, f_ref=200e6, k_vco=100e6,
+            dt=1.0 / (samples_per_period * m * 200e6),
+        )
+        ratio = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
+        bias = cfg.v0 * (1.0 + 1.0 / ratio) - cfg.v_dd / (2.0 * ratio)
+        b = bias + 0.2 / ratio + rng.uniform(-0.6, 0.6, 1200) * rng.uniform(0, 1)
+        for p0 in (0.0, math.pi, 1.5 * math.pi, float(rng.uniform(-20.0, 0.0))):
+            got = simulate_phase_lowpass(b, ratio, cfg, phase0=p0)
+            assert np.array_equal(got, _lowpass_numpy_oracle(b, ratio, cfg, p0)), (
+                samples_per_period, p0,
+            )
+
+
+def _recording_fallback(monkeypatch):
+    """Record the reference phase of every closed-loop sample that takes the
+    M-carrier comparison."""
+    fell_back = []
+    real = phase._count_carriers_below
+
+    def recording(ref, duty, taps):
+        fell_back.append(ref)
+        return real(ref, duty, taps)
+
+    monkeypatch.setattr(phase, "_count_carriers_below", recording)
+    return fell_back
+
+
+def _reference_phase(cfg, n):
+    return np.cumsum(np.r_[0.0, np.full(n - 1, cfg.f_ref * cfg.dt)])
+
+
+def test_lowpass_closed_form_carries_the_benchmark_steps(monkeypatch):
+    # the accumulated reference drifts off the exact wraps, so on the
+    # benchmark's steps about 1 % of the samples reach the carrier comparison:
+    # the uncertain wraps and the duties within the margin of a carrier
+    fell_back = _recording_fallback(monkeypatch)
+    for cfg, ratio, b in _benchmark_lowpass_cases():
+        fell_back.clear()
+        got = simulate_phase_lowpass(b, ratio, cfg)
+        assert np.array_equal(got, _lowpass_numpy_oracle(b, ratio, cfg))
+        wrap, _ = phase._wrap_certificate(_reference_phase(cfg, b.size), cfg.m_phases)
+        uncertain = _reference_phase(cfg, b.size)[np.isnan(wrap)]
+        assert uncertain.size and set(uncertain.tolist()) <= set(fell_back)
+        assert len(fell_back) < 0.02 * b.size
+
+
+def test_lowpass_exact_wraps_take_the_carrier_comparison(monkeypatch):
+    # a dyadic reference step of 2**-6 accumulates without rounding, so with
+    # M = 8 every 8th sample's wrap M * ref is an exact integer
+    fell_back = _recording_fallback(monkeypatch)
+    cfg = PhaseConfig(m_phases=8, f0=2.0**25, f_ref=2.0**25, k_vco=2.0**24, dt=2.0**-31)
+    ratio = 2.0
+    b = np.full(8192, cfg.v0 * (1.0 + 1.0 / ratio) - cfg.v_dd / (2.0 * ratio) + 0.1)
+    got = simulate_phase_lowpass(b, ratio, cfg)
+    assert np.array_equal(got, _lowpass_numpy_oracle(b, ratio, cfg))
+    ref = _reference_phase(cfg, b.size)
+    assert np.array_equal(ref, np.arange(b.size) / 64.0)
+    assert set(ref[::8].tolist()) <= set(fell_back)
+    assert len(fell_back) < 0.2 * b.size
+
+
+def _phase_with_duty(duty):
+    """A phase0 whose float duty law gives exactly ``duty``, or None."""
+    for start in (duty * math.pi, (2.0 - duty) * math.pi):
+        up = down = start
+        for _ in range(64):
+            for p in (up, down):
+                if 1.0 - abs((p / math.pi) % 2.0 - 1.0) == duty:
+                    return p
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+    return None
+
+
+@pytest.mark.parametrize("m", [5, 7, 11])
+def test_lowpass_duty_on_a_float_carrier(m):
+    # R_f/R_in = 1e300 pins the node at b = v0 and f_ref = f0 holds the phase
+    # error at phase0, so the duty stays on the float value of carrier j at
+    # sample k: there the rounded closed form can miss by one, and the
+    # certificate must send the sample to the carrier comparison
+    cfg = PhaseConfig(m_phases=m, f0=2.0**25, k_vco=2.0**24, dt=2.0**-31)
+    b = np.full(64, cfg.v0)
+    checked = 0
+    for k in range(1, 64, 3):
+        for j in range(m):
+            p0 = _phase_with_duty((k / 64.0 + j / m) % 1.0)
+            if p0 is not None:
+                got = simulate_phase_lowpass(b, 1e300, cfg, phase0=p0)
+                assert np.array_equal(got, _lowpass_numpy_oracle(b, 1e300, cfg, p0)), (k, j)
+                checked += 1
+    assert checked >= 10 * m
+
+
 def test_lowpass_carrier_on_the_duty_counts_low():
     # at phase error 0 with the node pinned at v0 the duty stays exactly 0
     # and the first carrier sits exactly on it: the comparison is strict
@@ -375,7 +493,7 @@ def _integrator_oracle(v_in, cfg, phase0=math.pi / 2):
     theta = np.empty(v_in.size)
     theta[0] = 0.0
     np.cumsum(2.0 * math.pi * inst_freq[:-1] * cfg.dt, out=theta[1:])
-    duty = _triangle(theta - 2.0 * math.pi * cfg.f_ref * t + phase0)
+    duty = _np_mod_triangle(theta - 2.0 * math.pi * cfg.f_ref * t + phase0)
     taps = np.arange(cfg.m_phases)[:, None] / cfg.m_phases
     carriers = np.mod(cfg.f_ref * t[None, :] + taps, 1.0)
     levels = np.where(carriers < duty[None, :], cfg.v_dd, 0.0)
@@ -540,6 +658,100 @@ class TestHighTaps:
         got = simulate_phase_integrator(v, cfg)
         assert np.array_equal(got, _integrator_oracle(v, cfg))
         assert sum(fell_back) < 0.1 * n
+
+
+def _edge_values():
+    """Signed zeros, subnormals, the smallest normal, values on and next to
+    multiples of 1 and 2, the 2**53 integer edge and the largest floats."""
+    tiny = 5e-324
+    base = np.array([
+        0.0, tiny, 3 * tiny, 2.0**-1022, 2.0**-1022 - tiny, 1e-300, 0.5, 1.0,
+        np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 2.0, np.nextafter(2.0, 0.0),
+        np.nextafter(2.0, 3.0), 3.0, 7.5, 2.0**52 + 0.5, 2.0**53, 2.0**53 + 2.0,
+        2.0**60 + 1024.0, 1e300, 1e308, np.finfo(float).max,
+    ])
+    return np.concatenate([base, -base])
+
+
+def _every_binade(rng, per_binade=8):
+    """Random mantissas in every binade of the finite floats, both signs."""
+    exponents = np.repeat(np.arange(-1074, 1024), per_binade)
+    mantissa = rng.uniform(1.0, 2.0, exponents.size)
+    x = np.ldexp(mantissa, exponents)
+    x = x[np.isfinite(x)]
+    return np.concatenate([x, -x])
+
+
+class TestRemainder:
+    """``_remainder`` is np.mod, bit for bit, for the divisors 1 and 2."""
+
+    def _bits(self, x):
+        return np.asarray(x, dtype=float).view(np.int64)
+
+    def test_unit_divisor_on_edges_and_every_binade(self):
+        x = np.concatenate([_edge_values(), _every_binade(np.random.default_rng(0))])
+        for scale in (1, 3, 8, 32):
+            with np.errstate(over="ignore"):
+                xs = scale * x
+            xs = xs[np.isfinite(xs)]
+            got = phase._remainder(xs.copy(), 1.0)
+            assert np.array_equal(self._bits(got), self._bits(np.mod(xs, 1.0))), scale
+
+    def test_divisor_two_differs_only_at_the_smallest_subnormal(self):
+        x = np.concatenate([_edge_values(), _every_binade(np.random.default_rng(1))])
+        got = phase._remainder(x.copy(), 2.0)
+        expected = np.mod(x, 2.0)
+        differs = self._bits(got) != self._bits(expected)
+        assert differs.any()
+        # -2**-1074 halves to -0.0: kept as itself where np.mod gives 2.0
+        assert x[differs].tolist() == [-5e-324] * int(differs.sum())
+        assert got[differs].tolist() == [-5e-324] * int(differs.sum())
+        assert expected[differs].tolist() == [2.0] * int(differs.sum())
+
+    def test_triangle_law_matches_np_mod(self):
+        # the one divisor-2 difference maps to the same duty, 0
+        for scale in (1.0, math.pi, 3.0 * math.pi):
+            edges = np.concatenate([_edge_values(), _every_binade(np.random.default_rng(2))])
+            with np.errstate(over="ignore"):
+                x = scale * edges
+            x = x[np.isfinite(x)]
+            expected = _np_mod_triangle(x)
+            assert np.array_equal(self._bits(_triangle(x)), self._bits(expected)), scale
+        assert np.array_equal(_triangle(np.array([-5e-324])), [0.0])
+
+    def test_triangle_leaves_its_input_alone(self):
+        phase_err = np.linspace(-10.0, 10.0, 101)
+        before = phase_err.copy()
+        _triangle(phase_err)
+        assert np.array_equal(phase_err, before)
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("field", ["f0", "f_ref", "k_vco", "v0", "v_dd", "dt"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_config_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PhaseConfig(**{field: value})
+
+    def test_negative_dt(self):
+        with pytest.raises(ValueError, match="dt must be non-negative"):
+            PhaseConfig(dt=-1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_loop_arguments(self, value):
+        # each used to give all zeros, or a numpy warning and then zeros
+        cfg = PhaseConfig(m_phases=8, f0=200e6, k_vco=100e6)
+        b = np.full(64, 1.2)
+        with pytest.raises(ValueError, match="rf_over_rin must be finite"):
+            simulate_phase_lowpass(b, value, cfg)
+        with pytest.raises(ValueError, match="phase0 must be finite"):
+            simulate_phase_lowpass(b, 1.0, cfg, phase0=value)
+        with pytest.raises(ValueError, match="phase0 must be finite"):
+            simulate_phase_integrator(np.full(64, cfg.v0), cfg, phase0=value)
+
+    def test_empty_lowpass(self):
+        out = simulate_phase_lowpass(np.array([]), 1.0, PhaseConfig())
+        assert out.shape == (0,) and out.dtype == np.float64
 
 
 def _spur_mask_loop(size, k_fund, guard_bins):
