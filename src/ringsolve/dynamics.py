@@ -21,13 +21,17 @@ ladder: planned orientation, negated orientation, then the normal-equations
 exact Gram system is stable in one orientation; a realized (quantized or
 programmed) one need not be.
 The negated rung is the planned circuit with its path signs swapped
-(netlist.negated_plan), derived only when the planned rung is unstable; the
-Gram system is formed only when both direct rungs are.  A rung whose trace
-exceeds a small margin has an eigenvalue in the right half-plane, so the
-ladder skips its eigensolve (_unstable_by_trace); in ideal mode that is one
-of the two direct rungs and the planned Gram rung, while a structural state
-matrix never has a positive trace.  The report of a skipped rung is formed
-only for the UnstableSystem message.
+(netlist.negated_plan); in ideal mode it is the planned state space negated
+(_negated_ideal), which equals ideal_system(-a, -b) bit for bit, so each
+system builds one ideal_system.  It is derived only when the planned rung
+is unstable; the Gram system is formed only when both direct rungs are,
+from the already validated working problem (_gram_problem checks only that
+the products are finite).  A rung whose trace exceeds a small margin has
+an eigenvalue in the right half-plane, so the ladder skips its eigensolve
+(_unstable_by_trace); in ideal mode that is one of the two direct rungs and
+the planned Gram rung, while a structural state matrix never has a positive
+trace.  The report of a skipped rung is formed only for the UnstableSystem
+message.
 
 Integration is classical fixed-step 4th-order Runge-Kutta.  For a linear
 system one RK4 step is the exact affine map z' = R z + u, kept as
@@ -53,8 +57,12 @@ before the window, so divergence is still reported at the exact step.
 Row peaks (the overflow scan, the residuals, the stride certificate) are
 reduced from a transposed copy (_row_max), since numpy reduces short rows
 one at a time; a block's overflow scan looks at rows only when the whole
-block's peak fails.  This regroups the same arithmetic: results agree with
-one-step-at-a-time stepping to rounding and are byte-deterministic.
+block's max or min fails.  simulate holds one numpy error-state context
+(overflow and invalid ignored) for its whole run; the stepping helpers
+(_step_operators, _extend, _factors, _then, _block, _jump) enter none, so
+any other caller sets its own.  This regroups the same arithmetic: results
+agree with one-step-at-a-time stepping to rounding and are
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -370,15 +378,15 @@ def _unstable_by_trace(m: np.ndarray) -> bool:
 
 
 def _step_operators(m: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 on dz/dt = m z + f collapses to z' = R z + S f."""
+    """Classical RK4 on dz/dt = m z + f collapses to z' = R z + S f.
+    The caller sets numpy's error state, as for every stepping helper."""
     dim = m.shape[0]
     eye = np.eye(dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        hm = dt * m
-        hm2 = hm @ hm
-        hm3 = hm2 @ hm
-        r = eye + hm + hm2 / 2.0 + hm3 / 6.0 + (hm3 @ hm) / 24.0
-        s = dt * (eye + hm / 2.0 + hm2 / 6.0 + hm3 / 24.0)
+    hm = dt * m
+    hm2 = hm @ hm
+    hm3 = hm2 @ hm
+    r = eye + hm + hm2 / 2.0 + hm3 / 6.0 + (hm3 @ hm) / 24.0
+    s = dt * (eye + hm / 2.0 + hm2 / 6.0 + hm3 / 24.0)
     return r, s
 
 
@@ -403,11 +411,10 @@ def _then(first, second):
     norm_p = max(q_a, r_b ||P_a|| + q_b).  np.maximum keeps a NaN bound."""
     n_a, d_a, p_a, r_a, q_a = first
     n_b, d_b, p_b, r_b, q_b = second
-    with np.errstate(over="ignore", invalid="ignore"):
-        end_r = np.abs(d_a + np.eye(len(d_a))).sum(axis=1).max()
-        d, p = _compose((d_b, p_b), (d_a, p_a))
-        norm_r = np.maximum(r_a, r_b * end_r)
-        norm_p = np.maximum(q_a, r_b * np.abs(p_a).max() + q_b)
+    end_r = np.abs(d_a + np.eye(len(d_a))).sum(axis=1).max()
+    d, p = _compose((d_b, p_b), (d_a, p_a))
+    norm_r = np.maximum(r_a, r_b * end_r)
+    norm_p = np.maximum(q_a, r_b * np.abs(p_a).max() + q_b)
     return n_a + n_b, d, p, norm_r, norm_p
 
 
@@ -419,16 +426,14 @@ def _extend(powers, n):
     small part of a near-identity step exact: plain doubling of R^j loses
     about ten times the accuracy of one-step-at-a-time products, which long
     slow runs accumulate."""
-    if 1 << len(powers) <= n:
-        with np.errstate(over="ignore", invalid="ignore"):
-            while 1 << len(powers) <= n:
-                steps, d, p = powers[-1]
-                d2 = d + d
-                d2 += d @ d
-                p2 = d @ p
-                p2 += p
-                p2 += p
-                powers.append((steps + steps, d2, p2))
+    while 1 << len(powers) <= n:
+        steps, d, p = powers[-1]
+        d2 = d + d
+        d2 += d @ d
+        p2 = d @ p
+        p2 += p
+        p2 += p
+        powers.append((steps + steps, d2, p2))
 
 
 def _nan_max(a: float, b: float) -> float:
@@ -455,11 +460,10 @@ def _factors(powers, n):
     count = n.bit_length()
     maps = powers[:count]
     dim = len(maps[0][1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        ends = np.array([d for _, d, _ in maps])
-        ends.reshape(count, -1)[:, :: dim + 1] += 1.0  # R^steps of each power
-        end_r = _row_max(np.abs(ends, out=ends).sum(axis=2)).tolist()
-        peak_p = _row_max(np.abs(np.array([p for _, _, p in maps]))).tolist()
+    ends = np.array([d for _, d, _ in maps])
+    ends.reshape(count, -1)[:, :: dim + 1] += 1.0  # R^steps of each power
+    end_r = _row_max(np.abs(ends, out=ends).sum(axis=2)).tolist()
+    peak_p = _row_max(np.abs(np.array([p for _, _, p in maps]))).tolist()
     norm_r, norm_p = _nan_max(1.0, end_r[0]), peak_p[0]
     bounds = [(norm_r, norm_p)]
     for e, q in zip(end_r[:-1], peak_p[:-1]):
@@ -499,14 +503,13 @@ def _block(maps, start, count):
     Z' = Z + Z (R^L - I)^T + P_L, one product.  States after one past
     OVERFLOW_LIMIT may be inf or NaN; the caller keeps none of them.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if start.ndim == 2:
-            return _through(maps[-1], start[:count])
-        out = np.empty((count, len(start)))
-        out[:1] = _through(maps[0], start[None])
-        for b, factor in enumerate(maps[: (count - 1).bit_length()]):
-            h = 1 << b
-            out[h : 2 * h] = _through(factor, out[: min(h, count - h)])
+    if start.ndim == 2:
+        return _through(maps[-1], start[:count])
+    out = np.empty((count, len(start)))
+    out[:1] = _through(maps[0], start[None])
+    for b, factor in enumerate(maps[: (count - 1).bit_length()]):
+        h = 1 << b
+        out[h : 2 * h] = _through(factor, out[: min(h, count - h)])
     return out
 
 
@@ -523,19 +526,21 @@ def _jump(factors, z):
     the running state that no state along it passes OVERFLOW_LIMIT; stop at
     the first that fails: (z, steps advanced)."""
     steps = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for count, d, p, norm_r, norm_p in factors:
-            if not norm_r * np.abs(z).max() + norm_p <= OVERFLOW_LIMIT:
-                break
-            z = z + d @ z + p
-            steps += count
+    for count, d, p, norm_r, norm_p in factors:
+        if not norm_r * np.abs(z).max() + norm_p <= OVERFLOW_LIMIT:
+            break
+        z = z + d @ z + p
+        steps += count
     return z, steps
 
 
 def _auto_dt(ss: StateSpace, cfg: SolverConfig) -> float:
+    """cfg.dt, or 0.1 / (g max gamma); 0 when that rate overflows or
+    underflows to 0, which simulate refuses as an endless horizon."""
     if cfg.dt > 0:
         return cfg.dt
-    return 0.1 / (cfg.g * float(np.max(ss.gamma)))
+    rate = cfg.g * float(np.max(ss.gamma))
+    return 0.1 / rate if rate > 0 else 0.0
 
 
 def simulate(
@@ -551,8 +556,9 @@ def simulate(
     CONVERGENCE_WINDOW consecutive steps.  Every step is taken until then,
     in blocks of up to _BLOCK states (each formed from the block before
     with one product; see the module docstring).  A block's residuals are
-    row peaks taken with _row_max; its overflow scan looks at rows only
-    when the whole block's peak is past OVERFLOW_LIMIT or NaN, so the
+    row peaks taken with _row_max, and its window search runs only when
+    one of them is at or below eps; its overflow scan looks at rows only
+    when the block's max or min is past +-OVERFLOW_LIMIT or NaN, so the
     overflow step stays exact.  The power-of-two maps carry no bounds while
     stepping: _factors forms them, in one pass, for the jump and the trace
     stride, the only certificates that read them.  From the end of the
@@ -570,21 +576,30 @@ def simulate(
     step reached; a negative value raises ValueError.  x does not depend on
     it unless the jump's overflow certificate fails.  Raises, before
     stepping, StepBudgetExceeded when t_max / dt asks for more than
-    _STEP_BUDGET steps, and StepMapOverflow when the RK4 step map R or its
-    offset S f is not finite at this dt.
+    _STEP_BUDGET steps or is not finite (a dt that underflows, or an auto
+    step whose g * max gamma overflows to dt = 0), and StepMapOverflow when
+    the RK4 step map R or its offset S f is not finite at this dt.  The
+    stepping runs in one numpy error state, overflow and invalid ignored.
     """
     if trace_decimation is not None and trace_decimation < 0:
         raise ValueError("trace_decimation must be nonnegative (0 = auto)")
     dt = _auto_dt(ss, cfg)
-    n_steps = max(CONVERGENCE_WINDOW + 1, int(math.ceil(cfg.t_max / dt)))
-    if n_steps > _STEP_BUDGET:
+    # inf when dt is 0 or t_max / dt overflows: no finite horizon fits
+    horizon = float(np.ceil(cfg.t_max / dt)) if dt > 0 else math.inf
+    if not horizon <= _STEP_BUDGET:
         raise StepBudgetExceeded(
-            f"{n_steps:.3g} RK4 steps (t_max / dt) exceed the step budget "
+            f"{horizon:.3g} RK4 steps (t_max / dt) exceed the step budget "
             f"of {_STEP_BUDGET:.0e}"
         )
-    r, s = _step_operators(ss.m, dt)
+    n_steps = max(CONVERGENCE_WINDOW + 1, int(horizon))
     with np.errstate(over="ignore", invalid="ignore"):
-        u = s @ ss.f
+        return _integrate(ss, cfg, dt, n_steps, trace_decimation, stability)
+
+
+def _integrate(ss, cfg, dt, n_steps, trace_decimation, stability):
+    """simulate past its argument checks, run in simulate's error state."""
+    r, s = _step_operators(ss.m, dt)
+    u = s @ ss.f
     if not (np.isfinite(r).all() and np.isfinite(u).all()):
         raise StepMapOverflow(
             f"the RK4 step map at dt = {dt:.3e} s is not finite in float64"
@@ -597,7 +612,9 @@ def simulate(
     eps = cfg.eps_residual
 
     def residuals(states):
-        return _row_max(np.abs(b_hat - states[:, :nm] @ a_hat_t))
+        res = states[:, :nm] @ a_hat_t
+        np.subtract(b_hat, res, out=res)
+        return _row_max(np.abs(res, out=res))
 
     # A trace keeps steps 0, dec, 2 dec, ... (the grid), then the last step.
     traced = trace_decimation is not None
@@ -626,18 +643,26 @@ def simulate(
         while k < end:
             states = _block(maps, states, min(size, end - k))
             take = len(states)
-            if not np.abs(states).max() <= OVERFLOW_LIMIT:  # a row past it, or NaN
+            # a row past the limit, or NaN (which fails both comparisons)
+            if not (
+                states.max() <= OVERFLOW_LIMIT
+                and states.min() >= -OVERFLOW_LIMIT
+            ):
                 over = ~(_row_max(np.abs(states)) <= OVERFLOW_LIMIT)
                 take = int(np.argmax(over)) + 1
                 states = states[:take]
                 overflow_at = k + take
             res = residuals(states)
             if t_converge is None:
-                flags = np.concatenate((recent, res <= eps))
-                sustained = np.convolve(flags, np.ones(win, int), "valid")
-                hits = np.flatnonzero(sustained == win)
-                if hits.size:
-                    t_converge = float((k + 1 - len(recent) + hits[0]) * dt)
+                below = res <= eps
+                flags = np.concatenate((recent, below))
+                # every window ends in this block: none is met without
+                # a flag in it
+                if below.any():
+                    sustained = np.convolve(flags, np.ones(win, int), "valid")
+                    hits = np.flatnonzero(sustained == win)
+                    if hits.size:
+                        t_converge = float((k + 1 - len(recent) + hits[0]) * dt)
                 recent = flags[1 - win :]
             if traced:
                 skip = -(k + 1) % dec  # states[skip] is the block's first grid step
@@ -679,8 +704,7 @@ def simulate(
             states = _block(maps, states, min(size, last_row - row))
             peaks = _row_max(np.abs(states))
             before = np.concatenate(([np.abs(z).max()], peaks[:-1]))
-            with np.errstate(over="ignore", invalid="ignore"):
-                safe = norm_r * before + norm_p <= OVERFLOW_LIMIT
+            safe = norm_r * before + norm_p <= OVERFLOW_LIMIT
             good = len(states) if safe.all() else int(np.argmin(safe))
             kept[row + 1 : row + 1 + good] = states[:good, :nm]
             kept_res[row + 1 : row + 1 + good] = residuals(states[:good])
@@ -756,9 +780,35 @@ def _structural_attempts(prob, cfg, options):
     yield "negated", build_system(flipped, cfg), flipped
 
 
+def _negated_ideal(ss: StateSpace) -> StateSpace:
+    """ideal_system(-a, -b) from ss = ideal_system(a, b), bit for bit:
+    gamma reads |a| alone, and m = d a and f = -d b are single products,
+    whose rounding commutes with negation (signed zeros included)."""
+    return StateSpace(
+        -ss.m, -ss.f, ss.gamma, ss.state_labels, ss.n_main, -ss.a_hat, -ss.b_hat
+    )
+
+
 def _ideal_attempts(prob, cfg, _options):
-    yield "", ideal_system(prob.a, prob.b, cfg), None
-    yield "negated", ideal_system(-prob.a, -prob.b, cfg), None
+    """Yield (tag_suffix, state space, None): the ideal system, then the
+    same state space negated, derived only on request."""
+    ss = ideal_system(prob.a, prob.b, cfg)
+    yield "", ss, None
+    yield "negated", _negated_ideal(ss), None
+
+
+def _gram_problem(p: LinearProblem) -> LinearProblem:
+    """The normal equations A^T A x = A^T b of a validated problem.
+
+    An internal fallback system: its right-hand side is synthetic and is
+    deliberately not held to the hardware input window.  Only finiteness
+    can fail (the products may overflow); A.T @ A is symmetric bit for bit,
+    as numpy forms it by a symmetric rank-k update.
+    """
+    a, b = p.a.T @ p.a, p.a.T @ p.b
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("matrix and right-hand side entries must be finite")
+    return LinearProblem._unchecked(a, b, symmetric=True)
 
 
 def solve(
@@ -772,13 +822,15 @@ def solve(
     then the Gram system A^T A x = A^T b under the same two orientations)
     and simulates the first stable rung.  Each rung is built only when the
     one before it is unstable: the negated rung is the planned circuit with
-    its path signs swapped, and the Gram system is formed and compiled only
-    after both direct rungs fail.  The Gram rungs exist because
-    saddle-spectrum matrices are stable in neither direct orientation; the
-    exact normal equations admit a stable one, though a realized (quantized
-    or programmed) Gram plan need not.  A rung whose trace proves it
-    unstable is not eigensolved (_unstable_by_trace).  Raises UnstableSystem
-    when every permitted rung is unstable.
+    its path signs swapped (in ideal mode, the planned state space negated),
+    and the Gram system is formed and compiled only after both direct rungs
+    fail.  The scaled working problem and the Gram system come from arrays
+    already validated, so neither is validated again.  The Gram rungs exist
+    because saddle-spectrum matrices are stable in neither direct
+    orientation; the exact normal equations admit a stable one, though a
+    realized (quantized or programmed) Gram plan need not.  A rung whose
+    trace proves it unstable is not eigensolved (_unstable_by_trace).
+    Raises UnstableSystem when every permitted rung is unstable.
     """
     cfg = cfg or SolverConfig()
     options = options or SolveOptions()
@@ -791,18 +843,14 @@ def solve(
         # scaling factors A for ||A^-1||_inf with the same gate and tolerance
         sp = scale_problem(p, options.scale, options.estimate_c)
         factor = sp.factor_scale
-        work = LinearProblem(sp.scaled_a, p.b, symmetric=p.symmetric)
+        work = LinearProblem._unchecked(sp.scaled_a, p.b, p.symmetric)
 
     attempts = _structural_attempts if cfg.mode is Mode.STRUCTURAL else _ideal_attempts
 
     def systems():
         yield "", work
         if options.gram_fallback:
-            # Internal fallback system; its right-hand side is synthetic and
-            # is deliberately not held to the hardware input window.
-            yield "gram", LinearProblem(
-                work.a.T @ work.a, work.a.T @ work.b, symmetric=True
-            )
+            yield "gram", _gram_problem(work)
 
     primary_plan: Optional[CircuitPlan] = None
     # (tag, state space, report); None where the trace showed the rung unstable
@@ -900,13 +948,16 @@ def probe_single_path_gain(
 
     z = np.zeros(dim + 2)
     z[dim] = 1.0  # cosine state starts at 1 so s(t) = sin(w t)
-    r, _ = _step_operators(m_aug, dt)
-    maps, size = _block_maps([(1, r - np.eye(dim + 2), np.zeros(dim + 2))], n_steps)
     series = np.empty((n_steps, 3))
-    states = z
-    for k in range(0, n_steps, size):
-        states = _block(maps, states, min(size, n_steps - k))
-        series[k : k + len(states)] = states[:, [row, dim, dim + 1]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, _ = _step_operators(m_aug, dt)
+        maps, size = _block_maps(
+            [(1, r - np.eye(dim + 2), np.zeros(dim + 2))], n_steps
+        )
+        states = z
+        for k in range(0, n_steps, size):
+            states = _block(maps, states, min(size, n_steps - k))
+            series[k : k + len(states)] = states[:, [row, dim, dim + 1]]
 
     start = int(settle_t / dt)
     x = series[start:, 0]

@@ -11,9 +11,10 @@ partial-pivot elimination solver used everywhere as the verification oracle.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Union
+from typing import IO, Optional, Union
 
 import numpy as np
 
@@ -86,6 +87,22 @@ class LinearProblem:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
+    @classmethod
+    def _unchecked(
+        cls, a: np.ndarray, b: np.ndarray, symmetric: bool = False
+    ) -> "LinearProblem":
+        """A problem from float arrays its caller has already checked: a
+        square and finite, b finite and of matching length, a symmetric if
+        the flag says so.  No copy is made and __post_init__ does not run;
+        the arrays are frozen in place."""
+        a.setflags(write=False)
+        b.setflags(write=False)
+        p = object.__new__(cls)
+        object.__setattr__(p, "a", a)
+        object.__setattr__(p, "b", b)
+        object.__setattr__(p, "symmetric", symmetric)
+        return p
+
     @property
     def n(self) -> int:
         return self.a.shape[0]
@@ -133,20 +150,31 @@ def _finite_inf_norm(a: np.ndarray) -> float:
     return norm
 
 
-def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LU factorization with partial pivoting.
+def _lu_factor(
+    a: np.ndarray, rhs: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """LU factorization with partial pivoting, carrying right-hand sides.
 
-    Returns (lu, perm) where lu packs the unit-lower and upper factors and
-    perm maps logical rows to original rows.  Raises SingularMatrix when the
-    best available pivot falls below PIVOT_RTOL * ||A||_inf, and
-    NormOverflow when ||A||_inf is not finite.
+    Returns (lu, perm) where lu[:, :n] packs the unit-lower and upper
+    factors and perm maps logical rows to original rows.  The columns of
+    rhs (a vector or an n-row matrix), if given, ride along as lu[:, n:]:
+    every row swap and multiplier is applied to them too, so they leave as
+    L^-1 P rhs, the forward substitution done, and _back_substitute
+    finishes the solve.  The pivot search and its tolerance read A's
+    columns only.  Raises SingularMatrix when the best available pivot
+    falls below PIVOT_RTOL * ||A||_inf, and NormOverflow when ||A||_inf is
+    not finite.
     """
-    lu = np.array(a, dtype=float)
-    n = lu.shape[0]
-    perm = np.arange(n)
-    tol = PIVOT_RTOL * _finite_inf_norm(lu)
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    tol = PIVOT_RTOL * _finite_inf_norm(a)
     if tol == 0.0:
         raise SingularMatrix("zero matrix")
+    if rhs is None:
+        lu = a.copy()
+    else:
+        lu = np.concatenate((a, np.asarray(rhs, dtype=float).reshape(n, -1)), axis=1)
+    perm = np.arange(n)
     for k in range(n):
         p = k + int(np.argmax(np.abs(lu[k:, k])))
         if abs(lu[p, k]) < tol:
@@ -154,7 +182,9 @@ def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 f"pivot {lu[p, k]:.3e} below tolerance {tol:.3e} at column {k}"
             )
         if p != k:
-            lu[[k, p]] = lu[[p, k]]
+            row = lu[k].copy()
+            lu[k] = lu[p]
+            lu[p] = row
             perm[k], perm[p] = perm[p], perm[k]
         lu[k + 1 :, k] /= lu[k, k]
         if k + 1 < n:
@@ -162,34 +192,31 @@ def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, perm
 
 
-def _lu_solve(lu: np.ndarray, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve using a factorization from _lu_factor.  rhs may be a matrix."""
+def _back_substitute(lu: np.ndarray) -> np.ndarray:
+    """The solution columns of a factorization that carried right-hand
+    sides: back-substitution through the upper factor, in place."""
     n = lu.shape[0]
-    x = np.array(rhs, dtype=float)
-    one_d = x.ndim == 1
-    if one_d:
-        x = x.reshape(-1, 1)
-    x = x[perm]
-    for k in range(n):  # forward, unit lower triangle
-        x[k + 1 :] -= lu[k + 1 :, k, None] * x[k]
-    for k in range(n - 1, -1, -1):  # backward
+    x = lu[:, n:]
+    for k in range(n - 1, -1, -1):
         x[k] /= lu[k, k]
         if k > 0:
             x[:k] -= lu[:k, k, None] * x[k]
-    return x[:, 0] if one_d else x
+    return x
 
 
 def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Partial-pivot elimination solve of a raw (a, b) pair."""
-    lu, perm = _lu_factor(np.asarray(a, dtype=float))
-    return _lu_solve(lu, perm, np.asarray(b, dtype=float))
+    b = np.asarray(b, dtype=float)
+    lu, _ = _lu_factor(a, b)
+    x = _back_substitute(lu)
+    return x[:, 0] if b.ndim == 1 else x
 
 
 def matrix_inverse(a: np.ndarray) -> np.ndarray:
     """Explicit inverse via elimination.  Intended for desk scale (n <= 64)."""
     a = np.asarray(a, dtype=float)
-    lu, perm = _lu_factor(a)
-    return _lu_solve(lu, perm, np.eye(a.shape[0]))
+    lu, _ = _lu_factor(a, np.eye(a.shape[0]))
+    return _back_substitute(lu)
 
 
 def inv_inf_norm(a: np.ndarray) -> float:
@@ -227,22 +254,33 @@ def scale_problem(
     exact norms and condition number for reporting.
 
     Raises RangeViolation when any |b_i| > 0.5, NormOverflow when ||A||_inf
-    is not finite, and SingularMatrix for a singular matrix.
+    is not finite, SingularMatrix for a singular matrix, and ValueError for
+    an estimate_c that is not finite and positive (before the O(n^3)
+    inverse) or a scaled matrix that overflows float64.
     """
     check_input_window(p.b)
+    if policy is ScalePolicy.ESTIMATE:
+        if not math.isfinite(estimate_c):
+            raise ValueError(f"estimate_c must be finite, got {estimate_c!r}")
+        if estimate_c <= 0:
+            raise ValueError("estimate_c must be positive")
     a_norm = _finite_inf_norm(p.a)
     inv_norm = inv_inf_norm(p.a)
     if policy is ScalePolicy.EXACT:
         factor = max(inv_norm, 1.0)
     elif policy is ScalePolicy.ESTIMATE:
-        if estimate_c <= 0:
-            raise ValueError("estimate_c must be positive")
         factor = estimate_c / a_norm
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown policy {policy!r}")
+    with np.errstate(over="ignore"):
+        scaled = p.a * factor
+    if not np.isfinite(scaled).all():
+        raise ValueError(
+            f"the matrix scaled by {factor:.3e} is not finite in float64"
+        )
     return ScaledProblem(
         original=p,
-        scaled_a=p.a * factor,
+        scaled_a=scaled,
         factor_scale=factor,
         a_inf_norm=a_norm,
         a_inv_inf_norm=inv_norm,

@@ -225,6 +225,29 @@ class TestSolveCommand:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "a, argv",
+        [
+            # g * max gamma overflows, so the auto step is 0
+            ([[-1e307, 0], [0, -1e307]], []),
+            ([[-1e307, 0], [0, -1e307]], ["--mode", "ideal"]),
+            # estimate scaling makes the same overflow from a benign matrix
+            ([[-2.0, 0.5], [0.3, -1.0]], ["--scale", "estimate", "--scale-c", "1e308"]),
+            # t_max / dt overflows
+            ([[-2.0, 0.5], [0.3, -1.0]], ["--dt", "5e-324"]),
+        ],
+    )
+    def test_endless_horizon_is_a_step_budget_limit(self, tmp_path, capsys, a, argv):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"a": a, "b": [0.1, -0.2]}))
+        out = tmp_path / "r.json"
+        assert run(["solve", str(path), *argv, "--out", str(out)]) == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == (
+            "simulator limit: inf RK4 steps (t_max / dt) exceed the step budget of 1e+08\n"
+        )
+        assert not out.exists()
+
+
 class TestStepMapOverflow:
     """A user dt at which the RK4 step map is not finite in float64 is a
     simulator limit: exit 3, one named line on stderr, no document."""

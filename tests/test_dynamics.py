@@ -296,11 +296,11 @@ class TestLadderIsLazy:
     def events(self, monkeypatch):
         log = []
         real_plan, real_report = dynamics.compile_plan, dynamics.stability_report
-        real_problem = dynamics.LinearProblem
+        real_gram = dynamics._gram_problem
 
-        def logging_problem(*args, **kwargs):
-            log.append("problem")  # solve() builds one only for the Gram rungs
-            return real_problem(*args, **kwargs)
+        def logging_gram(*args, **kwargs):
+            log.append("gram")
+            return real_gram(*args, **kwargs)
 
         def logging_plan(*args, **kwargs):
             log.append("plan")
@@ -313,7 +313,7 @@ class TestLadderIsLazy:
 
         monkeypatch.setattr(dynamics, "compile_plan", logging_plan)
         monkeypatch.setattr(dynamics, "stability_report", logging_report)
-        monkeypatch.setattr(dynamics, "LinearProblem", logging_problem)
+        monkeypatch.setattr(dynamics, "_gram_problem", logging_gram)
         return log
 
     def test_one_compile_when_first_rung_stable(self, neg2x2, events):
@@ -330,7 +330,7 @@ class TestLadderIsLazy:
     def test_gram_formed_only_after_both_direct_rungs_fail(self, mixed2x2, events):
         res = solve(mixed2x2, SolverConfig(t_max=40e-6))
         assert res.fallback.startswith("gram")
-        assert events[:5] == ["plan", "unstable", "unstable", "problem", "plan"]
+        assert events[:5] == ["plan", "unstable", "unstable", "gram", "plan"]
         assert events.count("plan") == 2
 
 

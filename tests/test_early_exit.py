@@ -359,9 +359,12 @@ def test_block_shortened_for_a_fast_growing_map(neg2x2, dec):
     # ||R|| ~ 10: a 128-step map passes 1e100, so blocks hold 64 states, and
     # a tiny input overflows a few blocks in
     ss, cfg = rk4_past_its_limit(neg2x2, 1e-200, 400.0, 3000)
-    r, s = dynamics._step_operators(ss.m, cfg.dt)
-    powers = [(1, r - np.eye(len(r)), s @ ss.f)]
-    _, size = dynamics._block_maps(powers, 3000)
+    # the stepping helpers leave numpy's error state to their caller, as
+    # simulate sets it: the 512-step power overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, s = dynamics._step_operators(ss.m, cfg.dt)
+        powers = [(1, r - np.eye(len(r)), s @ ss.f)]
+        _, size = dynamics._block_maps(powers, 3000)
     assert size < dynamics._BLOCK and size < overflow_step(ss, cfg)
     ref = plain_simulate(ss, cfg, dec)
     res = simulate(ss, cfg, dec)
@@ -416,6 +419,19 @@ def test_step_budget_refused_before_any_chain(monkeypatch):
     cfg = SolverConfig(dt=1e-12, t_max=(dynamics._STEP_BUDGET + 1) * 1e-12)
     ss = scalar_system(cfg)
     with pytest.raises(StepBudgetExceeded, match="step budget"):
+        simulate(ss, cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SolverConfig(dt=5e-324),  # t_max / dt overflows
+        SolverConfig(k_vco=1e-200, k_pd=1e-200),  # g underflows: no auto step
+    ],
+)
+def test_endless_horizon_refused(cfg):
+    ss = scalar_system(cfg)
+    with pytest.raises(StepBudgetExceeded, match="^inf RK4 steps"):
         simulate(ss, cfg)
 
 

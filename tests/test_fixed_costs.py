@@ -261,6 +261,53 @@ def test_ideal_ladder_eigensolves(monkeypatch, request, fixture, fallback, eigen
     assert len(calls) == eigensolves
 
 
+def signed_zero_system(rng, n):
+    """A uniform system with +0.0 and -0.0 entries in A and b."""
+    a = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.integers(-3, 4)
+    b = rng.uniform(-0.5, 0.5, n)
+    for v in (a, b):
+        v[rng.random(v.shape) < 0.2] = 0.0
+        v[rng.random(v.shape) < 0.2] = -0.0
+    return a, b
+
+
+def test_negated_ideal_rung_is_the_negated_problem_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    for n in range(1, 13):
+        for _ in range(20):
+            a, b = signed_zero_system(rng, n)
+            for m_a, m_b in ((a, b), (a.T @ a, a.T @ b)):
+                got = dynamics._negated_ideal(ideal_system(m_a, m_b, IDEAL))
+                want = ideal_system(-m_a, -m_b, IDEAL)
+                for name in ("m", "f", "gamma", "a_hat", "b_hat"):
+                    assert bits_equal(getattr(got, name), getattr(want, name)), name
+                assert got.state_labels == want.state_labels
+                assert got.n_main == want.n_main and got.merged_mode is None
+
+
+@pytest.mark.parametrize(
+    "fixture, fallback, builds",
+    [("mixed2x2", "gram-negated", 2), ("mixed8x8", "gram-negated", 2),
+     ("pos2x2", "negated", 1), ("neg2x2", "none", 1)],
+)
+def test_ideal_ladder_builds_one_state_space_per_system(
+    monkeypatch, request, fixture, fallback, builds
+):
+    # the negated rung is the planned state space negated; before, every
+    # rung was built: 4, 4, 2 and 1 calls
+    p = request.getfixturevalue(fixture)
+    calls, real = [], dynamics.ideal_system
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "ideal_system", counting)
+    res = solve(p, IDEAL)
+    assert res.fallback == fallback
+    assert len(calls) == builds
+
+
 @pytest.mark.parametrize(
     "fixture, fallback, rungs",
     [

@@ -2,10 +2,13 @@
 
 import io
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
 
+from ringsolve import problem as problem_mod
 from ringsolve.problem import (
     PIVOT_RTOL,
     LinearProblem,
@@ -150,6 +153,28 @@ class TestScaling:
     def test_estimate_policy(self, neg2x2):
         sp = scale_problem(neg2x2, ScalePolicy.ESTIMATE, estimate_c=1e3)
         assert sp.factor_scale == pytest.approx(1e3 / 5.5, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_estimate_c_must_be_finite(self, neg2x2, monkeypatch, c):
+        # refused by name before the O(n^3) inverse is formed
+        def no_inverse(a):
+            raise AssertionError("inverse formed")
+
+        monkeypatch.setattr(problem_mod, "inv_inf_norm", no_inverse)
+        with pytest.raises(ValueError, match="estimate_c must be finite"):
+            scale_problem(neg2x2, ScalePolicy.ESTIMATE, c)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_estimate_c_must_be_positive(self, neg2x2, c):
+        with pytest.raises(ValueError, match="estimate_c must be positive"):
+            scale_problem(neg2x2, ScalePolicy.ESTIMATE, c)
+
+    def test_scaled_matrix_overflow_named(self):
+        # c / ||A|| is finite but rounds up: times |a| it passes the largest
+        # double
+        p = LinearProblem([[-3.0]], [0.1])
+        with pytest.raises(ValueError, match="is not finite in float64"):
+            scale_problem(p, ScalePolicy.ESTIMATE, sys.float_info.max)
 
     def test_range_violation(self):
         p = LinearProblem(np.eye(2), [0.6, 0.0])
@@ -307,6 +332,76 @@ class TestEliminationAgainstTheOuterLoop:
                 assert got == want
             else:
                 assert got[0].tobytes() == want[0].tobytes()
+
+
+def tie_and_swap_matrices(rng, n):
+    """Matrices whose elimination swaps rows at every step, or meets exact
+    ties between pivot candidates (argmax keeps the first)."""
+    perm = rng.permutation(n)
+    swapping = np.tril(rng.uniform(-1.0, 1.0, (n, n)), -1) * 0.5 + np.diag(
+        rng.choice([-1.0, 1.0], n)
+    )
+    yield swapping[perm]  # the largest entry of each column is off its row
+    yield rng.integers(-2, 3, (n, n)).astype(float) + 4.0 * np.eye(n)[perm]
+    # every candidate ties in the first column, and again (entries 0 and
+    # +-2) in the next; a singular draw is skipped by the caller
+    yield rng.choice([-1.0, 1.0], (n, n))
+
+
+class TestCarriedRightHandSides:
+    """matrix_inverse, solve_dense and inv_inf_norm carry their right-hand
+    sides through the one elimination.  The oracle is the two-pass form they
+    replace: factor, then forward and backward substitution on P rhs
+    (old_lu_factor and old_lu_solve above)."""
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_same_bits_as_two_passes(self, n):
+        rng = np.random.default_rng(1000 + n)
+        draws = [
+            rng.uniform(-1.0, 1.0, (n, n)),
+            rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4, (n, 1)),
+            *tie_and_swap_matrices(rng, n),
+        ]
+        for a in draws:
+            try:
+                want_lu, want_perm = old_lu_factor(a)
+            except SingularMatrix:
+                continue
+            want_inv = old_lu_solve(want_lu, want_perm, np.eye(n))
+            inv = matrix_inverse(a)
+            assert np.array_equal(inv, want_inv)
+            assert inv.tobytes() == want_inv.tobytes()
+            assert inv_inf_norm(a) == inf_norm(want_inv)
+            b = rng.uniform(-0.5, 0.5, n)
+            b[rng.random(n) < 0.3] = 0.0
+            b[rng.random(n) < 0.3] = -0.0
+            for rhs in (b, -b, np.zeros(n), rng.uniform(-1.0, 1.0, (n, 3))):
+                got = solve_dense(a, rhs)
+                want = old_lu_solve(want_lu, want_perm, rhs)
+                assert np.array_equal(got, want)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 24])
+    def test_same_singular_message(self, n):
+        rng = np.random.default_rng(2000 + n)
+        low_rank = rng.normal(size=(n, 1)) @ rng.normal(size=(1, n))
+        tiny_pivot = np.eye(n)
+        tiny_pivot[-1, -1] = 1e-13
+        for a in (np.zeros((n, n)), low_rank, tiny_pivot):
+            want = outcome(old_lu_factor, a)
+            if not isinstance(want, str):
+                continue
+            for call in (matrix_inverse, inv_inf_norm, lambda m: solve_dense(m, np.ones(n))):
+                with pytest.raises(SingularMatrix) as info:
+                    call(a)
+                assert str(info.value) == want
+
+    def test_same_norm_overflow_message(self):
+        a = np.array([[1e308, 1e308], [1e308, -1e308]])
+        for call in (matrix_inverse, inv_inf_norm, lambda m: solve_dense(m, np.ones(2))):
+            with pytest.raises(NormOverflow) as info:
+                call(a)
+            assert str(info.value) == "||A||_inf = inf is not finite in float64"
 
 
 class TestNormOverflow:
