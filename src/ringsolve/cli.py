@@ -1,11 +1,15 @@
 """Command-line front end for the solver pipeline.
 
-Subcommands: solve, plan, scale, sfdr, metrics, sweep.  Every output
-document embeds the fully resolved configuration so identical invocations
-produce byte-identical files.  Exit codes: 0 success, 2 validation error
-(an overflowing ||A||_inf among them), 3 solver divergence / no stable
-orientation / state dimension or step count over the simulator's limit /
-an SFDR tone that does not stand above the noise floor, 4 singular matrix.
+Subcommands: solve, plan, scale, sfdr, metrics, sweep.  Each command
+builds the library's objects straight from the parsed flags, and each flag
+is checked by the object that uses it; an error raised while they are built
+names the flag, not the field (_flag_terms).  Every JSON document embeds
+its settings (for solve and plan, the parsed flags themselves), so identical
+invocations produce byte-identical files.  Exit codes: 0 success, 2
+validation error (a refused flag or an overflowing ||A||_inf among them),
+3 solver divergence / no stable orientation / state dimension or step
+count over the simulator's limit / an SFDR tone that does not stand above
+the noise floor, 4 singular matrix.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ import functools
 import json
 import math
 import os
+import re
 import sys
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -65,87 +69,51 @@ EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 EXIT_SINGULAR = 4
 
-# RunConfig float fields and the flags that set them.
-_FLOAT_FLAGS = dict(
-    k_vco="--kvco", k_pd="--kpd", eps="--eps", t_max="--tmax", dt="--dt",
-    r_in="--r-in", r_unit="--r-unit", r_on="--r-on",
-    write_noise="--write-noise", scale_c="--scale-c",
-)
+# The flag that sets each library field or argument the commands fill.
+_FLAG_OF = {
+    "k_vco": "--kvco", "k_pd": "--kpd", "eps_residual": "--eps", "t_max": "--tmax",
+    "dt": "--dt", "bits": "--quantize-bits", "r_in": "--r-in", "r_unit": "--r-unit",
+    "r_on": "--r-on", "write_noise_sigma": "--write-noise", "estimate_c": "--scale-c",
+    "trace_decimation": "--decimation", "m_phases": "--m-phases", "f0": "--f0",
+    "f_ref": "--f-ref", "v_dd": "--vdd", "per_integrator_mw": "--per-integrator-mw",
+    "t_s": "--time-us",
+}
+_FIELD_NAME = re.compile(r"\b(?:%s)\b" % "|".join(_FLAG_OF))
 
 
-def _require_finite(values: object, flags: dict[str, str]) -> None:
-    """Reject NaN and infinite float flags by name: JSON has no such values."""
-    for name, flag in flags.items():
-        if not math.isfinite(getattr(values, name)):
-            raise ValueError(f"{flag} must be finite")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated, fully resolved settings for one invocation."""
-
-    subcommand: str
-    input_path: Optional[str]
-    output_path: Optional[str]
-    mode: Mode
-    k_vco: float
-    k_pd: float
-    eps: float
-    t_max: float
-    dt: float
-    quantize_bits: Optional[int]
-    r_in: float
-    r_unit: float
-    r_on: float
-    memristor: bool
-    write_noise: float
-    seed: int
-    scale: Optional[ScalePolicy]
-    scale_c: float
-    trace_path: Optional[str]
-    decimation: int
-
-    def __post_init__(self) -> None:
-        _require_finite(self, _FLOAT_FLAGS)
-        if not math.isfinite(self.k_vco * self.k_pd):
-            raise ValueError("--kvco * --kpd overflows")
-        if self.k_vco <= 0 or self.k_pd <= 0:
-            raise ValueError("--kvco and --kpd must be positive")
-        if self.eps <= 0 or self.t_max <= 0:
-            raise ValueError("--eps and --tmax must be positive")
-        if self.dt < 0:
-            raise ValueError("--dt must be nonnegative (0 = auto)")
-        if self.r_in <= 0 or self.r_unit <= 0:
-            raise ValueError("--r-in and --r-unit must be positive")
-        if self.r_on < 0:
-            raise ValueError("--r-on must be nonnegative")
-        if self.quantize_bits is not None and not 1 <= self.quantize_bits <= 16:
-            raise ValueError("--quantize-bits must be in [1, 16]")
-        if self.write_noise < 0:
-            raise ValueError("--write-noise must be nonnegative")
-        if self.decimation < 0:
-            raise ValueError("--decimation must be nonnegative (0 = auto)")
-
-    def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["mode"] = self.mode.value
-        doc["scale"] = self.scale.value if self.scale else "off"
-        # where the document lands does not affect the computation
-        doc.pop("output_path")
-        return doc
+@contextlib.contextmanager
+def _flag_terms() -> Iterator[None]:
+    """Reword a ValueError raised while library objects are built from the
+    flags so that it names the flag instead of the field.  Only plain
+    ValueErrors are reworded: the named subclasses (RangeViolation,
+    NormOverflow, ...) speak about the data, not a flag."""
+    try:
+        yield
+    except ValueError as exc:
+        if type(exc) is not ValueError:
+            raise
+        raise ValueError(_FIELD_NAME.sub(lambda m: _FLAG_OF[m[0]], str(exc))) from exc
 
 
 def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--kvco", type=float, default=300e6, help="VCO gain, Hz/V")
+    # dests are the config block's keys; metavars keep the usage text
+    sp.add_argument(
+        "--kvco", dest="k_vco", metavar="KVCO", type=float, default=300e6,
+        help="VCO gain, Hz/V",
+    )
     sp.add_argument(
         "--kpd",
+        dest="k_pd",
+        metavar="KPD",
         type=float,
         default=1.0 / math.pi,
         help="phase-detector gain (default v_dd/pi with v_dd = 1 V)",
     )
     sp.add_argument("--mode", choices=["structural", "ideal"], default="structural")
     sp.add_argument("--eps", type=float, default=1e-3, help="residual threshold, V")
-    sp.add_argument("--tmax", type=float, default=10e-6, help="horizon, s")
+    sp.add_argument(
+        "--tmax", dest="t_max", metavar="TMAX", type=float, default=10e-6, help="horizon, s"
+    )
     sp.add_argument("--dt", type=float, default=0.0, help="step, s (0 = auto)")
     sp.add_argument("--quantize-bits", type=int, default=None)
     sp.add_argument("--r-in", type=float, default=2000.0, help="input resistance, ohm")
@@ -174,12 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_solve = sub.add_parser("solve", help="solve a problem file dynamically")
-    p_solve.add_argument("input", help="problem JSON file")
+    p_solve.add_argument("input_path", metavar="input", help="problem JSON file")
     p_solve.add_argument("--out", default=None)
     _add_solver_flags(p_solve)
 
     p_plan = sub.add_parser("plan", help="compile and dump the netlist plan")
-    p_plan.add_argument("input")
+    p_plan.add_argument("input_path", metavar="input")
     p_plan.add_argument("--out", default=None)
     _add_solver_flags(p_plan)
 
@@ -222,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("--method-label", default="this-work")
 
     p_sweep = sub.add_parser("sweep", help="repeat solve over a list of k_vco values")
-    p_sweep.add_argument("input")
+    p_sweep.add_argument("input_path", metavar="input")
     p_sweep.add_argument("--kvco-list", required=True, help="comma-separated Hz/V values")
     p_sweep.add_argument("--out", default=None)
     _add_solver_flags(p_sweep)
@@ -230,55 +198,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "out", None),
-        mode=Mode(args.mode),
-        k_vco=args.kvco,
-        k_pd=args.kpd,
-        eps=args.eps,
-        t_max=args.tmax,
-        dt=args.dt,
-        quantize_bits=args.quantize_bits,
-        r_in=args.r_in,
-        r_unit=args.r_unit,
-        r_on=args.r_on,
-        memristor=args.memristor,
-        write_noise=args.write_noise,
-        seed=args.seed,
-        scale={"off": None, "exact": ScalePolicy.EXACT, "estimate": ScalePolicy.ESTIMATE}[args.scale],
-        scale_c=args.scale_c,
-        trace_path=args.trace_path,
-        decimation=args.decimation,
-    )
+def _solver_objects(args: argparse.Namespace) -> tuple[SolverConfig, SolveOptions]:
+    """The solver's settings, built from the flags of solve, plan and sweep.
 
-
-def _solver_pieces(rc: RunConfig) -> tuple[SolverConfig, SolveOptions]:
-    cfg = SolverConfig(
-        k_vco=rc.k_vco,
-        k_pd=rc.k_pd,
-        eps_residual=rc.eps,
-        t_max=rc.t_max,
-        dt=rc.dt,
-        mode=rc.mode,
-    )
-    quantizer = None
-    if rc.quantize_bits is not None:
-        quantizer = QuantizerSpec(
-            bits=rc.quantize_bits, r_unit=rc.r_unit, r_in=rc.r_in, r_on=rc.r_on
+    The quantizer, the memristor bank and the trace decimation are built on
+    every run and attached only when asked for, so that their own objects
+    check the flags a run leaves unused: those still land in the config
+    block, which can hold no NaN.
+    """
+    bits = args.quantize_bits
+    with _flag_terms():
+        cfg = SolverConfig(
+            k_vco=args.k_vco,
+            k_pd=args.k_pd,
+            eps_residual=args.eps,
+            t_max=args.t_max,
+            dt=args.dt,
+            mode=Mode(args.mode),
         )
-    options = SolveOptions(
-        r_in=rc.r_in,
-        quantizer=quantizer,
-        memristor=MemristorBank(write_noise_sigma=rc.write_noise) if rc.memristor else None,
-        memristor_seed=rc.seed,
-        scale=rc.scale,
-        estimate_c=rc.scale_c,
-        trace_decimation=rc.decimation if rc.trace_path else None,
-    )
+        quantizer = QuantizerSpec(
+            bits=1 if bits is None else bits,
+            r_unit=args.r_unit,
+            r_in=args.r_in,
+            r_on=args.r_on,
+        )
+        bank = MemristorBank(write_noise_sigma=args.write_noise)
+        options = SolveOptions(
+            r_in=args.r_in,
+            quantizer=None if bits is None else quantizer,
+            memristor=bank if args.memristor else None,
+            memristor_seed=args.seed,
+            scale=None if args.scale == "off" else ScalePolicy(args.scale),
+            estimate_c=args.scale_c,
+            trace_decimation=args.decimation,
+        )
     return cfg, options
+
+
+def _config_block(args: argparse.Namespace) -> dict:
+    """The parsed flags; where the document lands does not affect it."""
+    return {key: value for key, value in vars(args).items() if key != "out"}
 
 
 def _emit(
@@ -304,7 +263,7 @@ def _emit(
         raise
 
 
-def _result_document(result: SolveResult, problem: LinearProblem, rc: RunConfig) -> dict:
+def _result_document(result: SolveResult, problem: LinearProblem, config: dict) -> dict:
     residual_original = float(np.abs(problem.b - problem.a @ result.x).max())
     doc = {
         "x": result.x.tolist(),
@@ -325,22 +284,21 @@ def _result_document(result: SolveResult, problem: LinearProblem, rc: RunConfig)
             "total_integrators": result.plan.total_integrators,
             "negated": result.plan.negated,
         } if result.plan else None,
-        "config": rc.to_dict(),
+        "config": config,
     }
     return doc
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
-    problem = load_problem(args.input)
-    cfg, options = _solver_pieces(rc)
+    cfg, options = _solver_objects(args)
+    if args.trace_path is None:  # a trace is formed only for a trace file
+        options = dataclasses.replace(options, trace_decimation=None)
+    problem = load_problem(args.input_path)
     result = solve(problem, cfg, options)
     # side file first: a failed trace write leaves no result document
-    trace_path = None
     if result.trace is not None:
-        result.trace.write_csv(rc.trace_path)
-        trace_path = rc.trace_path
-    _emit(_result_document(result, problem, rc), args.out, trace_path)
+        result.trace.write_csv(args.trace_path)
+    _emit(_result_document(result, problem, _config_block(args)), args.out, args.trace_path)
     if not result.converged:
         print(f"solver did not converge: {result.diagnostics or 'residual above threshold'}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -348,12 +306,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
-    problem = load_problem(args.input)
-    cfg, options = _solver_pieces(rc)
-    circuit = compile_plan(problem, rc.r_in, options.quantizer)
+    cfg, options = _solver_objects(args)
+    problem = load_problem(args.input_path)
+    circuit = compile_plan(problem, options.r_in, options.quantizer)
     if options.memristor is not None:
-        circuit = program_memristors(circuit, options.memristor, rc.seed)
+        circuit = program_memristors(circuit, options.memristor, options.memristor_seed)
     doc = plan_to_dict(circuit)
     doc["scheme_counts"] = {
         "before_reuse": integrator_count(problem.n, CountScheme.BEFORE_REUSE),
@@ -370,16 +327,16 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             continue
         bandwidths[str(i)] = {"rad_per_s": rad_s, "hz": rad_s / (2.0 * math.pi)}
     doc["single_path_bandwidth"] = bandwidths
-    doc["config"] = rc.to_dict()
+    doc["config"] = _config_block(args)
     _emit(doc, args.out)
     return EXIT_OK
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
-    _require_finite(args, dict(scale_c="--scale-c"))
     problem = load_problem(args.input)
     policy = ScalePolicy(args.policy)
-    sp = scale_problem(problem, policy, args.scale_c)
+    with _flag_terms():
+        sp = scale_problem(problem, policy, args.scale_c)
     doc = {
         "n": problem.n,
         "a_inf_norm": sp.a_inf_norm,
@@ -394,22 +351,19 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
 
 def _cmd_sfdr(args: argparse.Namespace) -> int:
-    _require_finite(
-        args,
-        dict(
-            f0="--f0", f_ref="--f-ref", kvco="--kvco", vdd="--vdd", dt="--dt",
-            tone_amp="--tone-amp",
-        ),
-    )
-    cfg = phase_mod.PhaseConfig(
-        m_phases=args.m_phases,
-        f0=args.f0,
-        f_ref=args.f_ref,
-        k_vco=args.kvco,
-        v_dd=args.vdd,
-        method=phase_mod.PhaseMethod(args.method),
-        dt=args.dt,
-    )
+    with _flag_terms():
+        cfg = phase_mod.PhaseConfig(
+            m_phases=args.m_phases,
+            f0=args.f0,
+            f_ref=args.f_ref,
+            k_vco=args.kvco,
+            v_dd=args.vdd,
+            method=phase_mod.PhaseMethod(args.method),
+            dt=args.dt,
+        )
+    # the tone is formed here, so its flags are checked here
+    if not math.isfinite(args.tone_amp):
+        raise ValueError("--tone-amp must be finite")
     n = args.samples
     if n < 4096 or n & (n - 1):
         raise ValueError("--samples must be a power of two >= 4096")
@@ -443,11 +397,6 @@ def _cmd_sfdr(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    _require_finite(
-        args, dict(time_us="--time-us", per_integrator_mw="--per-integrator-mw")
-    )
-    if args.time_us <= 0:
-        raise ValueError("--time-us must be positive")
     if args.input:
         problem = load_problem(args.input)
         n = problem.n
@@ -457,10 +406,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         n = args.n
         census = integrator_count(n, CountScheme.AFTER_REUSE)
         census_source = "after-reuse-bound"
-    power = metrics_mod.power_estimate(census, args.per_integrator_mw)
-    report = metrics_mod.efficiency(
-        metrics_mod.ops_count(n), power, args.time_us * 1e-6, integrator_count=census
-    )
+    with _flag_terms():
+        power = metrics_mod.power_estimate(census, args.per_integrator_mw)
+        report = metrics_mod.efficiency(
+            metrics_mod.ops_count(n), power, args.time_us * 1e-6, integrator_count=census
+        )
     row = metrics_mod.table_row(report, args.method_label, f"{n}x{n}")
     doc = {
         "n_ops": report.n_ops,
@@ -489,8 +439,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
-    problem = load_problem(args.input)
+    cfg, options = _solver_objects(args)
+    options = dataclasses.replace(options, trace_decimation=None)  # a sweep writes no trace
+    problem = load_problem(args.input_path)
     try:
         kvcos = [float(v) for v in args.kvco_list.split(",") if v.strip()]
     except ValueError as exc:
@@ -506,10 +457,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lines = [header]
     worst = EXIT_OK
     for kvco in kvcos:  # fixed input order; points are independent
-        # a sweep writes no trace, so its points form none
-        point_rc = dataclasses.replace(rc, k_vco=kvco, trace_path=None)
-        cfg, options = _solver_pieces(point_rc)
-        result = solve(problem, cfg, options)
+        with _flag_terms():
+            point = dataclasses.replace(cfg, k_vco=kvco)
+        result = solve(problem, point, options)
         if not result.converged:
             worst = EXIT_DIVERGENCE
         lines.append(

@@ -68,6 +68,7 @@ byte-deterministic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -88,6 +89,7 @@ from .problem import (
     LinearProblem,
     ScalePolicy,
     _lu_factor,
+    _require_finite,
     check_input_window,
     scale_problem,
 )
@@ -148,7 +150,9 @@ class SolverConfig:
 
     k_vco is in Hz/V and k_pd in V per radian-equivalent; their product g is
     the loop rate constant in 1/s.  dt = 0 picks the step automatically as
-    0.1 / (g * max_i gamma_i).
+    0.1 / (g * max_i gamma_i).  Every field is finite; k_vco, k_pd,
+    eps_residual and t_max are positive, dt is nonnegative, and g must
+    neither overflow nor fall below the smallest normal float.
     """
 
     k_vco: float = 300e6
@@ -159,11 +163,20 @@ class SolverConfig:
     mode: Mode = Mode.STRUCTURAL
 
     def __post_init__(self) -> None:
-        for name in ("k_vco", "k_pd", "g", "eps_residual", "t_max", "dt"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _require_finite(
+            k_vco=self.k_vco, k_pd=self.k_pd, eps_residual=self.eps_residual,
+            t_max=self.t_max, dt=self.dt,
+        )
+        if not math.isfinite(self.g):
+            raise ValueError(f"k_vco * k_pd overflows: g must be finite, got {self.g}")
         if self.k_vco <= 0 or self.k_pd <= 0:
             raise ValueError("k_vco and k_pd must be positive")
+        # a subnormal or zero g leaves every rung's spectrum at zero and
+        # the auto step at inf
+        if self.g < sys.float_info.min:
+            raise ValueError(
+                f"k_vco * k_pd underflows: g must be a normal float, got {self.g}"
+            )
         if self.eps_residual <= 0 or self.t_max <= 0:
             raise ValueError("eps_residual and t_max must be positive")
         if self.dt < 0:
@@ -254,7 +267,8 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Pipeline options for solve()."""
+    """Pipeline options for solve().  r_in and estimate_c must be finite;
+    estimate_c is checked for sign only when the ESTIMATE policy uses it."""
 
     r_in: float = 2000.0
     quantizer: Optional[QuantizerSpec] = None
@@ -267,6 +281,7 @@ class SolveOptions:
     trace_decimation: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _require_finite(r_in=self.r_in, estimate_c=self.estimate_c)
         if self.trace_decimation is not None and self.trace_decimation < 0:
             raise ValueError("trace_decimation must be nonnegative (0 = auto)")
 
@@ -535,12 +550,12 @@ def _jump(factors, z):
 
 
 def _auto_dt(ss: StateSpace, cfg: SolverConfig) -> float:
-    """cfg.dt, or 0.1 / (g max gamma); 0 when that rate overflows or
-    underflows to 0, which simulate refuses as an endless horizon."""
+    """cfg.dt, or 0.1 / (g max gamma); 0 when that rate overflows, which
+    simulate refuses as an endless horizon.  g is a normal float
+    (SolverConfig) and gamma >= 1, so the rate cannot underflow to 0."""
     if cfg.dt > 0:
         return cfg.dt
-    rate = cfg.g * float(np.max(ss.gamma))
-    return 0.1 / rate if rate > 0 else 0.0
+    return 0.1 / (cfg.g * float(np.max(ss.gamma)))
 
 
 def simulate(
@@ -834,13 +849,14 @@ def solve(
     """
     cfg = cfg or SolverConfig()
     options = options or SolveOptions()
-    check_input_window(p.b)
     factor = 1.0
     work = p
     if options.scale is None:
+        check_input_window(p.b)
         _lu_factor(p.a)  # nonsingularity gate; raises SingularMatrix
     else:
-        # scaling factors A for ||A^-1||_inf with the same gate and tolerance
+        # scaling checks the window and factors A for ||A^-1||_inf with the
+        # same gate and tolerance
         sp = scale_problem(p, options.scale, options.estimate_c)
         factor = sp.factor_scale
         work = LinearProblem._unchecked(sp.scaled_a, p.b, p.symmetric)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .netlist import CircuitPlan
+from .problem import _require_finite
 
 DEFAULT_PER_INTEGRATOR_MW = 0.15
 
@@ -40,6 +41,7 @@ def power_estimate(
     per_integrator_mw: float = DEFAULT_PER_INTEGRATOR_MW,
 ) -> float:
     """Total power in mW: integrator census times per-integrator power."""
+    _require_finite(per_integrator_mw=per_integrator_mw)
     if per_integrator_mw <= 0:
         raise ValueError("per_integrator_mw must be positive")
     if isinstance(plan_or_count, CircuitPlan):
@@ -57,20 +59,33 @@ def efficiency(
     t_s: float,
     integrator_count: Optional[int] = None,
 ) -> EnergyReport:
-    """Fill an EnergyReport from ops, power (mW), and convergence time (s)."""
-    if power_mw <= 0 or t_s <= 0:
-        raise ValueError("power and time must be positive")
-    power_w = power_mw * 1e-3
+    """Fill an EnergyReport from ops, power (mW), and convergence time (s).
+
+    Raises ValueError, naming the value, for a power or time that is not
+    finite and positive and for a figure that overflows float64.
+    """
+    _require_finite(power_mw=power_mw, t_s=t_s)
+    if power_mw <= 0:
+        raise ValueError("power_mw must be positive")
+    if t_s <= 0:
+        raise ValueError("t_s must be positive")
     t_us = t_s * 1e6
-    return EnergyReport(
+    # ops per joule; a product that underflows to 0 J is an infinite figure
+    joules = power_mw * 1e-3 * t_s
+    report = EnergyReport(
         n_ops=n_ops,
         power_mw=power_mw,
         t_converge_us=t_us,
         energy_uj=power_mw * t_us * 1e-3,
         mops_per_s=n_ops / t_s / 1e6,
-        gops_per_w=n_ops / (power_w * t_s) / 1e9,
+        gops_per_w=n_ops / joules / 1e9 if joules else math.inf,
         integrator_count=integrator_count,
     )
+    _require_finite(
+        t_converge_us=report.t_converge_us, energy_uj=report.energy_uj,
+        mops_per_s=report.mops_per_s, gops_per_w=report.gops_per_w,
+    )
+    return report
 
 
 def table_row(report: EnergyReport, method: str, matrix_size: str) -> str:

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problem import LinearProblem
+from .problem import LinearProblem, _require_finite
 
 DEFAULT_R_IN = 2000.0
 DEFAULT_R_UNIT = 1000.0
@@ -78,8 +78,9 @@ class QuantizerSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.bits <= 16:
             raise ValueError(f"bits must be in [1, 16], got {self.bits}")
-        if self.r_unit <= 0 or self.r_in <= 0:
-            raise ValueError("r_unit and r_in must be positive")
+        _require_finite(r_in=self.r_in, r_unit=self.r_unit, r_on=self.r_on)
+        if self.r_in <= 0 or self.r_unit <= 0:
+            raise ValueError("r_in and r_unit must be positive")
         if self.r_on < 0:
             raise ValueError("r_on must be nonnegative")
 
@@ -106,6 +107,10 @@ class MemristorBank:
     conductances: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
+        _require_finite(
+            g_min=self.g_min, g_max=self.g_max,
+            write_noise_sigma=self.write_noise_sigma,
+        )
         if not 0 <= self.g_min < self.g_max:
             raise ValueError("need 0 <= g_min < g_max")
         if self.write_noise_sigma < 0:

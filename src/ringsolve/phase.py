@@ -42,6 +42,8 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
+from .problem import _require_finite
+
 
 class NoFundamental(RuntimeError):
     """The requested signal bin is indistinguishable from the noise floor."""
@@ -309,13 +311,6 @@ def _high_taps(a: np.ndarray, duty: np.ndarray, m: int) -> np.ndarray:
         idx = fallback[lo : lo + block]
         count[idx] = np.count_nonzero(_carriers_below(a[idx], duty[idx], m), axis=0)
     return count
-
-
-def _require_finite(**values: float) -> None:
-    """Refuse a NaN or infinite scalar argument by its name."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _check_finite(series: np.ndarray) -> None:

@@ -41,6 +41,13 @@ class RangeViolation(ValueError):
     """An input vector entry falls outside the [-0.5, 0.5] V window."""
 
 
+def _require_finite(**values: float) -> None:
+    """Refuse a NaN or infinite scalar argument by its name."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 class ScalePolicy(Enum):
     """How the scaling factor is chosen.
 
@@ -112,6 +119,7 @@ class LinearProblem:
 class ScaledProblem:
     """A problem together with its range-safe scaling.
 
+    Built by scale_problem, which freezes ``scaled_a`` in place.
     ``scaled_a = original.a * factor_scale``; solving ``scaled_a @ y = b``
     and multiplying y by ``factor_scale`` recovers the original solution.
     Under ScalePolicy.EXACT the factor satisfies
@@ -126,11 +134,6 @@ class ScaledProblem:
     a_inf_norm: float
     a_inv_inf_norm: float
     kappa_inf: float
-
-    def __post_init__(self) -> None:
-        scaled = np.array(self.scaled_a, dtype=float)
-        scaled.setflags(write=False)
-        object.__setattr__(self, "scaled_a", scaled)
 
 
 def inf_norm(a: np.ndarray) -> float:
@@ -151,7 +154,7 @@ def _finite_inf_norm(a: np.ndarray) -> float:
 
 
 def _lu_factor(
-    a: np.ndarray, rhs: Optional[np.ndarray] = None
+    a: np.ndarray, rhs: Optional[np.ndarray] = None, a_norm: Optional[float] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """LU factorization with partial pivoting, carrying right-hand sides.
 
@@ -163,11 +166,12 @@ def _lu_factor(
     finishes the solve.  The pivot search and its tolerance read A's
     columns only.  Raises SingularMatrix when the best available pivot
     falls below PIVOT_RTOL * ||A||_inf, and NormOverflow when ||A||_inf is
-    not finite.
+    not finite.  a_norm, if given, is ||A||_inf as _finite_inf_norm formed
+    it, and is not formed again.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    tol = PIVOT_RTOL * _finite_inf_norm(a)
+    tol = PIVOT_RTOL * (_finite_inf_norm(a) if a_norm is None else a_norm)
     if tol == 0.0:
         raise SingularMatrix("zero matrix")
     if rhs is None:
@@ -212,20 +216,22 @@ def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[:, 0] if b.ndim == 1 else x
 
 
-def matrix_inverse(a: np.ndarray) -> np.ndarray:
-    """Explicit inverse via elimination.  Intended for desk scale (n <= 64)."""
+def matrix_inverse(a: np.ndarray, a_norm: Optional[float] = None) -> np.ndarray:
+    """Explicit inverse via elimination.  Intended for desk scale (n <= 64).
+    a_norm, if given, is ||A||_inf (see _lu_factor)."""
     a = np.asarray(a, dtype=float)
-    lu, _ = _lu_factor(a, np.eye(a.shape[0]))
+    lu, _ = _lu_factor(a, np.eye(a.shape[0]), a_norm)
     return _back_substitute(lu)
 
 
-def inv_inf_norm(a: np.ndarray) -> float:
+def inv_inf_norm(a: np.ndarray, a_norm: Optional[float] = None) -> float:
     """||A^-1||_inf from the explicit inverse.
 
     The O(n^3) inversion is irrelevant at desk scale; the norm evaluation
-    itself stays O(n^2).  Raises SingularMatrix for singular input.
+    itself stays O(n^2).  a_norm, if given, is ||A||_inf (see _lu_factor).
+    Raises SingularMatrix for singular input.
     """
-    return inf_norm(matrix_inverse(a))
+    return inf_norm(matrix_inverse(a, a_norm))
 
 
 def direct_solve_oracle(p: LinearProblem) -> np.ndarray:
@@ -253,19 +259,19 @@ def scale_problem(
     ESTIMATE uses factor = estimate_c / ||A||_inf.  Both policies record the
     exact norms and condition number for reporting.
 
-    Raises RangeViolation when any |b_i| > 0.5, NormOverflow when ||A||_inf
-    is not finite, SingularMatrix for a singular matrix, and ValueError for
-    an estimate_c that is not finite and positive (before the O(n^3)
-    inverse) or a scaled matrix that overflows float64.
+    Raises ValueError for an estimate_c that is not finite (under either
+    policy) or, under ESTIMATE, not positive (both before the O(n^3)
+    inverse), RangeViolation when any |b_i| > 0.5, NormOverflow when
+    ||A||_inf is not finite, SingularMatrix for a singular matrix, and
+    ValueError for a scaled matrix that overflows float64.  ||A||_inf is
+    formed once, for the factor and the pivot tolerance alike.
     """
+    _require_finite(estimate_c=estimate_c)
     check_input_window(p.b)
-    if policy is ScalePolicy.ESTIMATE:
-        if not math.isfinite(estimate_c):
-            raise ValueError(f"estimate_c must be finite, got {estimate_c!r}")
-        if estimate_c <= 0:
-            raise ValueError("estimate_c must be positive")
+    if policy is ScalePolicy.ESTIMATE and estimate_c <= 0:
+        raise ValueError("estimate_c must be positive")
     a_norm = _finite_inf_norm(p.a)
-    inv_norm = inv_inf_norm(p.a)
+    inv_norm = inv_inf_norm(p.a, a_norm)
     if policy is ScalePolicy.EXACT:
         factor = max(inv_norm, 1.0)
     elif policy is ScalePolicy.ESTIMATE:
@@ -278,6 +284,7 @@ def scale_problem(
         raise ValueError(
             f"the matrix scaled by {factor:.3e} is not finite in float64"
         )
+    scaled.setflags(write=False)
     return ScaledProblem(
         original=p,
         scaled_a=scaled,

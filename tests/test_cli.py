@@ -248,6 +248,107 @@ class TestSolveCommand:
         assert not out.exists()
 
 
+class TestFlagRejections:
+    """Every solver flag is checked, also where the run leaves it unused
+    (a bad value would still land in the config block): exit 2, one line
+    naming the flag, no document."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kvco", "0"], "--kvco and --kpd must be positive"),
+            (["--kpd=-1"], "--kvco and --kpd must be positive"),
+            (["--kpd", "nan"], "--kpd must be finite"),
+            (["--eps", "0"], "--eps and --tmax must be positive"),
+            (["--eps", "inf"], "--eps must be finite"),
+            (["--tmax=-1"], "--eps and --tmax must be positive"),
+            (["--dt=-1"], "--dt must be nonnegative (0 = auto)"),
+            (["--dt", "inf"], "--dt must be finite"),
+            (["--r-in", "0"], "--r-in and --r-unit must be positive"),
+            (["--r-in", "nan"], "--r-in must be finite"),
+            (["--quantize-bits", "0"], "--quantize-bits must be in [1, 16]"),
+            (["--quantize-bits", "17"], "--quantize-bits must be in [1, 16]"),
+            (["--r-unit=-1", "--quantize-bits", "8"], "--r-in and --r-unit must be positive"),
+            (["--r-on=-1", "--quantize-bits", "8"], "--r-on must be nonnegative"),
+            (["--write-noise=-1", "--memristor"], "--write-noise must be nonnegative"),
+            (["--scale-c", "inf", "--scale", "estimate"], "--scale-c must be finite"),
+            # unused by the run: no --quantize-bits, --memristor, --trace or --scale
+            (["--r-unit", "0"], "--r-in and --r-unit must be positive"),
+            (["--r-unit", "nan"], "--r-unit must be finite"),
+            (["--r-on=-1"], "--r-on must be nonnegative"),
+            (["--r-on", "inf"], "--r-on must be finite"),
+            (["--write-noise=-0.1"], "--write-noise must be nonnegative"),
+            (["--write-noise", "inf"], "--write-noise must be finite"),
+            (["--decimation=-1"], "--decimation must be nonnegative (0 = auto)"),
+            (["--scale-c", "nan"], "--scale-c must be finite"),
+            (["--scale-c", "inf", "--scale", "off"], "--scale-c must be finite"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["solve", "plan", "sweep"])
+    def test_rejected_flag_named(self, neg_file, tmp_path, capsys, command, argv, message):
+        out = tmp_path / "r.out"
+        if command == "sweep":
+            argv = [*argv, "--kvco-list", "1e8,3e8"]
+        assert run([command, neg_file, *argv, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # used to exit 3 with all four rungs at max Re(eig) = -0.000e+00
+            ["--kvco", "1e-200", "--kpd", "1e-200"],
+            # used to exit 3 with an RK4 step map at dt = inf
+            ["--kvco", "1e-160", "--kpd", "1e-160", "--mode", "ideal"],
+        ],
+    )
+    def test_underflowing_loop_gain_named(self, neg_file, tmp_path, capsys, argv):
+        out = tmp_path / "r.json"
+        assert run(["solve", neg_file, *argv, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: --kvco * --kpd underflows") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_rejected_decimation_writes_no_trace(self, neg_file, tmp_path, capsys):
+        out, trace = tmp_path / "r.json", tmp_path / "t.csv"
+        argv = ["solve", neg_file, "--decimation=-1", "--trace", str(trace), "--out", str(out)]
+        assert run(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: --decimation must be nonnegative")
+        assert not out.exists() and not trace.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "plan"])
+    def test_config_block_is_the_parsed_flags(self, neg_file, tmp_path, command):
+        out = tmp_path / "r.json"
+        argv = [
+            command, neg_file, "--mode", "ideal", "--quantize-bits", "8",
+            "--r-unit", "16000", "--r-on", "10", "--memristor", "--write-noise", "0.02",
+            "--seed", "5", "--scale", "estimate", "--scale-c", "500", "--decimation", "7",
+        ]
+        assert run([*argv, "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["config"] == {
+            "subcommand": command,
+            "input_path": neg_file,
+            "mode": "ideal",
+            "k_vco": 300e6,
+            "k_pd": 1.0 / math.pi,
+            "eps": 1e-3,
+            "t_max": 10e-6,
+            "dt": 0.0,
+            "quantize_bits": 8,
+            "r_in": 2000.0,
+            "r_unit": 16000.0,
+            "r_on": 10.0,
+            "memristor": True,
+            "write_noise": 0.02,
+            "seed": 5,
+            "scale": "estimate",
+            "scale_c": 500.0,
+            "trace_path": None,
+            "decimation": 7,
+        }
+
+
 class TestStepMapOverflow:
     """A user dt at which the RK4 step map is not finite in float64 is a
     simulator limit: exit 3, one named line on stderr, no document."""
@@ -488,7 +589,7 @@ class TestSfdrCommand:
         # it used to report a negative spur frequency and an SFDR below 0 dB
         out = tmp_path / "sfdr.json"
         assert run(["sfdr", "--dt=-1e-12", "--out", str(out)]) == EXIT_VALIDATION
-        assert capsys.readouterr().err == "error: dt must be non-negative (0 = auto)\n"
+        assert capsys.readouterr().err == "error: --dt must be non-negative (0 = auto)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("m", ["4", "32"])
@@ -523,6 +624,28 @@ class TestMetricsCommand:
         doc = json.loads(out.read_text())
         assert doc["integrator_count"] == 2
         assert doc["power_mw"] == pytest.approx(0.3)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the first two used to write "Infinity", which is not JSON
+            (["--time-us", "1e-300"], "mops_per_s must be finite, got inf"),
+            (["--time-us", "1e300", "--per-integrator-mw", "1e300"],
+             "energy_uj must be finite, got inf"),
+            # used to end in a ZeroDivisionError traceback
+            (["--time-us", "1e-150", "--per-integrator-mw", "1e-200"],
+             "gops_per_w must be finite, got inf"),
+            (["--time-us=-1"], "--time-us must be positive"),
+            (["--time-us", "1e-320"], "--time-us must be positive"),  # 0 s
+            (["--time-us", "1", "--per-integrator-mw", "0"],
+             "--per-integrator-mw must be positive"),
+        ],
+    )
+    def test_figures_refused_by_name(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "m.json"
+        assert run(["metrics", *argv, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_level_shifter_cost(self, tmp_path):
         out = tmp_path / "m.json"

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ringsolve.dynamics import (
     solve,
     stability_report,
 )
-from ringsolve.netlist import MemristorBank, plan
+from ringsolve.netlist import MemristorBank, QuantizerSpec, plan
 from ringsolve.problem import (
     LinearProblem,
     RangeViolation,
@@ -287,6 +288,45 @@ class TestSolverConfig:
     def test_rejects_non_finite(self, kwargs):
         with pytest.raises(ValueError, match="must be finite"):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "k_vco, k_pd",
+        [
+            (1e-200, 1e-200),  # g = 0: every rung's spectrum reads 0
+            (1e-160, 1e-160),  # g subnormal: the auto step is inf
+            (1.0, 5e-324),
+        ],
+    )
+    def test_rejects_underflowing_g(self, k_vco, k_pd):
+        with pytest.raises(ValueError, match=r"^k_vco \* k_pd underflows"):
+            SolverConfig(k_vco=k_vco, k_pd=k_pd)
+
+    def test_smallest_normal_g_accepted(self):
+        assert SolverConfig(k_vco=1.0, k_pd=sys.float_info.min).g == sys.float_info.min
+
+
+class TestSolveOptions:
+    @pytest.mark.parametrize("field", ["r_in", "estimate_c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            SolveOptions(**{field: value})
+
+    def test_nan_field_never_reaches_a_solve(self, neg2x2, monkeypatch):
+        # each used to reach the plan or the eigensolve: NaN write-noise
+        # codes, NaN resistances, an EigenFailure
+        def no_eigensolve(ss):
+            raise AssertionError("a rung was eigensolved")
+
+        monkeypatch.setattr(dynamics, "stability_report", no_eigensolve)
+        for build in (
+            lambda: SolveOptions(memristor=MemristorBank(write_noise_sigma=math.nan)),
+            lambda: SolveOptions(memristor=MemristorBank(write_noise_sigma=math.inf)),
+            lambda: SolveOptions(quantizer=QuantizerSpec(bits=8, r_on=math.nan)),
+            lambda: SolveOptions(r_in=math.nan),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                solve(neg2x2, SolverConfig(), build())
 
 
 class TestLadderIsLazy:

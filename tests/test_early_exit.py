@@ -426,7 +426,6 @@ def test_step_budget_refused_before_any_chain(monkeypatch):
     "cfg",
     [
         SolverConfig(dt=5e-324),  # t_max / dt overflows
-        SolverConfig(k_vco=1e-200, k_pd=1e-200),  # g underflows: no auto step
     ],
 )
 def test_endless_horizon_refused(cfg):

@@ -1,5 +1,7 @@
 """Operation count, power census, and the efficiency report."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,29 @@ class TestEfficiency:
     def test_monotone_in_time(self):
         etas = [efficiency(341, 6.0, t).gops_per_w for t in (1e-6, 2e-6, 4e-6)]
         assert etas[0] > etas[1] > etas[2]
+
+    @pytest.mark.parametrize(
+        "power_mw, t_s, name",
+        [
+            (math.nan, 1e-6, "power_mw"),
+            (math.inf, 1e-6, "power_mw"),
+            (6.0, math.nan, "t_s"),
+            (6.0, math.inf, "t_s"),
+            (6.0, 1e-306, "mops_per_s"),
+            (6.0, 1e-305, "gops_per_w"),  # 6e-308 J: ops per joule overflow
+            (1e-200, 1e-200, "gops_per_w"),  # 0 J after underflow
+            (4e301, 1e294, "energy_uj"),
+            (6.0, 1e303, "t_converge_us"),
+        ],
+    )
+    def test_non_finite_input_or_figure_named(self, power_mw, t_s, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            efficiency(341, power_mw, t_s)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_power_estimate_non_finite(self, value):
+        with pytest.raises(ValueError, match="^per_integrator_mw must be finite"):
+            power_estimate(40, per_integrator_mw=value)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Plan compilation, integrator census, quantizer ladder, and memristors."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,13 @@ class TestIntegratorCount:
 class TestQuantizer:
     Q3 = QuantizerSpec(bits=3, r_unit=1000.0, r_in=2000.0, r_on=0.0)
 
+    @pytest.mark.parametrize("field", ["r_unit", "r_in", "r_on"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        # a NaN r_on used to end in an EigenFailure inside a solve
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            QuantizerSpec(bits=8, **{field: value})
+
     def test_three_bit_table(self):
         # codes 0..7 realize -(1..8) * r_in / r_unit
         step = 2000.0 / 1000.0
@@ -217,6 +226,14 @@ class TestQuantizer:
 
 
 class TestMemristors:
+    @pytest.mark.parametrize("field", ["g_min", "g_max", "write_noise_sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        # a NaN write noise used to be cast to integer codes, an inf one to
+        # converge on garbage
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            MemristorBank(**{field: value})
+
     def test_zero_noise_snaps_to_grid(self, neg2x2_small_b):
         bank = MemristorBank(g_min=1e-4, g_max=2.65e-3, write_noise_sigma=0.0)
         c = program_memristors(plan(neg2x2_small_b), bank, rng_seed=1)

@@ -1,5 +1,6 @@
 """Norms, scaling, the elimination oracle, and the problem file format."""
 
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ringsolve import problem as problem_mod
+from ringsolve import dynamics, problem as problem_mod
 from ringsolve.problem import (
     PIVOT_RTOL,
     LinearProblem,
@@ -163,6 +164,11 @@ class TestScaling:
         monkeypatch.setattr(problem_mod, "inv_inf_norm", no_inverse)
         with pytest.raises(ValueError, match="estimate_c must be finite"):
             scale_problem(neg2x2, ScalePolicy.ESTIMATE, c)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_estimate_c_must_be_finite_under_exact_too(self, neg2x2, c):
+        with pytest.raises(ValueError, match="estimate_c must be finite"):
+            scale_problem(neg2x2, ScalePolicy.EXACT, c)
 
     @pytest.mark.parametrize("c", [0.0, -1.0])
     def test_estimate_c_must_be_positive(self, neg2x2, c):
@@ -419,3 +425,39 @@ class TestNormOverflow:
     def test_largest_finite_norm_still_factors(self):
         lu, _ = _lu_factor(np.array([[8e307, 8e307], [8e307, -8e307]]))
         assert np.isfinite(lu).all()
+
+
+class TestOnePassPerScaledSolve:
+    """A scaled solve forms ||A||_inf once, does not copy the scaled matrix
+    again and checks the input window once."""
+
+    @pytest.mark.parametrize("policy", list(ScalePolicy))
+    def test_norm_formed_once(self, neg2x2, monkeypatch, policy):
+        calls, real = [], problem_mod._finite_inf_norm
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(problem_mod, "_finite_inf_norm", counting)
+        sp = scale_problem(neg2x2, policy)
+        assert len(calls) == 1 and sp.a_inf_norm == 5.5
+
+    def test_scaled_matrix_kept_as_built(self, neg2x2):
+        sp = scale_problem(neg2x2)
+        assert not sp.scaled_a.flags.writeable
+        scaled = np.array(sp.scaled_a)
+        assert dataclasses.replace(sp, scaled_a=scaled).scaled_a is scaled
+
+    @pytest.mark.parametrize("scale", [None, *ScalePolicy])
+    def test_window_checked_once_per_solve(self, neg2x2, monkeypatch, scale):
+        calls, real = [], problem_mod.check_input_window
+
+        def counting(b):
+            calls.append(b)
+            return real(b)
+
+        monkeypatch.setattr(problem_mod, "check_input_window", counting)
+        monkeypatch.setattr(dynamics, "check_input_window", counting)
+        res = dynamics.solve(neg2x2, options=dynamics.SolveOptions(scale=scale))
+        assert res.converged and len(calls) == 1
