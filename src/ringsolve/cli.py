@@ -8,8 +8,9 @@ its settings (for solve and plan, the parsed flags themselves), so identical
 invocations produce byte-identical files.  Exit codes: 0 success, 2
 validation error (a refused flag or an overflowing ||A||_inf among them),
 3 solver divergence / no stable orientation / state dimension or step
-count over the simulator's limit / an SFDR tone that does not stand above
-the noise floor, 4 singular matrix.
+count over the simulator's limit / an eigensolve that fails (a state
+matrix that is not finite) / an SFDR tone that does not stand above the
+noise floor, 4 singular matrix.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import phase as phase_mod
 from .dynamics import (
+    EigenFailure,
     Mode,
     MultiPathRow,
     SolveOptions,
@@ -450,22 +452,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--kvco-list is empty")
     if not all(math.isfinite(v) for v in kvcos):
         raise ValueError("--kvco-list values must be finite")
+    points = []  # every point is built before any is solved
+    for kvco in kvcos:
+        try:
+            points.append(dataclasses.replace(cfg, k_vco=kvco))
+        except ValueError as exc:
+            raise ValueError(f"bad --kvco-list value {kvco:g}: {exc}") from exc
 
     header = "k_vco_hz,converged,fallback,t_converge_s,residual_inf," + ",".join(
         f"x{i}" for i in range(problem.n)
     )
     lines = [header]
     worst = EXIT_OK
-    for kvco in kvcos:  # fixed input order; points are independent
-        with _flag_terms():
-            point = dataclasses.replace(cfg, k_vco=kvco)
+    for point in points:  # fixed input order; points are independent
         result = solve(problem, point, options)
         if not result.converged:
             worst = EXIT_DIVERGENCE
         lines.append(
             ",".join(
                 [
-                    f"{kvco:.9g}",
+                    f"{point.k_vco:.9g}",
                     str(result.converged).lower(),
                     result.fallback,
                     "" if result.t_converge is None else f"{result.t_converge:.9g}",
@@ -507,6 +513,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         return EXIT_DIVERGENCE
     except (StateDimensionLimit, StepBudgetExceeded, StepMapOverflow) as exc:
         print(f"simulator limit: {exc}", file=sys.stderr)
+        return EXIT_DIVERGENCE
+    except EigenFailure as exc:
+        print(f"eigensolve failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except phase_mod.NoFundamental as exc:
         print(f"no fundamental: {exc}", file=sys.stderr)

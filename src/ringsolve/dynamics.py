@@ -54,19 +54,25 @@ on the jumped x, so x does not depend on the trace.  Every stretch no
 certificate covers (the rest of the horizon when the jump fails, the rest
 of the grid after the first uncertified row) is block-stepped exactly, as
 before the window, so divergence is still reported at the exact step.
-Row peaks (the overflow scan, the residuals, the stride certificate) are
-reduced from a transposed copy (_row_max), since numpy reduces short rows
-one at a time; a block's overflow scan looks at rows only when the whole
-block's max or min fails.  simulate holds one numpy error-state context
-(overflow and invalid ignored) for its whole run; the stepping helpers
-(_step_operators, _extend, _factors, _then, _block, _jump) enter none, so
-any other caller sets its own.  This regroups the same arithmetic: results
+One loop forms every block, _Run.walk: it advances the run's explicit
+state (z, the step, the window flags, the convergence and overflow steps,
+the kept trace rows) through the one-step map or the dec-step map, so a
+run is a walk to the window, the jump, a walk along the grid and an exact
+walk over whatever no certificate covered.  Row peaks (the overflow scan,
+the residuals, the stride certificate) are reduced from a transposed copy
+(_row_max), since numpy reduces short rows one at a time; a block's
+overflow scan looks at rows only when the whole block's max or min fails.
+simulate holds one numpy error-state context (overflow and invalid
+ignored) for its whole run; the stepping helpers (_step_operators, _extend,
+_factors, _then, _block, _jump, _Run.walk) enter none, so any other caller
+sets its own.  This regroups the same arithmetic: results
 agree with one-step-at-a-time stepping to rounding and are
 byte-deterministic.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -124,7 +130,7 @@ class MultiPathRow(ValueError):
 
 
 class UnstableSystem(RuntimeError):
-    """No orientation (nor the Gram fallback, if enabled) is stable."""
+    """No orientation of the system or of its Gram system is stable."""
 
 
 class StateDimensionLimit(ValueError):
@@ -267,8 +273,9 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Pipeline options for solve().  r_in and estimate_c must be finite;
-    estimate_c is checked for sign only when the ESTIMATE policy uses it."""
+    """Pipeline options for solve().  r_in and estimate_c must be finite,
+    and estimate_c positive under the ESTIMATE policy, the only one that
+    reads it.  solve() always walks all four ladder rungs."""
 
     r_in: float = 2000.0
     quantizer: Optional[QuantizerSpec] = None
@@ -276,12 +283,13 @@ class SolveOptions:
     memristor_seed: int = 0
     scale: Optional[ScalePolicy] = None
     estimate_c: float = 1e3
-    gram_fallback: bool = True
     # None forms no trace; 0 keeps about 4096 grid steps, k every k-th step
     trace_decimation: Optional[int] = None
 
     def __post_init__(self) -> None:
         _require_finite(r_in=self.r_in, estimate_c=self.estimate_c)
+        if self.scale is ScalePolicy.ESTIMATE and self.estimate_c <= 0:
+            raise ValueError("estimate_c must be positive")
         if self.trace_decimation is not None and self.trace_decimation < 0:
             raise ValueError("trace_decimation must be nonnegative (0 = auto)")
 
@@ -570,9 +578,9 @@ def simulate(
     ||b_hat - A_hat x||_inf stays at or below cfg.eps_residual for
     CONVERGENCE_WINDOW consecutive steps.  Every step is taken until then,
     in blocks of up to _BLOCK states (each formed from the block before
-    with one product; see the module docstring).  A block's residuals are
-    row peaks taken with _row_max, and its window search runs only when
-    one of them is at or below eps; its overflow scan looks at rows only
+    with one product, by _Run.walk; see the module docstring).  A block's
+    residuals are row peaks taken with _row_max, and its window search runs
+    only when one of them is at or below eps; its overflow scan looks at rows only
     when the block's max or min is past +-OVERFLOW_LIMIT or NaN, so the
     overflow step stays exact.  The power-of-two maps carry no bounds while
     stepping: _factors forms them, in one pass, for the jump and the trace
@@ -611,6 +619,94 @@ def simulate(
         return _integrate(ss, cfg, dt, n_steps, trace_decimation, stability)
 
 
+class _Run:
+    """The state of one simulate run: z at step k, the last
+    CONVERGENCE_WINDOW residual flags, the convergence and overflow steps,
+    settled = (z, k) at the end of the block that met the window, and a
+    trace's kept rows, on the grid 0, dec, 2 dec, ... up to grid_end.
+    Without a trace, kept is None, dec is 1 and grid_end 0."""
+
+    def __init__(self, ss, eps, dt, n_steps, trace_decimation):
+        self.nm, self.a_hat_t, self.b_hat = ss.n_main, ss.a_hat.T, ss.b_hat
+        self.eps, self.dt = eps, dt
+        self.z, self.k = np.zeros(ss.m.shape[0]), 0
+        start_res = float(np.abs(self.b_hat).max())
+        self.recent = np.array([start_res <= eps], dtype=int)
+        self.t_converge = self.overflow_at = self.settled = None
+        self.kept, self.dec, self.grid_end = None, 1, 0
+        if trace_decimation is not None:
+            self.dec = trace_decimation or max(1, n_steps // 4096)
+            self.grid_end = n_steps - n_steps % self.dec
+            self.kept = np.zeros((self.grid_end // self.dec + 2, self.nm))
+            self.kept_res = np.empty(len(self.kept))
+            self.kept_res[0] = start_res
+
+    def residuals(self, states):
+        res = states[:, : self.nm] @ self.a_hat_t
+        np.subtract(self.b_hat, res, out=res)
+        return _row_max(np.abs(res, out=res))
+
+    def walk(self, powers, stride, end, bounds=None):
+        """Advance (z, k) toward step end, one state per row, through the
+        stride-step map whose 1, 2, 4, ... powers are given, in blocks;
+        keep the trace rows on the grid.  Rows stop at the first state past
+        OVERFLOW_LIMIT (a non-finite peak counts as past it), which records
+        divergence; or, with the map's bounds (norm_r, norm_p), before the
+        first row they do not certify.  The window is searched row by row,
+        so only while stepping exactly (stride 1); once it is first met the
+        walk ends with that block, or traced, at the next grid step."""
+        if self.overflow_at is not None or self.k >= end:
+            return
+        maps, size = _block_maps(powers, (end - self.k) // stride)
+        z, k, dec = self.z, self.k, self.dec
+        states = z
+        while k < end:
+            block = _block(maps, states, min(size, (end - k) // stride))
+            take = len(block)
+            if bounds is not None:
+                peaks = _row_max(np.abs(block))
+                before = np.concatenate(([np.abs(z).max()], peaks[:-1]))
+                safe = bounds[0] * before + bounds[1] <= OVERFLOW_LIMIT
+                take = take if safe.all() else int(np.argmin(safe))
+            # a row past the limit, or NaN (which fails both comparisons)
+            elif not (
+                block.max() <= OVERFLOW_LIMIT and block.min() >= -OVERFLOW_LIMIT
+            ):
+                over = ~(_row_max(np.abs(block)) <= OVERFLOW_LIMIT)
+                take = int(np.argmax(over)) + 1
+                self.overflow_at = k + take * stride
+            states = block[:take]
+            res = self.residuals(states)
+            if self.t_converge is None:
+                below = res <= self.eps
+                flags = np.concatenate((self.recent, below))
+                # every window ends in this block: none is met without a
+                # flag in it
+                if below.any():
+                    win = CONVERGENCE_WINDOW + 1
+                    sustained = np.convolve(flags, np.ones(win, int), "valid")
+                    hits = np.flatnonzero(sustained == win)
+                    if hits.size:
+                        met = k + 1 - len(self.recent) + hits[0]
+                        self.t_converge = float(met * self.dt)
+                self.recent = flags[-CONVERGENCE_WINDOW:]
+            if self.kept is not None:
+                first = -(k + stride) % dec // stride  # the block's first grid row
+                row = (k + stride * (first + 1)) // dec
+                on_grid = states[first :: dec // stride, : self.nm]
+                self.kept[row : row + len(on_grid)] = on_grid
+                self.kept_res[row : row + len(on_grid)] = res[first :: dec // stride]
+            if take:
+                z = states[-1]
+            k += take * stride
+            if self.overflow_at is not None or take < len(block):
+                break
+            if self.settled is None and self.t_converge is not None:
+                self.settled = z, k
+                end = min(end, k + -k % dec)
+        self.z, self.k = z, k
+
+
 def _integrate(ss, cfg, dt, n_steps, trace_decimation, stability):
     """simulate past its argument checks, run in simulate's error state."""
     r, s = _step_operators(ss.m, dt)
@@ -619,138 +715,46 @@ def _integrate(ss, cfg, dt, n_steps, trace_decimation, stability):
         raise StepMapOverflow(
             f"the RK4 step map at dt = {dt:.3e} s is not finite in float64"
         )
-    dim = ss.m.shape[0]
-    powers = [(1, r - np.eye(dim), u)]  # the 1, 2, 4, ... step maps
-    nm = ss.n_main
-    a_hat_t = ss.a_hat.T
-    b_hat = ss.b_hat
-    eps = cfg.eps_residual
-
-    def residuals(states):
-        res = states[:, :nm] @ a_hat_t
-        np.subtract(b_hat, res, out=res)
-        return _row_max(np.abs(res, out=res))
-
-    # A trace keeps steps 0, dec, 2 dec, ... (the grid), then the last step.
-    traced = trace_decimation is not None
-    start_res = float(np.abs(b_hat).max())
-    if traced:
-        dec = trace_decimation or max(1, n_steps // 4096)
-        grid_end = n_steps - n_steps % dec
-        kept = np.zeros((grid_end // dec + 2, nm))
-        kept_res = np.empty(len(kept))
-        kept_res[0] = start_res
-
-    win = CONVERGENCE_WINDOW + 1
-    recent = np.array([start_res <= eps], dtype=int)  # last win-1 flags
-    t_converge: Optional[float] = None
-    overflow_at: Optional[int] = None
-    settled = None  # (z, k) at the end of the block that met the window
-
-    def step_to(z, k, end):
-        """Every step from (z, k) to end, in blocks, keeping the grid rows of
-        a trace.  Stops at the first state past OVERFLOW_LIMIT (a non-finite
-        peak counts as past it) and, once the window is first met, at the
-        end of that block (traced: at the next grid step)."""
-        nonlocal recent, t_converge, overflow_at, settled
-        maps, size = _block_maps(powers, end - k)
-        states = z
-        while k < end:
-            states = _block(maps, states, min(size, end - k))
-            take = len(states)
-            # a row past the limit, or NaN (which fails both comparisons)
-            if not (
-                states.max() <= OVERFLOW_LIMIT
-                and states.min() >= -OVERFLOW_LIMIT
-            ):
-                over = ~(_row_max(np.abs(states)) <= OVERFLOW_LIMIT)
-                take = int(np.argmax(over)) + 1
-                states = states[:take]
-                overflow_at = k + take
-            res = residuals(states)
-            if t_converge is None:
-                below = res <= eps
-                flags = np.concatenate((recent, below))
-                # every window ends in this block: none is met without
-                # a flag in it
-                if below.any():
-                    sustained = np.convolve(flags, np.ones(win, int), "valid")
-                    hits = np.flatnonzero(sustained == win)
-                    if hits.size:
-                        t_converge = float((k + 1 - len(recent) + hits[0]) * dt)
-                recent = flags[1 - win :]
-            if traced:
-                skip = -(k + 1) % dec  # states[skip] is the block's first grid step
-                row = (k + 1 + skip) // dec
-                on_grid = states[skip::dec, :nm]
-                kept[row : row + len(on_grid)] = on_grid
-                kept_res[row : row + len(on_grid)] = res[skip::dec]
-            z = states[-1]
-            k += take
-            if overflow_at is not None:
-                break
-            if settled is None and t_converge is not None:
-                settled = z, k
-                end = min(end, k + -k % dec) if traced else k
-        return z, k
-
-    z, k = step_to(np.zeros(dim), 0, n_steps)
+    powers = [(1, r - np.eye(len(r)), u)]  # the 1, 2, 4, ... step maps
+    run = _Run(ss, cfg.eps_residual, dt, n_steps, trace_decimation)
+    run.walk(powers, 1, n_steps)
 
     # Settled: x jumps from the window's block to t_max, certified factor by
     # factor.  The start does not depend on the grid, so x is the same with
     # or without a trace.
     jumped = None
-    if overflow_at is None and settled is not None and settled[1] < n_steps:
-        left = n_steps - settled[1]
-        jumped, steps = _jump(_factors(powers, left), settled[0])
+    if run.overflow_at is None and run.settled is not None and run.settled[1] < n_steps:
+        left = n_steps - run.settled[1]
+        jumped, steps = _jump(_factors(powers, left), run.settled[0])
         if steps < left:
             jumped = None
 
-    if traced and overflow_at is None and k < grid_end:
-        # Trace rows: blocks of the dec-step map, one row per grid step, as
-        # far as its certificate says no state along it can pass
-        # OVERFLOW_LIMIT.
-        stride = reduce(_then, _factors(powers, dec))
-        norm_r, norm_p = stride[3:]
-        row, last_row = k // dec, grid_end // dec
-        maps, size = _block_maps([stride[:3]], last_row - row)
-        states = z
-        while row < last_row:
-            states = _block(maps, states, min(size, last_row - row))
-            peaks = _row_max(np.abs(states))
-            before = np.concatenate(([np.abs(z).max()], peaks[:-1]))
-            safe = norm_r * before + norm_p <= OVERFLOW_LIMIT
-            good = len(states) if safe.all() else int(np.argmin(safe))
-            kept[row + 1 : row + 1 + good] = states[:good, :nm]
-            kept_res[row + 1 : row + 1 + good] = residuals(states[:good])
-            row += good
-            if good:
-                z = states[good - 1]
-            if good < len(states):
-                break
-        k = row * dec
+    # Trace rows: the dec-step map, one row per grid step, as far as its
+    # certificate says no state along it can pass OVERFLOW_LIMIT.
+    if run.overflow_at is None and run.k < run.grid_end:
+        stride = reduce(_then, _factors(powers, run.dec))
+        run.walk([stride[:3]], run.dec, run.grid_end, stride[3:])
 
     # Whatever no certificate covered is stepped exactly: the rest of the
     # horizon when the jump failed, the rest of the grid when the stride
     # walk stopped early.
-    end = n_steps if jumped is None else grid_end if traced else k
-    if overflow_at is None and k < end:
-        z, k = step_to(z, k, end)
-    if jumped is not None and overflow_at is None:
-        z, k = jumped, n_steps
+    run.walk(powers, 1, n_steps if jumped is None else run.grid_end)
+    if jumped is not None and run.overflow_at is None:
+        run.z, run.k = jumped, n_steps
 
-    residual_inf = float(residuals(z[None])[0])
+    z, k, nm = run.z, run.k, run.nm
+    residual_inf = float(run.residuals(z[None])[0])
     converged = (
-        overflow_at is None
-        and t_converge is not None
-        and residual_inf <= eps
+        run.overflow_at is None
+        and run.t_converge is not None
+        and residual_inf <= cfg.eps_residual
     )
     report = stability if stability is not None else stability_report(ss)
     diagnostics = ""
-    if overflow_at is not None:
+    if run.overflow_at is not None:
         diagnostics = (
             f"state magnitude exceeded {OVERFLOW_LIMIT:.0e} at "
-            f"t = {overflow_at * dt:.3e} s; run truncated and reported as "
+            f"t = {run.overflow_at * dt:.3e} s; run truncated and reported as "
             "divergence"
         )
     elif not converged and not report.stable:
@@ -760,22 +764,23 @@ def _integrate(ss, cfg, dt, n_steps, trace_decimation, stability):
         )
 
     trace = None
-    if traced:
+    if run.kept is not None:
+        dec = run.dec
         last = k // dec + (k % dec != 0)  # the last step reached is always kept
-        kept[last] = z[:nm]
-        kept_res[last] = residual_inf
+        run.kept[last] = z[:nm]
+        run.kept_res[last] = residual_inf
         kept_steps = np.arange(last + 1) * dec
         kept_steps[-1] = k
         trace = Trace(
             t=kept_steps.astype(float) * dt,
-            states=kept[: last + 1],
-            residual_inf=kept_res[: last + 1],
+            states=run.kept[: last + 1],
+            residual_inf=run.kept_res[: last + 1],
         )
     return SolveResult(
         x=z[:nm].copy(),
         residual_inf=residual_inf,
         converged=bool(converged),
-        t_converge=t_converge,
+        t_converge=run.t_converge,
         stability=report,
         trace=trace,
         diagnostics=diagnostics,
@@ -817,12 +822,14 @@ def _gram_problem(p: LinearProblem) -> LinearProblem:
 
     An internal fallback system: its right-hand side is synthetic and is
     deliberately not held to the hardware input window.  Only finiteness
-    can fail (the products may overflow); A.T @ A is symmetric bit for bit,
-    as numpy forms it by a symmetric rank-k update.
+    can fail: the products of finite entries may overflow, which raises
+    ValueError.  A.T @ A is symmetric bit for bit, as numpy forms it by a
+    symmetric rank-k update.
     """
-    a, b = p.a.T @ p.a, p.a.T @ p.b
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = p.a.T @ p.a, p.a.T @ p.b
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("matrix and right-hand side entries must be finite")
+        raise ValueError("the normal equations A^T A x = A^T b overflow float64")
     return LinearProblem._unchecked(a, b, symmetric=True)
 
 
@@ -845,7 +852,7 @@ def solve(
     orientation; the exact normal equations admit a stable one, though a
     realized (quantized or programmed) Gram plan need not.  A rung whose
     trace proves it unstable is not eigensolved (_unstable_by_trace).
-    Raises UnstableSystem when every permitted rung is unstable.
+    Raises UnstableSystem when every rung is unstable.
     """
     cfg = cfg or SolverConfig()
     options = options or SolveOptions()
@@ -865,8 +872,7 @@ def solve(
 
     def systems():
         yield "", work
-        if options.gram_fallback:
-            yield "gram", _gram_problem(work)
+        yield "gram", _gram_problem(work)
 
     primary_plan: Optional[CircuitPlan] = None
     # (tag, state space, report); None where the trace showed the rung unstable
@@ -881,16 +887,8 @@ def solve(
             if report is None or not report.stable:
                 continue
             res = simulate(ss, cfg, options.trace_decimation, stability=report)
-            return SolveResult(
-                x=res.x * factor,
-                residual_inf=res.residual_inf,
-                converged=res.converged,
-                t_converge=res.t_converge,
-                stability=report,
-                trace=res.trace,
-                fallback=tag,
-                diagnostics=res.diagnostics,
-                plan=primary_plan,
+            return dataclasses.replace(
+                res, x=res.x * factor, fallback=tag, plan=primary_plan,
                 scale_factor=factor,
             )
 
@@ -924,61 +922,3 @@ def bandwidth(circuit: CircuitPlan, row: int, cfg: SolverConfig) -> float:
     """3-dB bandwidth g / (1 + R_f/R_in) of a single-path row, in rad/s."""
     ratio = _single_path(circuit, row)
     return cfg.g / (1.0 + ratio)
-
-
-def probe_single_path_gain(
-    circuit: CircuitPlan,
-    row: int,
-    cfg: SolverConfig,
-    freq_hz: float,
-    settle_periods: float = 10.0,
-    measure_periods: int = 4,
-) -> float:
-    """Numerically measured gain magnitude of a single-path system.
-
-    Drives the structural state space with b(t) = sin(w t) through an RK4
-    integration (the sinusoid rides along as an augmented undamped
-    oscillator pair, so the whole run reuses the linear stepper) and fits
-    the steady-state output against the quadrature pair.  This is the
-    independent check of ac_response: no transfer-function algebra is used.
-    """
-    ss = build_system(circuit, cfg)
-    _single_path(circuit, row)
-    dim = ss.m.shape[0]
-    omega = 2.0 * math.pi * freq_hz
-
-    drive = np.zeros(dim)
-    drive[row] = -cfg.g / ss.gamma[row]  # node coupling of a unit input
-    m_aug = np.zeros((dim + 2, dim + 2))
-    m_aug[:dim, :dim] = ss.m
-    m_aug[:dim, dim + 1] = drive  # input = s(t)
-    m_aug[dim, dim + 1] = -omega  # dc/dt = -w s
-    m_aug[dim + 1, dim] = omega   # ds/dt =  w c
-
-    pole = abs(float(np.linalg.eigvals(ss.m).real.max()))
-    settle_t = settle_periods / pole
-    period = 1.0 / freq_hz
-    total_t = settle_t + measure_periods * period
-    dt = min(0.5 / cfg.g, period / 256.0)  # |eig(m)| <= g keeps RK4 stable
-    n_steps = int(math.ceil(total_t / dt))
-
-    z = np.zeros(dim + 2)
-    z[dim] = 1.0  # cosine state starts at 1 so s(t) = sin(w t)
-    series = np.empty((n_steps, 3))
-    with np.errstate(over="ignore", invalid="ignore"):
-        r, _ = _step_operators(m_aug, dt)
-        maps, size = _block_maps(
-            [(1, r - np.eye(dim + 2), np.zeros(dim + 2))], n_steps
-        )
-        states = z
-        for k in range(0, n_steps, size):
-            states = _block(maps, states, min(size, n_steps - k))
-            series[k : k + len(states)] = states[:, [row, dim, dim + 1]]
-
-    start = int(settle_t / dt)
-    x = series[start:, 0]
-    c = series[start:, 1]
-    s = series[start:, 2]
-    basis = np.column_stack([s, c])
-    coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
-    return float(np.hypot(coef[0], coef[1]))

@@ -67,7 +67,8 @@ class QuantizerSpec:
     The always-on branch has resistance r_unit; bit k adds a branch of
     r_unit / 2^k.  With ideal switches the realizable magnitudes are
     (1 + code) * r_in / r_unit for code in [0, 2^bits - 1]; a nonzero switch
-    on-resistance r_on lowers every realized magnitude.
+    on-resistance r_on lowers every realized magnitude.  The step and the
+    top magnitude 2^bits * step must be finite.
     """
 
     bits: int
@@ -83,6 +84,12 @@ class QuantizerSpec:
             raise ValueError("r_in and r_unit must be positive")
         if self.r_on < 0:
             raise ValueError("r_on must be nonnegative")
+        # a subnormal r_unit is finite and positive, but its ladder is not
+        if not math.isfinite((1 << self.bits) * self.step):
+            raise ValueError(
+                f"r_in / r_unit = {self.r_in:g} / {self.r_unit:g} overflows "
+                f"the {self.bits}-bit ladder"
+            )
 
     @property
     def step(self) -> float:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import probe_single_path_gain
 from ringsolve.cli import EXIT_OK, run as cli_run
 from ringsolve.dynamics import (
     Mode,
@@ -18,7 +19,6 @@ from ringsolve.dynamics import (
     SolverConfig,
     ac_response,
     bandwidth,
-    probe_single_path_gain,
     solve,
 )
 from ringsolve.metrics import efficiency, ops_count, table_row

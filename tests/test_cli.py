@@ -248,6 +248,38 @@ class TestSolveCommand:
         assert not out.exists()
 
 
+    def test_failed_eigensolve_exit_code(self, neg_file, tmp_path, capsys, monkeypatch):
+        # a state matrix the eigensolver refuses is one line and exit 3,
+        # never a traceback
+        def refusing(m):
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refusing)
+        out = tmp_path / "r.json"
+        assert run(["solve", neg_file, "--out", str(out)]) == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == (
+            "eigensolve failed: Array must not contain infs or NaNs\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_overflowing_normal_equations(self, tmp_path, capsys, command):
+        # every entry is finite and both direct rungs are unstable, but
+        # A^T A overflows: one line that says so, and no numpy warning
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({
+            "a": [[0, 1e300, 1e300], [1e-300, 0.5, 1e300], [1e300, 1, 1e300]],
+            "b": [-0.1, 0, 0],
+        }))
+        argv = [command, str(path), "--out", str(tmp_path / "r.out")]
+        if command == "sweep":
+            argv += ["--kvco-list", "1e8,3e8"]
+        assert run(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: the normal equations A^T A x = A^T b overflow float64\n"
+        )
+        assert not (tmp_path / "r.out").exists()
+
 class TestFlagRejections:
     """Every solver flag is checked, also where the run leaves it unused
     (a bad value would still land in the config block): exit 2, one line
@@ -282,6 +314,17 @@ class TestFlagRejections:
             (["--decimation=-1"], "--decimation must be nonnegative (0 = auto)"),
             (["--scale-c", "nan"], "--scale-c must be finite"),
             (["--scale-c", "inf", "--scale", "off"], "--scale-c must be finite"),
+            (["--scale-c=-5", "--scale", "estimate"], "--scale-c must be positive"),
+            # finite and positive, but the ladder's step or top magnitude is not
+            (
+                ["--r-unit", "5e-324", "--quantize-bits", "8"],
+                "--r-in / --r-unit = 2000 / 4.94066e-324 overflows the 8-bit ladder",
+            ),
+            (
+                ["--r-unit", "5e-301", "--quantize-bits", "16"],
+                "--r-in / --r-unit = 2000 / 5e-301 overflows the 16-bit ladder",
+            ),
+            (["--r-unit", "1e-310"], "--r-in / --r-unit = 2000 / 1e-310 overflows the 1-bit ladder"),
         ],
     )
     @pytest.mark.parametrize("command", ["solve", "plan", "sweep"])
@@ -555,6 +598,17 @@ class TestScaleCommand:
         assert code == EXIT_OK
         assert json.loads(out.read_text())["factor_scale"] == pytest.approx(1e3 / 5.5)
 
+    def test_negative_scale_c_named_as_solve_names_it(self, neg_file, capsys):
+        argv = {
+            "scale": ["scale", neg_file, "--policy", "estimate", "--scale-c=-5"],
+            "solve": ["solve", neg_file, "--scale", "estimate", "--scale-c=-5"],
+        }
+        errors = []
+        for command in ("scale", "solve"):
+            assert run(argv[command]) == EXIT_VALIDATION
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: --scale-c must be positive\n"] * 2
+
 
 class TestSfdrCommand:
     @pytest.mark.parametrize(
@@ -675,6 +729,19 @@ class TestSweepCommand:
 
     def test_bad_list(self, neg_file):
         assert run(["sweep", neg_file, "--kvco-list", "abc"]) == EXIT_VALIDATION
+
+    def test_rejected_list_value_solves_no_point(
+        self, neg_file, tmp_path, capsys, monkeypatch
+    ):
+        solved = []
+        monkeypatch.setattr(cli, "solve", lambda *args: solved.append(args))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", neg_file, "--kvco-list=3e8,-1e8", "--out", str(out)]
+        assert run(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: bad --kvco-list value -1e+08: k_vco and k_pd must be positive\n"
+        )
+        assert solved == [] and not out.exists()
 
     def test_non_finite_list_value(self, neg_file, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -1,5 +1,6 @@
 """State-space assembly, stability gating, RK4 simulation, and AC analysis."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -7,18 +8,17 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import probe_single_path_gain
 from ringsolve import dynamics
 from ringsolve.dynamics import (
     Mode,
     MultiPathRow,
     SolveOptions,
     SolverConfig,
-    UnstableSystem,
     ac_response,
     bandwidth,
     build_system,
     ideal_system,
-    probe_single_path_gain,
     simulate,
     solve,
     stability_report,
@@ -164,6 +164,29 @@ class TestSolve:
         assert res.fallback == "none"
         assert res.converged
 
+    def test_result_is_simulates_with_four_fields_set(self, neg2x2, monkeypatch):
+        # solve sets x (unscaled), fallback, plan and scale_factor and keeps
+        # every other field simulate filled, including one it did not expect
+        real, seen = dynamics.simulate, []
+
+        def marking(*args, **kwargs):
+            res = real(*args, **kwargs)
+            seen.append(dataclasses.replace(
+                res, stability=dataclasses.replace(res.stability, eig_method="marked")
+            ))
+            return seen[-1]
+
+        monkeypatch.setattr(dynamics, "simulate", marking)
+        res = solve(neg2x2, CFG, SolveOptions(scale=ScalePolicy.EXACT, trace_decimation=0))
+        (sim,) = seen
+        assert res.stability.eig_method == "marked"
+        assert res.scale_factor == 6.0 and res.fallback == "none"
+        np.testing.assert_array_equal(res.x, sim.x * 6.0)
+        assert res.plan is not None
+        for field in dataclasses.fields(res):
+            if field.name not in ("x", "fallback", "plan", "scale_factor"):
+                assert getattr(res, field.name) is getattr(sim, field.name)
+
     def test_positive_fixture_auto_negates(self, pos2x2):
         res = solve(pos2x2, CFG)
         np.testing.assert_allclose(res.x, [0.09, 0.06], atol=1e-3)
@@ -176,10 +199,6 @@ class TestSolve:
         np.testing.assert_allclose(res.x, [-0.09, 0.06], atol=1e-3)
         assert res.fallback.startswith("gram")
         assert res.converged
-
-    def test_gram_fallback_disabled_raises(self, mixed2x2):
-        with pytest.raises(UnstableSystem):
-            solve(mixed2x2, CFG, SolveOptions(gram_fallback=False))
 
     def test_range_violation(self):
         p = LinearProblem([[-1.0]], [0.6])
@@ -311,6 +330,14 @@ class TestSolveOptions:
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             SolveOptions(**{field: value})
+
+    @pytest.mark.parametrize("c", [0.0, -5.0])
+    def test_rejects_nonpositive_estimate_c_under_estimate(self, c):
+        with pytest.raises(ValueError, match="^estimate_c must be positive$"):
+            SolveOptions(scale=ScalePolicy.ESTIMATE, estimate_c=c)
+        # the other policies do not read it
+        SolveOptions(scale=ScalePolicy.EXACT, estimate_c=c)
+        SolveOptions(estimate_c=c)
 
     def test_nan_field_never_reaches_a_solve(self, neg2x2, monkeypatch):
         # each used to reach the plan or the eigensolve: NaN write-noise

@@ -36,7 +36,7 @@ from ringsolve.dynamics import (
     stability_report,
 )
 from ringsolve.netlist import MemristorBank, QuantizerSpec, plan
-from ringsolve.problem import LinearProblem
+from ringsolve.problem import LinearProblem, ScalePolicy
 
 TOL = 1e-12
 
@@ -551,3 +551,253 @@ def test_factor_bounds_cover_every_state(seed):
         assert np.abs(p - offset).max() <= 1e-12 * max(1.0, np.abs(offset).max())
         assert norm_r * (1 + 1e-12) >= peak_r
         assert norm_p * (1 + 1e-12) >= peak_p
+
+
+def old_integrate(ss, cfg, dt, n_steps, trace_decimation, stability):
+    """The stepping engine before one walk served both of simulate's loops:
+    the step_to closure and the trace-stride loop, kept as the oracle of
+    _Run.walk.  It reads the same helpers, so the two must agree bit for bit."""
+    r, s = dynamics._step_operators(ss.m, dt)
+    u = s @ ss.f
+    if not (np.isfinite(r).all() and np.isfinite(u).all()):
+        raise StepMapOverflow(
+            f"the RK4 step map at dt = {dt:.3e} s is not finite in float64"
+        )
+    dim = ss.m.shape[0]
+    powers = [(1, r - np.eye(dim), u)]
+    nm = ss.n_main
+    a_hat_t = ss.a_hat.T
+    b_hat = ss.b_hat
+    eps = cfg.eps_residual
+
+    def residuals(states):
+        res = states[:, :nm] @ a_hat_t
+        np.subtract(b_hat, res, out=res)
+        return dynamics._row_max(np.abs(res, out=res))
+
+    traced = trace_decimation is not None
+    start_res = float(np.abs(b_hat).max())
+    if traced:
+        dec = trace_decimation or max(1, n_steps // 4096)
+        grid_end = n_steps - n_steps % dec
+        kept = np.zeros((grid_end // dec + 2, nm))
+        kept_res = np.empty(len(kept))
+        kept_res[0] = start_res
+
+    win = CONVERGENCE_WINDOW + 1
+    recent = np.array([start_res <= eps], dtype=int)
+    t_converge = None
+    overflow_at = None
+    settled = None
+
+    def step_to(z, k, end):
+        nonlocal recent, t_converge, overflow_at, settled
+        maps, size = dynamics._block_maps(powers, end - k)
+        states = z
+        while k < end:
+            states = dynamics._block(maps, states, min(size, end - k))
+            take = len(states)
+            if not (
+                states.max() <= OVERFLOW_LIMIT
+                and states.min() >= -OVERFLOW_LIMIT
+            ):
+                over = ~(dynamics._row_max(np.abs(states)) <= OVERFLOW_LIMIT)
+                take = int(np.argmax(over)) + 1
+                states = states[:take]
+                overflow_at = k + take
+            res = residuals(states)
+            if t_converge is None:
+                below = res <= eps
+                flags = np.concatenate((recent, below))
+                if below.any():
+                    sustained = np.convolve(flags, np.ones(win, int), "valid")
+                    hits = np.flatnonzero(sustained == win)
+                    if hits.size:
+                        t_converge = float((k + 1 - len(recent) + hits[0]) * dt)
+                recent = flags[1 - win :]
+            if traced:
+                skip = -(k + 1) % dec
+                row = (k + 1 + skip) // dec
+                on_grid = states[skip::dec, :nm]
+                kept[row : row + len(on_grid)] = on_grid
+                kept_res[row : row + len(on_grid)] = res[skip::dec]
+            z = states[-1]
+            k += take
+            if overflow_at is not None:
+                break
+            if settled is None and t_converge is not None:
+                settled = z, k
+                end = min(end, k + -k % dec) if traced else k
+        return z, k
+
+    z, k = step_to(np.zeros(dim), 0, n_steps)
+
+    jumped = None
+    if overflow_at is None and settled is not None and settled[1] < n_steps:
+        left = n_steps - settled[1]
+        jumped, steps = dynamics._jump(dynamics._factors(powers, left), settled[0])
+        if steps < left:
+            jumped = None
+
+    if traced and overflow_at is None and k < grid_end:
+        stride = reduce(dynamics._then, dynamics._factors(powers, dec))
+        norm_r, norm_p = stride[3:]
+        row, last_row = k // dec, grid_end // dec
+        maps, size = dynamics._block_maps([stride[:3]], last_row - row)
+        states = z
+        while row < last_row:
+            states = dynamics._block(maps, states, min(size, last_row - row))
+            peaks = dynamics._row_max(np.abs(states))
+            before = np.concatenate(([np.abs(z).max()], peaks[:-1]))
+            safe = norm_r * before + norm_p <= OVERFLOW_LIMIT
+            good = len(states) if safe.all() else int(np.argmin(safe))
+            kept[row + 1 : row + 1 + good] = states[:good, :nm]
+            kept_res[row + 1 : row + 1 + good] = residuals(states[:good])
+            row += good
+            if good:
+                z = states[good - 1]
+            if good < len(states):
+                break
+        k = row * dec
+
+    end = n_steps if jumped is None else grid_end if traced else k
+    if overflow_at is None and k < end:
+        z, k = step_to(z, k, end)
+    if jumped is not None and overflow_at is None:
+        z, k = jumped, n_steps
+
+    residual_inf = float(residuals(z[None])[0])
+    converged = (
+        overflow_at is None
+        and t_converge is not None
+        and residual_inf <= eps
+    )
+    report = stability if stability is not None else stability_report(ss)
+    diagnostics = ""
+    if overflow_at is not None:
+        diagnostics = (
+            f"state magnitude exceeded {OVERFLOW_LIMIT:.0e} at "
+            f"t = {overflow_at * dt:.3e} s; run truncated and reported as "
+            "divergence"
+        )
+    elif not converged and not report.stable:
+        diagnostics = (
+            f"state matrix is unstable (max Re eig = {report.max_re_eig:.3e}); "
+            "residual did not settle"
+        )
+
+    trace = None
+    if traced:
+        last = k // dec + (k % dec != 0)
+        kept[last] = z[:nm]
+        kept_res[last] = residual_inf
+        kept_steps = np.arange(last + 1) * dec
+        kept_steps[-1] = k
+        trace = Trace(
+            t=kept_steps.astype(float) * dt,
+            states=kept[: last + 1],
+            residual_inf=kept_res[: last + 1],
+        )
+    return SolveResult(
+        x=z[:nm].copy(),
+        residual_inf=residual_inf,
+        converged=bool(converged),
+        t_converge=t_converge,
+        stability=report,
+        trace=trace,
+        diagnostics=diagnostics,
+    )
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def walk_cases(neg2x2, mixed2x2, dec):
+    """(name, run) pairs: each run is one solve or simulate with decimation
+    dec, across both modes, scaled, quantized and programmed plans, windows
+    met in the first block or never, certificates that fail and overflow."""
+    rng = np.random.default_rng(16)
+    for i, (n, sign) in enumerate([(3, -1), (8, -1), (5, 1), (12, -1)]):
+        p = random_stable(rng, n, sign)
+        for name, options in [
+            *VARIANTS.items(),
+            ("exact", SolveOptions(scale=ScalePolicy.EXACT)),
+        ]:
+            cfg = SolverConfig(t_max=2e-6)
+            options = dataclasses.replace(options, trace_decimation=dec)
+            yield f"structural-{i}-{name}", lambda p=p, cfg=cfg, o=options: solve(p, cfg, o)
+        ideal = SolverConfig(mode=Mode.IDEAL, t_max=2e-6)
+        yield f"ideal-{i}", lambda p=p: solve(p, ideal, SolveOptions(trace_decimation=dec))
+    for mode in Mode:
+        cfg = SolverConfig(mode=mode, t_max=2e-6)
+        yield f"gram-{mode.value}", lambda cfg=cfg: solve(
+            mixed2x2, cfg, SolveOptions(trace_decimation=dec)
+        )
+    cfg = SolverConfig(t_max=2e-6)
+    yield "settled-at-start", lambda: simulate(scalar_system(cfg, b=1e-4), cfg, dec)
+    never = SolverConfig(t_max=2e-7, eps_residual=1e-12)
+    yield "never-settles", lambda: simulate(scalar_system(never), never, dec)
+    grows = ideal_system(0.01 * np.eye(2), np.array([1e-5, -1e-5]), SolverConfig())
+    yield "settles-then-grows", lambda: simulate(grows, SolverConfig(), dec)
+    for kappa in (1.36e6, 1e7):
+        cfg = SolverConfig(dt=1e-9, t_max=12000e-9)
+        yield f"transient-{kappa:g}", lambda kappa=kappa, cfg=cfg: simulate(
+            transient_system(kappa), cfg, dec
+        )
+    for b, dt_factor, steps in [(0.45, 222.2, 3000), (1e-5, 222.0, 20000), (1e-200, 400.0, 3000)]:
+        ss, cfg = rk4_past_its_limit(neg2x2, b, dt_factor, steps)
+        yield f"overflow-{b:g}", lambda ss=ss, cfg=cfg: simulate(ss, cfg, dec)
+
+
+@pytest.mark.parametrize("dec", [None, 0, 1, 7, 100])
+def test_one_walk_matches_the_two_loops(monkeypatch, neg2x2, mixed2x2, dec):
+    walks, real_walk = [], dynamics._Run.walk
+
+    def recording_walk(run, powers, stride, end, bounds=None):
+        before = run.k
+        real_walk(run, powers, stride, end, bounds)
+        settled_at = None if run.settled is None else run.settled[1]
+        walks.append((bounds is not None, before, run.k, end, settled_at))
+
+    jumps, real_jump = [], dynamics._jump
+
+    def recording_jump(factors, z):
+        out = real_jump(factors, z)
+        jumps.append(out[1] < sum(f[0] for f in factors))
+        return out
+
+    monkeypatch.setattr(dynamics._Run, "walk", recording_walk)
+    monkeypatch.setattr(dynamics, "_jump", recording_jump)
+    seen = set()
+    for name, run in walk_cases(neg2x2, mixed2x2, dec):
+        res = run()
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_integrate", old_integrate)
+            ref = run()
+        assert same_bits(res.x, ref.x), name
+        assert res.t_converge == ref.t_converge, name
+        assert same_bits(res.residual_inf, ref.residual_inf), name
+        assert res.converged == ref.converged, name
+        assert res.fallback == ref.fallback, name
+        assert res.diagnostics == ref.diagnostics, name
+        assert (res.trace is None) == (dec is None), name
+        if dec is not None:
+            for field in ("t", "states", "residual_inf"):
+                got, want = getattr(res.trace, field), getattr(ref.trace, field)
+                assert got.shape == want.shape and same_bits(got, want), (name, field)
+        if ref.t_converge is None:
+            seen.add("never settled")
+        if "exceeded" in ref.diagnostics:
+            seen.add("overflow")
+    # the cases reach every way a walk or a jump ends
+    seen.update("jump failed" for failed in jumps if failed)
+    for certified, before, after, end, settled_at in walks:
+        if certified and after < end:
+            seen.add("stride certificate failed")
+        if before == 0 and settled_at is not None and settled_at <= dynamics._BLOCK:
+            seen.add("window met in the first block")
+    expected = {"never settled", "overflow", "jump failed", "window met in the first block"}
+    if dec is not None:
+        expected.add("stride certificate failed")
+    assert expected <= seen

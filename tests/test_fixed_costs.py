@@ -13,7 +13,6 @@ import pytest
 from ringsolve import dynamics
 from ringsolve.dynamics import (
     Mode,
-    SolveOptions,
     SolverConfig,
     StateDimensionLimit,
     StateSpace,
@@ -325,17 +324,29 @@ def test_structural_eigensolve_count_unchanged(monkeypatch, request, fixture, fa
     assert len(calls) == rungs
 
 
-def test_skipped_rung_reported_in_the_unstable_message(monkeypatch, mixed2x2):
-    # the negated direct rung has a positive trace: its report is formed
-    # only for the message, which reads as when every rung was eigensolved
+def test_skipped_rung_reported_in_the_unstable_message(monkeypatch):
+    # all four rungs are unstable, and the planned rungs of the system and
+    # of its Gram system have a positive trace: their reports are formed
+    # only for the message, which reads as when every rung was eigensolved,
+    # and no rung is eigensolved twice
+    p = LinearProblem([[0.5, 1.0], [1.5, 2.99999995]], [0.1, 0.1])
+    skipped, real = [], dynamics._unstable_by_trace
+
+    def recording(m):
+        skipped.append(real(m))
+        return skipped[-1]
+
+    monkeypatch.setattr(dynamics, "_unstable_by_trace", recording)
     calls = count_eigvals(monkeypatch)
     with pytest.raises(UnstableSystem) as info:
-        solve(mixed2x2, IDEAL, SolveOptions(gram_fallback=False))
+        solve(p, IDEAL)
     assert str(info.value) == (
-        "no stable orientation found (none: max Re(eig) = 8.149e+06; "
-        "negated: max Re(eig) = 4.304e+07)"
+        "no stable orientation found (none: max Re(eig) = 7.119e+07; "
+        "negated: max Re(eig) = 2.329e-01; gram: max Re(eig) = 8.777e+07; "
+        "gram-negated: max Re(eig) = 0.000e+00)"
     )
-    assert len(calls) == 2
+    assert skipped == [True, False, True, False]
+    assert len(calls) == 4
 
 
 def test_state_dimension_cap_checked_before_the_trace():

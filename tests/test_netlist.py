@@ -140,6 +140,17 @@ class TestQuantizer:
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             QuantizerSpec(bits=8, **{field: value})
 
+    @pytest.mark.parametrize(
+        "bits, bad, good",
+        [(1, 5e-324, 1e-300), (8, 1e-310, 1e-300), (8, 1e-303, 1e-300), (16, 5e-301, 1e-300)],
+    )
+    def test_rejects_a_ladder_that_overflows(self, bits, bad, good):
+        # r_unit is finite and positive, but the step r_in / r_unit or the
+        # top magnitude 2^bits * step is not: the plan would hold inf weights
+        with pytest.raises(ValueError, match=f"overflows the {bits}-bit ladder$"):
+            QuantizerSpec(bits=bits, r_unit=bad)
+        assert math.isfinite(QuantizerSpec(bits=bits, r_unit=good).step * (1 << bits))
+
     def test_three_bit_table(self):
         # codes 0..7 realize -(1..8) * r_in / r_unit
         step = 2000.0 / 1000.0
