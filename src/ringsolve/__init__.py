@@ -24,7 +24,6 @@ from .problem import (
 from .netlist import (
     CircuitPlan,
     CountScheme,
-    FeedbackPath,
     MemristorBank,
     PathSign,
     QuantizerSpec,

@@ -78,7 +78,7 @@ _FLAG_OF = {
     "r_on": "--r-on", "write_noise_sigma": "--write-noise", "estimate_c": "--scale-c",
     "trace_decimation": "--decimation", "m_phases": "--m-phases", "f0": "--f0",
     "f_ref": "--f-ref", "v_dd": "--vdd", "per_integrator_mw": "--per-integrator-mw",
-    "t_s": "--time-us",
+    "t_s": "--time-us", "memristor_seed": "--seed",
 }
 _FIELD_NAME = re.compile(r"\b(?:%s)\b" % "|".join(_FLAG_OF))
 

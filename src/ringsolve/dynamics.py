@@ -198,7 +198,6 @@ class SolverConfig:
 class StabilityReport:
     max_re_eig: float
     stable: bool
-    eig_method: str = "dense (numpy.linalg.eigvals)"
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,6 @@ class StateSpace:
     m: np.ndarray
     f: np.ndarray
     gamma: np.ndarray
-    state_labels: tuple[str, ...]
     n_main: int
     a_hat: np.ndarray
     b_hat: np.ndarray
@@ -274,8 +272,10 @@ class SolveResult:
 @dataclass(frozen=True)
 class SolveOptions:
     """Pipeline options for solve().  r_in and estimate_c must be finite,
-    and estimate_c positive under the ESTIMATE policy, the only one that
-    reads it.  solve() always walks all four ladder rungs."""
+    r_in positive, and estimate_c positive under the ESTIMATE policy, the
+    only one that reads it.  memristor_seed must be nonnegative when a
+    memristor bank is attached, the only case that reads it.  solve()
+    always walks all four ladder rungs."""
 
     r_in: float = 2000.0
     quantizer: Optional[QuantizerSpec] = None
@@ -288,6 +288,12 @@ class SolveOptions:
 
     def __post_init__(self) -> None:
         _require_finite(r_in=self.r_in, estimate_c=self.estimate_c)
+        if self.r_in <= 0:
+            raise ValueError(f"r_in must be positive, got {self.r_in}")
+        if self.memristor is not None and self.memristor_seed < 0:
+            raise ValueError(
+                f"memristor_seed must be nonnegative, got {self.memristor_seed}"
+            )
         if self.scale is ScalePolicy.ESTIMATE and self.estimate_c <= 0:
             raise ValueError("estimate_c must be positive")
         if self.trace_decimation is not None and self.trace_decimation < 0:
@@ -330,12 +336,9 @@ def build_system(circuit: CircuitPlan, cfg: SolverConfig) -> StateSpace:
     f = np.zeros(dim)
     f[:n] = coef * circuit.b_compiled
 
-    labels = tuple(f"x{i}" for i in range(n)) + tuple(
-        f"inv_col{j}" for j in inverted.tolist()
-    )
     a_hat, b_hat = realized_matrix(circuit)
     merged = -g / 2.0 if circuit.inverter_count > inverted.size else None
-    return StateSpace(m, f, gamma, labels, n, a_hat, b_hat, merged)
+    return StateSpace(m, f, gamma, n, a_hat, b_hat, merged)
 
 
 def ideal_system(
@@ -344,15 +347,13 @@ def ideal_system(
     """State space of the netlist-free model dx/dt = -g D (b - A x)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    n = a.shape[0]
     gamma = 1.0 + np.abs(a).sum(axis=1)
     d = cfg.g / gamma
     return StateSpace(
         m=d[:, None] * a,
         f=-d * b,
         gamma=gamma,
-        state_labels=tuple(f"x{i}" for i in range(n)),
-        n_main=n,
+        n_main=a.shape[0],
         a_hat=a,
         b_hat=b,
     )
@@ -804,9 +805,7 @@ def _negated_ideal(ss: StateSpace) -> StateSpace:
     """ideal_system(-a, -b) from ss = ideal_system(a, b), bit for bit:
     gamma reads |a| alone, and m = d a and f = -d b are single products,
     whose rounding commutes with negation (signed zeros included)."""
-    return StateSpace(
-        -ss.m, -ss.f, ss.gamma, ss.state_labels, ss.n_main, -ss.a_hat, -ss.b_hat
-    )
+    return StateSpace(-ss.m, -ss.f, ss.gamma, ss.n_main, -ss.a_hat, -ss.b_hat)
 
 
 def _ideal_attempts(prob, cfg, _options):

@@ -12,9 +12,7 @@ write-noise model.
 
 A plan is n x n arrays, one entry per coefficient: the path sign, the
 realized weight R_in / R_f, R_f and the ladder or memristor code.  Compiling,
-negating, programming and reading back a plan are whole-array expressions;
-``CircuitPlan.paths`` derives one FeedbackPath per coefficient from the
-arrays for callers that want the objects.
+negating, programming and reading back a plan are whole-array expressions.
 """
 
 from __future__ import annotations
@@ -52,6 +50,10 @@ class PathSign(Enum):
     DIRECT = "direct"            # realizes a negative coefficient
     VIA_INVERTER = "via-inverter"  # realizes a positive coefficient
     DISCONNECTED = "disconnected"  # zero coefficient, no branch
+
+
+# the plan document's name for each value of CircuitPlan.sign
+_PATH_SIGNS = {-1: PathSign.DIRECT, 1: PathSign.VIA_INVERTER, 0: PathSign.DISCONNECTED}
 
 
 class CountScheme(Enum):
@@ -103,15 +105,13 @@ class MemristorBank:
 
     Devices accept conductances in [g_min, g_max] siemens; a write lands on
     a MEMRISTOR_LEVELS-point linear grid over that window after a relative
-    gaussian error of standard deviation write_noise_sigma.  ``conductances``
-    holds the per-path programmed states (NaN where disconnected) once
-    program_memristors has run.
+    gaussian error of standard deviation write_noise_sigma.  A programmed
+    plan holds each path's state as its grid code: g_min + code * step.
     """
 
     g_min: float = 1e-6
     g_max: float = 1e-2
     write_noise_sigma: float = 0.0
-    conductances: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         _require_finite(
@@ -122,29 +122,10 @@ class MemristorBank:
             raise ValueError("need 0 <= g_min < g_max")
         if self.write_noise_sigma < 0:
             raise ValueError("write_noise_sigma must be nonnegative")
-        if self.conductances is not None:
-            g = np.array(self.conductances, dtype=float)
-            g.setflags(write=False)
-            object.__setattr__(self, "conductances", g)
 
     @property
     def step(self) -> float:
         return (self.g_max - self.g_min) / (MEMRISTOR_LEVELS - 1)
-
-
-@dataclass(frozen=True)
-class FeedbackPath:
-    """One compiled matrix coefficient."""
-
-    row: int
-    col: int
-    sign: PathSign
-    r_feedback: Optional[float]  # ohms; None when disconnected
-    code: Optional[int]          # quantizer / memristor grid code, if any
-    realized_weight: float       # dimensionless R_in / R_f, >= 0
-
-
-_PATH_SIGNS = {-1: PathSign.DIRECT, 1: PathSign.VIA_INVERTER, 0: PathSign.DISCONNECTED}
 
 
 @dataclass(frozen=True)
@@ -156,11 +137,10 @@ class CircuitPlan:
     inverter and 0 when disconnected; ``weight`` is the realized R_in / R_f
     (0 where disconnected); ``r_feedback`` is R_f in ohms (inf where
     disconnected); ``code`` is the ladder or memristor grid code (-1 where
-    there is none).  ``paths`` derives the FeedbackPath objects from them.
-    ``b_compiled`` is the input vector actually applied (negated along with
-    the matrix when ``negated`` is set, so the solution is unchanged).  The
-    after-reuse bound inverter_count <= floor(n^2 / 2) holds for compiled
-    plans; the derived negated plan may exceed it.
+    there is none).  ``b_compiled`` is the input vector actually applied
+    (negated along with the matrix when ``negated`` is set, so the solution
+    is unchanged).  The after-reuse bound inverter_count <= floor(n^2 / 2)
+    holds for compiled plans; the derived negated plan may exceed it.
     """
 
     n: int
@@ -171,7 +151,6 @@ class CircuitPlan:
     code: np.ndarray
     b_compiled: np.ndarray
     negated: bool
-    inverter_count: int
     quantizer: Optional[QuantizerSpec] = None
     memristors: Optional[MemristorBank] = None
 
@@ -185,12 +164,9 @@ class CircuitPlan:
             object.__setattr__(self, name, value)
 
     @property
-    def paths(self) -> tuple[tuple[FeedbackPath, ...], ...]:
-        """One FeedbackPath per coefficient, row by row, built from the
-        arrays on each access (the solve path never reads it)."""
-        return tuple(
-            tuple(FeedbackPath(*fields) for fields in row) for row in _path_rows(self)
-        )
+    def inverter_count(self) -> int:
+        """Paths through an inverter: one per positive compiled entry."""
+        return int(np.count_nonzero(self.sign > 0))
 
     @property
     def main_integrators(self) -> int:
@@ -199,18 +175,6 @@ class CircuitPlan:
     @property
     def total_integrators(self) -> int:
         return self.n + self.inverter_count
-
-
-def _path_rows(circuit: CircuitPlan):
-    """Per row, the FeedbackPath fields of each coefficient, in Python types."""
-    for i, row in enumerate(zip(
-        circuit.sign.tolist(), circuit.r_feedback.tolist(),
-        circuit.code.tolist(), circuit.weight.tolist(),
-    )):
-        yield [
-            (i, j, _PATH_SIGNS[s], r if s else None, c if c >= 0 else None, w)
-            for j, (s, r, c, w) in enumerate(zip(*row))
-        ]
 
 
 def integrator_count(n: int, scheme: CountScheme) -> int:
@@ -291,8 +255,6 @@ def plan(
     attached) is the realized weight; with no quantizer the realized
     coefficients equal the compiled matrix exactly.
     """
-    if not (np.isfinite(p.a).all() and np.isfinite(p.b).all()):
-        raise NonFiniteEntry("problem contains non-finite entries")
     if r_in_default <= 0:
         raise ValueError("r_in_default must be positive")
     if quantizer is not None and quantizer.r_in != r_in_default:
@@ -324,7 +286,6 @@ def plan(
         code=code,
         b_compiled=-p.b if negated else p.b,
         negated=negated,
-        inverter_count=min(positives, negatives),
         quantizer=quantizer,
     )
 
@@ -343,7 +304,6 @@ def negated_plan(circuit: CircuitPlan) -> CircuitPlan:
         sign=-circuit.sign,
         b_compiled=-circuit.b_compiled,
         negated=not circuit.negated,
-        inverter_count=int(np.count_nonzero(circuit.sign)) - circuit.inverter_count,
     )
 
 
@@ -367,13 +327,16 @@ def program_memristors(
         )
 
     rng = np.random.default_rng(rng_seed)
-    noise = rng.standard_normal(targets.size) * bank.write_noise_sigma
-    written = targets * (1.0 + noise)
-    codes = np.clip(
-        np.floor((written - bank.g_min) / bank.step + 0.5),
-        0,
-        MEMRISTOR_LEVELS - 1,
-    ).astype(int)
+    # a write noise near the float64 limit overflows to an infinite write,
+    # whose code saturates at an end of the grid
+    with np.errstate(over="ignore"):
+        noise = rng.standard_normal(targets.size) * bank.write_noise_sigma
+        written = targets * (1.0 + noise)
+        codes = np.clip(
+            np.floor((written - bank.g_min) / bank.step + 0.5),
+            0,
+            MEMRISTOR_LEVELS - 1,
+        ).astype(int)
 
     grid = np.full((circuit.n, circuit.n), np.nan)
     grid[connected] = bank.g_min + codes * bank.step
@@ -384,7 +347,7 @@ def program_memristors(
         weight=np.where(connected, circuit.r_in[:, None] * grid, 0.0),
         r_feedback=np.where(connected, 1.0 / grid, np.inf),
         code=code,
-        memristors=dataclasses.replace(bank, conductances=grid),
+        memristors=bank,
     )
 
 
@@ -408,13 +371,16 @@ def plan_to_dict(circuit: CircuitPlan) -> dict:
         {
             "row": i,
             "col": j,
-            "sign": sign.value,
-            "r_feedback_ohms": r_feedback,
-            "code": code,
-            "realized_weight": weight,
+            "sign": _PATH_SIGNS[s].value,
+            "r_feedback_ohms": r if s else None,
+            "code": c if c >= 0 else None,
+            "realized_weight": w,
         }
-        for row in _path_rows(circuit)
-        for i, j, sign, r_feedback, code, weight in row
+        for i, row in enumerate(zip(
+            circuit.sign.tolist(), circuit.r_feedback.tolist(),
+            circuit.code.tolist(), circuit.weight.tolist(),
+        ))
+        for j, (s, r, c, w) in enumerate(zip(*row))
     ]
     return {
         "n": circuit.n,

@@ -335,7 +335,8 @@ def simulate_phase_integrator(
     (2*pi*k_eff) * (v_dd/pi) volts per volt-second; the switching residue
     concentrates at m_phases * f_ref and harmonics.  Warns AliasRisk when
     dt is too coarse to resolve that residue.  An empty series gives an
-    empty output; a non-finite sample raises ValueError naming its index.
+    empty output; a non-finite sample raises ValueError naming its index,
+    and a v_dd whose M-level sum overflows float64 raises ValueError.
 
     The output is the mean of M channel levels in {0, v_dd}, summed in
     channel order as ``levels.sum(axis=0) / M`` over the (M, N) level
@@ -387,11 +388,16 @@ def simulate_phase_integrator(
     duty = _triangle(phase_err)
 
     a = cfg.f_ref * t
+    high = np.arange(m)[:, None] < np.arange(m + 1)  # column c: c taps high
+    with np.errstate(over="ignore"):
+        table = np.where(high, cfg.v_dd, 0.0).sum(axis=0) / m
+    if not math.isfinite(table[-1]):
+        raise ValueError(
+            f"v_dd = {cfg.v_dd:.6g} V overflows the sum of {m} channel levels"
+        )
     if v_in.size == 1:
         levels = np.where(_carriers_below(a, duty, m), cfg.v_dd, 0.0)
         return levels.sum(axis=0) / m
-    high = np.arange(m)[:, None] < np.arange(m + 1)  # column c: c taps high
-    table = np.where(high, cfg.v_dd, 0.0).sum(axis=0) / m
     return table[_high_taps(a, duty, m)]
 
 
@@ -561,8 +567,9 @@ def sfdr(
     region, and harmonics of the fundamental (each excluded with the same
     guard).  Raises NoFundamental when the signal bin does not stand above
     the spectrum's median floor, and ValueError when the series length is
-    not a power of two >= 4096, f_signal is below 4 bins or guard_bins is
-    negative.
+    not a power of two >= 4096, f_signal is below 4 bins or above the
+    Nyquist bin n/2, guard_bins is negative, a sample is not finite (named
+    by its index) or the spectrum overflows float64.
     """
     series = np.asarray(series, dtype=float)
     n = series.size
@@ -576,8 +583,17 @@ def sfdr(
         raise ValueError(
             f"f_signal = {f_signal:.6g} Hz is below 4 bins ({4 * bin_hz:.6g} Hz)"
         )
+    if k0 > n // 2:
+        raise ValueError(
+            f"f_signal = {f_signal:.6g} Hz is above the Nyquist bin {n // 2} "
+            f"({n // 2 * bin_hz:.6g} Hz)"
+        )
 
-    mags = np.abs(np.fft.rfft(series * _periodic_hann(n)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.abs(np.fft.rfft(series * _periodic_hann(n)))
+    if not np.isfinite(mags).all():
+        _check_finite(series)  # a non-finite sample spreads to every bin
+        raise ValueError("the spectrum of the series overflows float64")
     freqs = np.fft.rfftfreq(n, cfg.dt)
 
     lo = max(0, k0 - 2)

@@ -325,6 +325,9 @@ class TestFlagRejections:
                 "--r-in / --r-unit = 2000 / 5e-301 overflows the 16-bit ladder",
             ),
             (["--r-unit", "1e-310"], "--r-in / --r-unit = 2000 / 1e-310 overflows the 1-bit ladder"),
+            (["--r-in=-5"], "--r-in and --r-unit must be positive"),
+            # numpy's seed check used to answer, naming no flag
+            (["--seed=-1", "--memristor"], "--seed must be nonnegative, got -1"),
         ],
     )
     @pytest.mark.parametrize("command", ["solve", "plan", "sweep"])
@@ -390,6 +393,20 @@ class TestFlagRejections:
             "trace_path": None,
             "decimation": 7,
         }
+
+    def test_overflowing_write_noise_warns_nothing(self, neg_file, tmp_path):
+        # the overflowing writes saturate on the grid; numpy's overflow
+        # warning used to reach stderr
+        out = tmp_path / "r.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringsolve.cli", "solve", neg_file,
+             "--memristor", "--write-noise", "1e308", "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        assert out.exists()
 
 
 class TestStepMapOverflow:
@@ -638,6 +655,35 @@ class TestSfdrCommand:
 
     def test_bad_samples(self):
         assert run(["sfdr", "--samples", "1000"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("tone_bin", ["2049", "2050", "2051"])
+    def test_tone_past_nyquist_named(self, tmp_path, capsys, tone_bin):
+        out = tmp_path / "sfdr.json"
+        argv = ["sfdr", "--samples", "4096", "--tone-bin", tone_bin, "--out", str(out)]
+        assert run(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: f_signal = ") and err.count("\n") == 1
+        assert "is above the Nyquist bin 2048 (" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "vdd, message",
+        [
+            ("1e306", "error: the spectrum of the series overflows float64\n"),
+            ("1e308", "error: v_dd = 1e+308 V overflows the sum of 32 channel levels\n"),
+        ],
+    )
+    def test_overflowing_vdd_named(self, tmp_path, vdd, message):
+        # both used to exit 0 with "sfdr_db": NaN and numpy warnings
+        out = tmp_path / "sfdr.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringsolve.cli", "sfdr", "--vdd", vdd, "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == EXIT_VALIDATION
+        assert proc.stderr == message
+        assert not out.exists()
 
     def test_negative_dt_is_a_validation_error(self, tmp_path, capsys):
         # it used to report a negative spur frequency and an SFDR below 0 dB

@@ -15,6 +15,7 @@ from ringsolve.dynamics import (
     MultiPathRow,
     SolveOptions,
     SolverConfig,
+    StabilityReport,
     ac_response,
     bandwidth,
     build_system,
@@ -49,7 +50,7 @@ class TestBuildSystem:
         ss = build_system(plan(mixed2x2), CFG)
         # 2 main states + 1 lag: both inverters are fed by column 1
         assert ss.m.shape == (3, 3)
-        assert ss.state_labels[:2] == ("x0", "x1")
+        assert ss.n_main == 2
         z_eq = solve_dense(ss.m, -ss.f)
         np.testing.assert_allclose(
             ss.a_hat @ z_eq[:2], ss.b_hat, atol=1e-12
@@ -172,14 +173,14 @@ class TestSolve:
         def marking(*args, **kwargs):
             res = real(*args, **kwargs)
             seen.append(dataclasses.replace(
-                res, stability=dataclasses.replace(res.stability, eig_method="marked")
+                res, stability=StabilityReport(max_re_eig=-1.0, stable=True)
             ))
             return seen[-1]
 
         monkeypatch.setattr(dynamics, "simulate", marking)
         res = solve(neg2x2, CFG, SolveOptions(scale=ScalePolicy.EXACT, trace_decimation=0))
         (sim,) = seen
-        assert res.stability.eig_method == "marked"
+        assert res.stability == StabilityReport(max_re_eig=-1.0, stable=True)
         assert res.scale_factor == 6.0 and res.fallback == "none"
         np.testing.assert_array_equal(res.x, sim.x * 6.0)
         assert res.plan is not None
@@ -338,6 +339,17 @@ class TestSolveOptions:
         # the other policies do not read it
         SolveOptions(scale=ScalePolicy.EXACT, estimate_c=c)
         SolveOptions(estimate_c=c)
+
+    @pytest.mark.parametrize("r_in", [0.0, -5.0])
+    def test_rejects_nonpositive_r_in(self, r_in):
+        # r_in = 0 used to fail inside plan(), and ideal mode never read it
+        with pytest.raises(ValueError, match=f"^r_in must be positive, got {r_in}$"):
+            SolveOptions(r_in=r_in)
+
+    def test_rejects_negative_seed_with_memristors(self):
+        with pytest.raises(ValueError, match="^memristor_seed must be nonnegative, got -1$"):
+            SolveOptions(memristor=MemristorBank(), memristor_seed=-1)
+        SolveOptions(memristor_seed=-1)  # no bank reads it
 
     def test_nan_field_never_reaches_a_solve(self, neg2x2, monkeypatch):
         # each used to reach the plan or the eigensolve: NaN write-noise

@@ -442,9 +442,7 @@ def transient_system(kappa, rate=1e5):
     a = rate
     m = np.array([[-a, 0.0, 0.0], [0.0, -a, kappa * a], [0.0, 0.0, -a]])
     f = np.array([0.0, -kappa * a, a])
-    return StateSpace(
-        m, f, np.ones(3), ("x0", "y1", "y2"), 3, np.diag([1.0, 0.0, 0.0]), np.zeros(3)
-    )
+    return StateSpace(m, f, np.ones(3), 3, np.diag([1.0, 0.0, 0.0]), np.zeros(3))
 
 
 @pytest.mark.parametrize("dec", [None, 0, 7])

@@ -20,7 +20,6 @@ from ringsolve.dynamics import (
 )
 from ringsolve.netlist import (
     MemristorBank,
-    PathSign,
     QuantizerSpec,
     negated_plan,
     plan,
@@ -49,38 +48,32 @@ def per_entry_system(circuit, cfg):
     """Oracle: one lag state per inverter, indexed by its (row, col) entry."""
     n = circuit.n
     g = cfg.g
-    inverters = [
-        (path.row, path.col)
-        for row in circuit.paths
-        for path in row
-        if path.sign is PathSign.VIA_INVERTER
-    ]
+    sign = circuit.sign.tolist()
+    weight = circuit.weight.tolist()
+    inverters = [(i, j) for i in range(n) for j in range(n) if sign[i][j] > 0]
     inv_index = {pair: n + k for k, pair in enumerate(inverters)}
     dim = n + len(inverters)
 
     gamma = np.ones(n)
-    for i, row in enumerate(circuit.paths):
-        gamma[i] += sum(path.realized_weight for path in row)
+    for i in range(n):
+        gamma[i] += sum(weight[i])
 
     m = np.zeros((dim, dim))
     f = np.zeros(dim)
-    for i, row in enumerate(circuit.paths):
+    for i in range(n):
         coef = -g / gamma[i]
         f[i] = coef * circuit.b_compiled[i]
-        for path in row:
-            if path.sign is PathSign.DIRECT:
-                m[i, path.col] += coef * path.realized_weight
-            elif path.sign is PathSign.VIA_INVERTER:
-                m[i, inv_index[(i, path.col)]] += coef * path.realized_weight
+        for j in range(n):
+            if sign[i][j] < 0:
+                m[i, j] += coef * weight[i][j]
+            elif sign[i][j] > 0:
+                m[i, inv_index[(i, j)]] += coef * weight[i][j]
     for (i, j), k in inv_index.items():
         m[k, j] = -g / 2.0
         m[k, k] = -g / 2.0
 
-    labels = tuple(f"x{i}" for i in range(n)) + tuple(
-        f"inv_{i}_{j}" for (i, j) in inverters
-    )
     a_hat, b_hat = realized_matrix(circuit)
-    return StateSpace(m, f, gamma, labels, n, a_hat, b_hat)
+    return StateSpace(m, f, gamma, n, a_hat, b_hat)
 
 
 def _random_problem(rng, n):
@@ -202,8 +195,6 @@ def test_census_stays_per_entry():
     circuit = plan(LinearProblem(a, np.zeros(n)))
     ss = build_system(circuit, CFG)
     assert circuit.inverter_count > n
-    assert ss.m.shape[0] == n + len(
-        {p.col for row in circuit.paths for p in row if p.sign is PathSign.VIA_INVERTER}
-    )
+    assert ss.m.shape[0] == n + np.count_nonzero((circuit.sign > 0).any(axis=0))
     assert ss.m.shape[0] <= 2 * n
     assert per_entry_system(circuit, CFG).m.shape[0] == n + circuit.inverter_count

@@ -256,6 +256,35 @@ class TestSfdr:
         with pytest.raises(ValueError):
             sfdr(s, 1.0 / ((1 << 14) * self.CFG.dt), self.CFG)  # 1 bin
 
+    @pytest.mark.parametrize("bins", [2049, 2050, 2051, 4000])
+    def test_tone_past_nyquist_refused(self, bins):
+        # 2049 and 2050 used to report a fundamental the aliased tone does
+        # not have, 2051 on to fail in argmax of an empty slice
+        s, _ = self._tone(4096, 100)
+        f = bins / (4096 * self.CFG.dt)
+        with pytest.raises(ValueError, match=r"Hz is above the Nyquist bin 2048 \("):
+            sfdr(s, f, self.CFG)
+
+    def test_tone_at_nyquist_accepted(self):
+        n = 4096
+        t = np.arange(n) * self.CFG.dt
+        f = (n // 2) / (n * self.CFG.dt)
+        rep = sfdr(np.cos(2 * math.pi * f * t), f, self.CFG)
+        assert rep.fundamental_hz == pytest.approx(f, rel=1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_sample_named(self, value):
+        s, f = self._tone(1 << 12, 32)
+        s[7] = value
+        with pytest.raises(ValueError, match=f"^input sample 7 is not finite \\({value}\\)$"):
+            sfdr(s, f, self.CFG)
+
+    def test_overflowing_spectrum_refused(self):
+        # the DFT of a 1e306 V tone overflows; it used to report NaN dB
+        s, f = self._tone(1 << 12, 32, amp=1e306)
+        with pytest.raises(ValueError, match="^the spectrum of the series overflows float64$"):
+            sfdr(s, f, self.CFG)
+
     def test_no_fundamental(self):
         n = 1 << 14
         rng = np.random.default_rng(0)
@@ -748,6 +777,18 @@ class TestNonFiniteArguments:
             simulate_phase_lowpass(b, 1.0, cfg, phase0=value)
         with pytest.raises(ValueError, match="phase0 must be finite"):
             simulate_phase_integrator(np.full(64, cfg.v0), cfg, phase0=value)
+
+    def test_overflowing_level_table(self):
+        # 32 levels of 1e308 V sum past float64; the series used to be inf
+        cfg = PhaseConfig(v_dd=1e308)
+        for size in (1, 64):
+            with pytest.raises(
+                ValueError, match=r"^v_dd = 1e\+308 V overflows the sum of 32 channel levels$"
+            ):
+                simulate_phase_integrator(np.full(size, cfg.v0), cfg)
+        # one channel level sums to itself
+        out = simulate_phase_integrator(np.full(64, cfg.v0), PhaseConfig(m_phases=1, v_dd=1e308))
+        assert set(out.tolist()) <= {0.0, 1e308}
 
     def test_empty_lowpass(self):
         out = simulate_phase_lowpass(np.array([]), 1.0, PhaseConfig())

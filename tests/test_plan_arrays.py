@@ -1,11 +1,12 @@
 """The array-backed plan against the per-object compiler it replaces.
 
-The oracle below is the compiler as one FeedbackPath per coefficient: the
+The oracle below is the compiler as one path record per coefficient: the
 scalar ladder law, the per-entry plan, the sign swap, memristor programming,
 the realized matrix, the plan document and state-space assembly, each a
-Python walk over the paths.  The array
-plan must give the same paths, census, plan document and state space, bit
-for bit, on plain, quantized and noisy-memristor plans in both orientations.
+Python walk over the paths.  The array plan's sign, r_feedback, code and
+weight must equal the records field by field, and its census, plan document
+and state space must equal the oracle's, bit for bit, on plain, quantized
+and noisy-memristor plans in both orientations.
 """
 
 import dataclasses
@@ -27,7 +28,6 @@ from ringsolve.dynamics import (
 )
 from ringsolve.netlist import (
     MEMRISTOR_LEVELS,
-    FeedbackPath,
     MemristorBank,
     OutOfRange,
     PathSign,
@@ -49,8 +49,25 @@ CFG = SolverConfig()
 
 
 @dataclass(frozen=True)
+class PathRecord:
+    """One compiled matrix coefficient."""
+
+    row: int
+    col: int
+    sign: PathSign
+    r_feedback: Optional[float]  # ohms; None when disconnected
+    code: Optional[int]          # quantizer / memristor grid code, if any
+    realized_weight: float       # dimensionless R_in / R_f, >= 0
+
+
+# the array plan's value of ``sign`` for each path kind
+SIGN_OF = {PathSign.DIRECT: -1, PathSign.VIA_INVERTER: 1, PathSign.DISCONNECTED: 0}
+
+
+@dataclass(frozen=True)
 class ObjectPlan:
-    """A plan held as n^2 FeedbackPath objects."""
+    """A plan held as n^2 PathRecord objects.  ``conductances`` is the
+    programmed memristor grid (NaN where disconnected), once programmed."""
 
     n: int
     r_in: np.ndarray
@@ -60,6 +77,7 @@ class ObjectPlan:
     inverter_count: int
     quantizer: Optional[QuantizerSpec] = None
     memristors: Optional[MemristorBank] = None
+    conductances: Optional[np.ndarray] = None
 
     @property
     def main_integrators(self) -> int:
@@ -108,7 +126,7 @@ def object_plan(p, r_in_default=2000.0, quantizer=None):
             entry = compiled[i, j]
             if entry == 0.0:
                 row_paths.append(
-                    FeedbackPath(i, j, PathSign.DISCONNECTED, None, None, 0.0)
+                    PathRecord(i, j, PathSign.DISCONNECTED, None, None, 0.0)
                 )
                 continue
             sign = PathSign.DIRECT if entry < 0 else PathSign.VIA_INVERTER
@@ -121,7 +139,7 @@ def object_plan(p, r_in_default=2000.0, quantizer=None):
                 code, realized = scalar_quantize(entry, quantizer)
                 weight = abs(realized)
             row_paths.append(
-                FeedbackPath(i, j, sign, r_in_default / weight, code, weight)
+                PathRecord(i, j, sign, r_in_default / weight, code, weight)
             )
         rows.append(tuple(row_paths))
     return ObjectPlan(
@@ -197,7 +215,8 @@ def object_program_memristors(circuit, bank, rng_seed):
     return dataclasses.replace(
         circuit,
         paths=tuple(rows),
-        memristors=dataclasses.replace(bank, conductances=grid),
+        memristors=bank,
+        conductances=grid,
     )
 
 
@@ -276,12 +295,9 @@ def object_build_system(circuit, cfg):
         m[k, j] = -g / 2.0
         m[k, k] = -g / 2.0
 
-    labels = tuple(f"x{i}" for i in range(n)) + tuple(
-        f"inv_col{j}" for j in inverted
-    )
     a_hat, b_hat = object_realized_matrix(circuit)
     merged = -g / 2.0 if len(sources) > len(inverted) else None
-    return StateSpace(m, f, gamma, labels, n, a_hat, b_hat, merged)
+    return StateSpace(m, f, gamma, n, a_hat, b_hat, merged)
 
 
 # ------------------------------------------------------- differential tests
@@ -312,8 +328,24 @@ def _both_orientations(p, quantizer=None, bank=None, seed=0):
     yield negated_plan(new), object_negated_plan(old)
 
 
+def _object_arrays(circuit):
+    """The object plan's records as the array plan's sign, r_feedback, code
+    and weight, after checking that they run row by row."""
+    records = [path for row in circuit.paths for path in row]
+    n = circuit.n
+    assert [(p.row, p.col) for p in records] == [(i, j) for i in range(n) for j in range(n)]
+    fields = {
+        "sign": [SIGN_OF[p.sign] for p in records],
+        "r_feedback": [math.inf if p.r_feedback is None else p.r_feedback for p in records],
+        "code": [-1 if p.code is None else p.code for p in records],
+        "weight": [p.realized_weight for p in records],
+    }
+    return {name: np.array(values).reshape(n, n) for name, values in fields.items()}
+
+
 def _assert_same(new, old):
-    assert new.paths == old.paths
+    for name, want in _object_arrays(old).items():
+        np.testing.assert_array_equal(getattr(new, name), want, err_msg=name)
     assert new.inverter_count == old.inverter_count
     assert new.negated == old.negated
     np.testing.assert_array_equal(new.b_compiled, old.b_compiled)
@@ -323,12 +355,15 @@ def _assert_same(new, old):
     ss, ref = build_system(new, CFG), object_build_system(old, CFG)
     for field in ("m", "f", "gamma", "a_hat", "b_hat"):
         np.testing.assert_array_equal(getattr(ss, field), getattr(ref, field))
-    assert ss.state_labels == ref.state_labels
     assert ss.n_main == ref.n_main
     assert ss.merged_mode == ref.merged_mode
-    if old.memristors is not None:
+    assert new.memristors == old.memristors
+    if old.conductances is not None:
+        # the programmed grid is the codes on the bank's write grid
+        bank = new.memristors
         np.testing.assert_array_equal(
-            new.memristors.conductances, old.memristors.conductances
+            np.where(new.sign != 0, bank.g_min + new.code * bank.step, np.nan),
+            old.conductances,
         )
 
 
@@ -376,21 +411,10 @@ def test_first_out_of_range_entry_named():
     assert str(got.value) == str(want.value)
 
 
-# ------------------------------------------------ no path objects on a solve
-
-
-@pytest.fixture
-def path_objects(monkeypatch):
-    """Counts FeedbackPath instances formed while the fixture is active."""
-    made = []
-    init = FeedbackPath.__init__
-
-    def counting_init(self, *args, **kwargs):
-        made.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(FeedbackPath, "__init__", counting_init)
-    return made
+# ------------------------------------------------ the array plan end to end
+#
+# A plan has no per-coefficient objects to form: these solves, the CLI run
+# and the single-path rows read the arrays alone.
 
 
 STRUCTURAL_OPTIONS = {
@@ -404,31 +428,26 @@ STRUCTURAL_OPTIONS = {
 
 
 @pytest.mark.parametrize("variant", sorted(STRUCTURAL_OPTIONS))
-def test_solve_forms_no_path_objects(variant, path_objects, mixed2x2):
+def test_solve_forms_no_path_objects(variant, mixed2x2):
     # the mixed 2x2 walks the ladder to a Gram rung, so both orientations of
     # two plans are compiled and assembled
     res = solve(mixed2x2, CFG, STRUCTURAL_OPTIONS[variant])
     assert res.fallback.startswith("gram")
-    build_system(res.plan, CFG)
-    assert path_objects == []
-    assert len(res.plan.paths) == 2  # the view still works on request
-    assert path_objects
+    assert build_system(res.plan, CFG).n_main == 2
 
 
-def test_cli_solve_forms_no_path_objects(path_objects, tmp_path, capsys):
+def test_cli_solve_forms_no_path_objects(tmp_path, capsys):
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps({"a": [[-4.0, 1.5], [-2.0, -1.0]], "b": [0.4, 0.2]}))
     code = cli.run(["solve", str(problem), "--quantize-bits", "8", "--r-unit", "64000"])
     assert code == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["plan_summary"]["inverters"] == 1
-    assert path_objects == []
 
 
-def test_single_path_rows_form_no_path_objects(path_objects):
+def test_single_path_rows_form_no_path_objects():
     p = LinearProblem([[-2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [-1.0, 0.0, -4.0]], [0.1] * 3)
     c = plan(p)
     assert dynamics.bandwidth(c, 0, CFG) == pytest.approx(CFG.g / 1.5, rel=1e-15)
     assert dynamics.ac_response(c, 1, CFG, 0.0) == pytest.approx(-1.0 / 3.0, rel=1e-15)
     with pytest.raises(dynamics.MultiPathRow, match="row 2 has 2 feedback paths"):
         dynamics.bandwidth(c, 2, CFG)
-    assert path_objects == []
