@@ -20,9 +20,11 @@ of comparing all M carriers.  With ``a = f_ref * t`` the carriers
 ``frac(a + k/M)``, k = 0..M-1, are exactly the points
 ``(frac(M*a) + j) / M``, j = 0..M-1, so the number of carriers below the
 duty ``d`` is ``clip(ceil(M*d - frac(M*a)), 0, M)``.  The float form of
-this count is kept only where its rounding is certified; every other
-sample takes the M-carrier comparison.  One certificate serves both the
-open-loop integrator and the closed loop (see ``_wrap_certificate``).
+this count is kept only where its rounding is certified; in the open-loop
+integrator a sample whose only doubt is an integer wrap compares the one
+carrier at the wrap, and every other sample takes the M-carrier
+comparison.  One certificate serves both the open-loop integrator and the
+closed loop (see ``_wrap_certificate``).
 
 Every remainder is formed by ``_remainder``, as ``x - p*floor(x/p)`` with
 in-place ufuncs, instead of ``np.mod`` (which runs ``fmod`` and a sign fix
@@ -293,8 +295,10 @@ def _high_taps(a: np.ndarray, duty: np.ndarray, m: int) -> np.ndarray:
     below ``duty``: the integer the M-carrier comparison counts.
 
     The closed form ``clip(ceil(y), 0, m)`` is kept where
-    ``_wrap_certificate`` certifies it; the rest are counted by the
-    M-carrier comparison, in blocks of at most ``_FALLBACK_CARRIERS``
+    ``_wrap_certificate`` certifies it.  Where only the wrap is uncertain
+    (an integer wrap), the m - 1 carriers off the wrap are counted in closed
+    form and the one on it by its own comparison.  The rest are counted by
+    the M-carrier comparison, in blocks of at most ``_FALLBACK_CARRIERS``
     carrier values.
     """
     wrap, tol = _wrap_certificate(a, m)
@@ -305,6 +309,27 @@ def _high_taps(a: np.ndarray, duty: np.ndarray, m: int) -> np.ndarray:
     uncertain = ~((frac > tol) & (frac < 1.0 - tol))
     count[uncertain] = 0.0
     count = np.clip(count, 0, m, out=count).astype(np.intp)
+
+    # A wrap within rounding of an integer J = rint(m*a) puts carrier
+    # k0 = -J mod m at the wrap and each other carrier within rounding of
+    # (j + off)/m, j = 1..m-1, where off = m*a - J (exact: Sterbenz).  Those
+    # m - 1 are counted as clip(ceil(y) - 1, 0, m - 1) with y = m*duty - off
+    # under the same margin; carrier k0 is compared.
+    idx = np.flatnonzero(uncertain & np.isnan(wrap))
+    ma = np.multiply(m, a[idx])
+    near = np.rint(ma)
+    y = np.multiply(m, duty[idx])
+    y -= ma - near
+    others = np.ceil(y)
+    frac = _remainder(y, 1.0)
+    sure = (frac > tol) & (frac < 1.0 - tol)
+    idx = idx[sure]
+    k0 = np.mod(-near[sure], m)
+    carrier = _remainder(a[idx] + k0 / m, 1.0)
+    count[idx] = np.clip(others[sure] - 1.0, 0, m - 1).astype(np.intp)
+    count[idx] += carrier < duty[idx]
+    uncertain[idx] = False
+
     fallback = np.flatnonzero(uncertain)
     block = max(1, _FALLBACK_CARRIERS // m)
     for lo in range(0, fallback.size, block):
@@ -440,6 +465,13 @@ def simulate_phase_lowpass(
     The next feedback ``v_out / ratio`` is read from an (M+1)-entry table,
     and the output is the table of levels indexed by the counts.  A
     non-finite sample, ratio or phase0 raises ValueError naming it.
+
+    A sample's phase step depends only on its input and the last count, so
+    in a chunk whose inputs are all equal the M + 2 possible steps (one per
+    count, and one for phase0's feedback, which the first sample sees) are
+    formed once, by the same expression, and indexed by the last count.
+    Equal inputs are equal floats or opposite zeros; the feedback is never
+    -0.0, so ``b + feedback`` has the same bits for either zero.
     """
     b_in = np.asarray(b_in, dtype=float)
     _check_finite(b_in)
@@ -459,7 +491,9 @@ def simulate_phase_lowpass(
     v_dd, v0, f_ref, dt = cfg.v_dd, cfg.v0, cfg.f_ref, cfg.dt
     node_gain = 1.0 + 1.0 / rf_over_rin
     levels = [v_dd * float(high) / m for high in range(m + 1)]
+    # feedback[high] per count, then phase0's (index m + 1, the first "count")
     feedback = [level / rf_over_rin for level in levels]
+    feedback.append(v_dd * (1.0 - abs((phase0 / pi) % 2.0 - 1.0)) / rf_over_rin)
 
     ref = np.full(b_in.size, f_ref * dt)
     ref[:1] = 0.0
@@ -467,23 +501,36 @@ def simulate_phase_lowpass(
     wrap, tol = _wrap_certificate(ref, m)
     upper = 1.0 - tol
 
+    ceil = math.ceil
+    m_float = float(m)  # the same product as int m, with no per-sample int coercion
     counts = np.empty(b_in.size, dtype=np.intp)
-    v_fb = v_dd * (1.0 - abs((phase0 / pi) % 2.0 - 1.0)) / rf_over_rin
+    high = m + 1
     phase_err = phase0
     for lo in range(0, b_in.size, _LOOP_CHUNK):
         hi = lo + _LOOP_CHUNK
+        b_chunk = b_in[lo:hi]
+        steps = None
+        if (b_chunk == b_chunk[0]).all():
+            b = float(b_chunk[0])
+            steps = [
+                two_pi * (f_center + k_eff * ((b + fb) / node_gain - v0) - f_ref) * dt
+                for fb in feedback
+            ]
         chunk = []
-        for b, w in zip(b_in[lo:hi].tolist(), wrap[lo:hi].tolist()):
-            v_node = (b + v_fb) / node_gain
-            phase_err += two_pi * (f_center + k_eff * (v_node - v0) - f_ref) * dt
+        append = chunk.append
+        for b, w in zip(b_chunk.tolist(), wrap[lo:hi].tolist()):
+            if steps:
+                phase_err += steps[high]
+            else:
+                v_node = (b + feedback[high]) / node_gain
+                phase_err += two_pi * (f_center + k_eff * (v_node - v0) - f_ref) * dt
             duty = 1.0 - abs((phase_err / pi) % 2.0 - 1.0)
-            y = m * duty - w
+            y = m_float * duty - w
             if tol < y % 1.0 < upper:
-                high = math.ceil(y)
+                high = ceil(y)
             else:
                 high = _count_carriers_below(float(ref[lo + len(chunk)]), duty, taps)
-            v_fb = feedback[high]
-            chunk.append(high)
+            append(high)
         counts[lo:hi] = chunk
     return np.array(levels)[counts]
 
@@ -541,17 +588,63 @@ def _periodic_hann(n: int) -> np.ndarray:
     return window
 
 
-def _spur_mask(size: int, k_fund: int, guard_bins: int) -> np.ndarray:
-    """Bins that count as spurs: all but those within guard_bins of DC or
-    of a harmonic j*k_fund (j >= 1) that is itself a bin (< size).
+def _spur_mask(size: int, k_fund: int, guard_bins: int, start: int = 0) -> np.ndarray:
+    """Which of the bins start..size-1 count as spurs: all but those within
+    guard_bins of DC or of a harmonic j*k_fund (j >= 1) that is itself a
+    bin (< size).
 
     Only the nearest multiples of k_fund can cover a bin: the one below
     (j = 0 is DC) at distance r = bin % k_fund, and the one above at
     k_fund - r, which counts only when it is below size.
     """
-    bins = np.arange(size)
+    bins = np.arange(start, size)
     r = bins % k_fund
     return (r > guard_bins) & ((k_fund - r > guard_bins) | (bins - r + k_fund >= size))
+
+
+def _worst_spur(mags: np.ndarray, k_fund: int, guard_bins: int) -> int:
+    """The first spur bin (``_spur_mask``) of the largest magnitude.
+
+    Below the last harmonic that is a bin, whole periods of k_fund bins
+    share one spur pattern, the columns guard_bins + 1 .. k_fund -
+    guard_bins - 1, so they are searched as one (periods, k_fund) view;
+    only the top-edge tail goes through ``_spur_mask``.  Raises ValueError
+    when no bin is a spur.
+    """
+    size = mags.size
+    edge = (size - 1) // k_fund * k_fund
+    body = mags[:edge].reshape(-1, k_fund)[:, guard_bins + 1 : k_fund - guard_bins]
+    tail = edge + np.flatnonzero(_spur_mask(size, k_fund, guard_bins, start=edge))
+    worst = None
+    if body.size:
+        row, col = divmod(int(np.argmax(body)), body.shape[1])
+        worst = row * k_fund + guard_bins + 1 + col
+    if tail.size:
+        top = int(tail[np.argmax(mags[tail])])
+        if worst is None or mags[top] > mags[worst]:
+            worst = top
+    if worst is None:
+        raise ValueError(
+            f"no bin is a spur: every bin is within guard_bins = {guard_bins} "
+            f"of DC or of a harmonic of bin {k_fund}"
+        )
+    return worst
+
+
+def _stands_above_floor(fundamental: float, mags: np.ndarray) -> bool:
+    """Whether a fundamental magnitude is positive and at least ten times
+    the median of the non-negative, finite magnitudes ``mags``.
+
+    At least half of the values are at least their median, so the median is
+    at most twice their mean: a fundamental of at least 20.5 times the float
+    mean (2.5 % over 20, far above the rounding of the mean and the median)
+    passes without the median, which takes a partition.
+    """
+    if not fundamental > 0.0:
+        return False
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(mags))
+    return fundamental >= 20.5 * mean or fundamental >= 10.0 * float(np.median(mags))
 
 
 def sfdr(
@@ -565,11 +658,14 @@ def sfdr(
     Hann-windowed DFT; the fundamental is the peak within +-2 bins of
     f_signal, spurs are everything except DC, the fundamental's leakage
     region, and harmonics of the fundamental (each excluded with the same
-    guard).  Raises NoFundamental when the signal bin does not stand above
-    the spectrum's median floor, and ValueError when the series length is
-    not a power of two >= 4096, f_signal is below 4 bins or above the
-    Nyquist bin n/2, guard_bins is negative, a sample is not finite (named
-    by its index) or the spectrum overflows float64.
+    guard).  The worst spur is the first spur bin of the largest magnitude,
+    so a spectrum whose spur bins are all 0.0 reports the first spur bin.
+    Raises NoFundamental when the signal bin is 0.0 or below ten times the
+    median of the bins above the DC guard, and ValueError when the series
+    length is not a power of two >= 4096, f_signal is below 4 bins or above
+    the Nyquist bin n/2, guard_bins is negative, no bin is a spur (the
+    guards around DC and the harmonics cover the spectrum), a sample is not
+    finite (named by its index) or the spectrum overflows float64.
     """
     series = np.asarray(series, dtype=float)
     n = series.size
@@ -600,15 +696,13 @@ def sfdr(
     hi = min(mags.size, k0 + 3)
     k_fund = lo + int(np.argmax(mags[lo:hi]))
     fundamental = float(mags[k_fund])
-    floor = float(np.median(mags[guard_bins + 1 :]))
-    if fundamental < 10.0 * floor:
+    # no spur bin is refused first: that tone cannot be measured at any level
+    spur_idx = _worst_spur(mags, k_fund, guard_bins)
+    if not _stands_above_floor(fundamental, mags[guard_bins + 1 :]):
         raise NoFundamental(
             f"bin {k_fund} ({freqs[k_fund]:.6g} Hz) does not stand above the "
             "noise floor"
         )
-
-    spur_mask = _spur_mask(mags.size, k_fund, guard_bins)
-    spur_idx = int(np.argmax(np.where(spur_mask, mags, 0.0)))
     worst = float(mags[spur_idx])
 
     mag_db = 20.0 * np.log10(np.maximum(mags, 1e-300) / fundamental)

@@ -666,6 +666,19 @@ class TestSfdrCommand:
         assert "is above the Nyquist bin 2048 (" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tone_bin", ["5", "6"])
+    def test_no_spur_bin_named(self, tmp_path, capsys, tone_bin):
+        # with the 3-bin guard these tones leave no spur bin; bin 5 used to
+        # exit 0 with the DC bin as the worst spur ("worst_spur_hz": 0.0)
+        out = tmp_path / "sfdr.json"
+        argv = ["sfdr", "--samples", "4096", "--tone-bin", tone_bin, "--out", str(out)]
+        assert run(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: no bin is a spur: every bin is within guard_bins = 3 of DC or of a "
+            f"harmonic of bin {tone_bin}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "vdd, message",
         [

@@ -14,7 +14,9 @@ from ringsolve.phase import (
     _high_taps,
     _periodic_hann,
     _spur_mask,
+    _stands_above_floor,
     _triangle,
+    _worst_spur,
     AliasRisk,
     NoFundamental,
     PhaseConfig,
@@ -293,6 +295,26 @@ class TestSfdr:
         with pytest.raises(NoFundamental):
             sfdr(noise, f, self.CFG)
 
+    def test_zero_fundamental(self):
+        # 0 < 10 * 0 is false, so an all-zero series used to pass the gate
+        # and die dividing by the zero fundamental ("math domain error")
+        f = 100 / (4096 * self.CFG.dt)
+        with pytest.raises(NoFundamental, match="^bin 98 .* does not stand above the noise floor$"):
+            sfdr(np.zeros(4096), f, self.CFG)
+
+    def test_no_spur_bin_refused(self):
+        # a tone at bin 5 under a 3-bin guard leaves no spur bin; the DC bin
+        # used to be reported as the worst spur (0 Hz)
+        s, f = self._tone(4096, 5)
+        with pytest.raises(
+            ValueError,
+            match="^no bin is a spur: every bin is within guard_bins = 3 of DC or "
+            "of a harmonic of bin 5$",
+        ):
+            sfdr(s, f, self.CFG)
+        rep = sfdr(s, f, self.CFG, guard_bins=1)
+        assert rep.worst_spur_hz > 0.0
+
     def test_spectrum_csv(self, tmp_path):
         s, f = self._tone(1 << 14, 32)
         rep = sfdr(s, f, self.CFG)
@@ -420,6 +442,76 @@ def test_lowpass_closed_form_matches_numpy_oracle(m):
             assert np.array_equal(got, _lowpass_numpy_oracle(b, ratio, cfg, p0)), (
                 samples_per_period, p0,
             )
+
+
+def _lowpass_per_sample(b_in, rf_over_rin, cfg, phase0=1.5 * math.pi):
+    """The closed loop with every sample's node and phase step formed from
+    its own input: the Python-float loop before a chunk of equal inputs
+    shared its M + 2 phase steps."""
+    f_center = cfg.f0 / _METHOD_DIVIDER[cfg.method]
+    k_eff = effective_kvco(cfg).k_vco_hz_per_v
+    m = cfg.m_phases
+    taps = (np.arange(m) / m).tolist()
+    two_pi, pi = 2.0 * math.pi, math.pi
+    v_dd, v0, f_ref, dt = cfg.v_dd, cfg.v0, cfg.f_ref, cfg.dt
+    node_gain = 1.0 + 1.0 / rf_over_rin
+    levels = [v_dd * float(high) / m for high in range(m + 1)]
+    feedback = [level / rf_over_rin for level in levels]
+    ref = np.full(b_in.size, f_ref * dt)
+    ref[:1] = 0.0
+    np.cumsum(ref, out=ref)
+    wrap, tol = phase._wrap_certificate(ref, m)
+    counts = []
+    v_fb = v_dd * (1.0 - abs((phase0 / pi) % 2.0 - 1.0)) / rf_over_rin
+    phase_err = phase0
+    for k, (b, w) in enumerate(zip(b_in.tolist(), wrap.tolist())):
+        v_node = (b + v_fb) / node_gain
+        phase_err += two_pi * (f_center + k_eff * (v_node - v0) - f_ref) * dt
+        duty = 1.0 - abs((phase_err / pi) % 2.0 - 1.0)
+        y = m * duty - w
+        if tol < y % 1.0 < 1.0 - tol:
+            high = math.ceil(y)
+        else:
+            high = phase._count_carriers_below(float(ref[k]), duty, taps)
+        v_fb = feedback[high]
+        counts.append(high)
+    return np.array(levels)[np.array(counts, dtype=np.intp)]
+
+
+def _lowpass_inputs(bias, ratio, rng):
+    """Steps, noise, inputs that change inside a chunk or on its edge,
+    alternating signed zeros, and 1-, 1024- and 1025-sample series."""
+    chunk = phase._LOOP_CHUNK
+    step = bias + 0.2 / ratio
+    pieces = np.full(3 * chunk + 100, step)
+    pieces[500:1500] = bias - 0.1 / ratio  # changes inside chunks 0 and 1
+    pieces[2 * chunk :] = bias  # changes on the edge of chunk 2
+    pieces[-7:] = step  # and inside the last chunk
+    return {
+        "step": np.full(2 * chunk + 17, step),
+        "noise": bias + rng.normal(0.0, 0.05, 2 * chunk + 17),
+        "pieces": pieces,
+        "signed zeros": np.where(np.arange(2 * chunk + 17) % 2, 0.0, -0.0),
+        "zero then step": np.r_[np.full(chunk, -0.0), np.full(chunk, 0.0), np.full(9, step)],
+        "one sample": np.array([step]),
+        "one chunk": np.full(chunk, step),
+        "one chunk and one": np.r_[np.full(chunk, step), [bias]],
+        "one noisy chunk and one": bias + rng.normal(0.0, 0.05, chunk + 1),
+    }
+
+
+@pytest.mark.parametrize("m", [1, 8, 32])
+def test_lowpass_matches_the_per_sample_loop(m):
+    rng = np.random.default_rng(m + 18)
+    cfg = PhaseConfig(m_phases=m, f0=200e6, f_ref=200e6, k_vco=100e6, dt=1.0 / (24 * m * 200e6))
+    for ratio in (0.5, 2.0):
+        bias = cfg.v0 * (1.0 + 1.0 / ratio) - cfg.v_dd / (2.0 * ratio)
+        for name, b in _lowpass_inputs(bias, ratio, rng).items():
+            for p0 in (1.5 * math.pi, float(rng.uniform(-8.0, 8.0))):
+                got = simulate_phase_lowpass(b, ratio, cfg, phase0=p0)
+                assert np.array_equal(got, _lowpass_per_sample(b, ratio, cfg, p0)), (
+                    name, ratio, p0,
+                )
 
 
 def _recording_fallback(monkeypatch):
@@ -644,6 +736,46 @@ class TestHighTaps:
         duty[::11] = rng.choice([0.0, 1.0, 0.5], duty[::11].size)
         assert np.array_equal(_high_taps(a, duty, m), _carrier_count(a, duty, m))
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 32, 64])
+    def test_integer_wraps(self, m, monkeypatch):
+        # m*a on, within an ulp of, or within the margin of an integer J:
+        # carrier k0 = -J mod m sits at the wrap and is compared alone; the
+        # duty on and next to every carrier, k0's included, and on the grid
+        # j/m.  Off the integer by nearly the margin, a carrier can round
+        # across the duty's margin, so the count must take the offset.
+        rng = np.random.default_rng(m + 18)
+        n = 20000
+        whole = rng.integers(0, 5000 * m, n)
+        a = whole / m
+        a[::4] = whole[::4] * 2.0**-6  # dyadic: m*a exact for m a power of 2
+        a[1::4] = np.nextafter(a[1::4], rng.choice([-np.inf, np.inf], a[1::4].size))
+        tol = phase._wrap_certificate(a, m)[1]
+        a[2::4] = (whole[2::4] + rng.uniform(-1.0, 1.0, a[2::4].size) * tol) / m
+        a[a < 0.0] = 0.0
+        k = rng.integers(0, m, n)
+        k[::3] = np.mod(-np.rint(m * a[::3]), m)  # the carrier at the wrap
+        duty = np.mod(a + k / m, 1.0)
+        nudged = np.nextafter(duty, rng.choice([-np.inf, np.inf], n))
+        duty = np.where(rng.random(n) < 0.5, nudged, duty)
+        duty[::5] = rng.uniform(0.0, 1.0, duty[::5].size)
+        duty[::7] = rng.integers(0, m + 1, duty[::7].size) / m
+        duty[::11] = rng.choice([0.0, 1.0, 0.5], duty[::11].size)
+        assert np.count_nonzero(np.isnan(phase._wrap_certificate(a, m)[0])) > 0.5 * n
+        assert np.array_equal(_high_taps(a, duty, m), _carrier_count(a, duty, m))
+        # with the duty off the carriers, no integer wrap reaches the
+        # M-carrier comparison
+        compared = []
+        real = phase._carriers_below
+
+        def recording(a_blk, duty_blk, m_blk):
+            compared.append(a_blk.size)
+            return real(a_blk, duty_blk, m_blk)
+
+        monkeypatch.setattr(phase, "_carriers_below", recording)
+        duty = rng.uniform(0.0, 1.0, n)
+        assert np.array_equal(_high_taps(a, duty, m), _carrier_count(a, duty, m))
+        assert compared == []
+
     def test_nan_duty_counts_no_taps(self):
         a = np.arange(6) * 0.013
         duty = np.array([np.nan, 0.5, np.nan, 1.0, 0.0, np.nan])
@@ -671,7 +803,9 @@ class TestHighTaps:
 
     def test_benchmark_sized_input_mostly_certified(self, monkeypatch):
         # the closed form carries the bulk: on an M = 32 SFDR input only a
-        # few percent of the samples reach the carrier comparison
+        # few percent of the samples reach the carrier comparison, and of
+        # the integer wraps (every 24th sample) only t = 0, whose duty 1/2
+        # sits on carrier 16/32
         cfg = PhaseConfig(m_phases=32, f0=5e6, k_vco=10e6)
         n = 1 << 15
         t = np.arange(n) * cfg.dt
@@ -680,13 +814,17 @@ class TestHighTaps:
         real = phase._carriers_below
 
         def recording(a_blk, duty_blk, m_blk):
-            fell_back.append(a_blk.size)
+            fell_back.append(a_blk.copy())
             return real(a_blk, duty_blk, m_blk)
 
         monkeypatch.setattr(phase, "_carriers_below", recording)
         got = simulate_phase_integrator(v, cfg)
         assert np.array_equal(got, _integrator_oracle(v, cfg))
-        assert sum(fell_back) < 0.1 * n
+        fell_back = np.concatenate(fell_back)
+        assert fell_back.size < 0.1 * n
+        on_wrap = np.isnan(phase._wrap_certificate(fell_back, 32)[0])
+        assert fell_back[on_wrap].tolist() == [0.0]
+        assert np.count_nonzero(np.isnan(phase._wrap_certificate(cfg.f_ref * t, 32)[0])) > n / 25
 
 
 def _edge_values():
@@ -834,6 +972,109 @@ class TestSpurMask:
         s = np.sin(2 * math.pi * 32 * np.arange(4096) / 4096)
         with pytest.raises(ValueError):
             sfdr(s, 32 / (4096 * cfg.dt), cfg, guard_bins=-1)
+
+
+def _masked_argmax(mags, k_fund, guard_bins):
+    """The spur search over the whole spectrum: argmax of the magnitudes
+    with every bin that is not a spur set to 0.0."""
+    return int(np.argmax(np.where(_spur_mask(mags.size, k_fund, guard_bins), mags, 0.0)))
+
+
+class TestWorstSpur:
+    def _check(self, mags, k_fund, guard_bins):
+        """Compare with the masked argmax; return which case the spectrum was."""
+        mask = _spur_mask(mags.size, k_fund, guard_bins)
+        if not mask.any():
+            with pytest.raises(ValueError, match="^no bin is a spur: "):
+                _worst_spur(mags, k_fund, guard_bins)
+            return "no spur"
+        got = _worst_spur(mags, k_fund, guard_bins)
+        if mags[mask].max() > 0.0:
+            assert got == _masked_argmax(mags, k_fund, guard_bins), (k_fund, guard_bins, mags.size)
+            return "largest"
+        # every spur bin is 0.0: the first spur bin, where the masked argmax
+        # gives bin 0, which is never a spur
+        assert got == np.flatnonzero(mask)[0] and _masked_argmax(mags, k_fund, guard_bins) == 0
+        return "all zero"
+
+    def _spectra(self, size, rng):
+        ties = rng.integers(0, 3, size).astype(float)
+        tail_max = rng.uniform(0.0, 1.0, size)
+        tail_max[-1] = 2.0
+        return [rng.uniform(0.0, 1.0, size), ties, np.zeros(size), tail_max]
+
+    @pytest.mark.parametrize("guard_bins", [0, 1, 3, 7])
+    def test_matches_masked_argmax(self, guard_bins):
+        # every size from 1 up to a few periods gives every tail length
+        # 1..k_fund; ties, zeros and a maximum in the last bin on each
+        rng = np.random.default_rng(guard_bins)
+        seen = set()
+        for k_fund in (1, 2, 3, 5, 8, 12, 13):
+            for size in range(1, 4 * k_fund + 2 * guard_bins + 3):
+                for mags in self._spectra(size, rng):
+                    seen.add(self._check(mags, k_fund, guard_bins))
+        assert seen == {"no spur", "largest", "all zero"}
+
+    @pytest.mark.parametrize("guard_bins", [0, 1, 3])
+    def test_fundamental_near_the_top(self, guard_bins):
+        rng = np.random.default_rng(10 + guard_bins)
+        size = 2049
+        for k_fund in range(size - 2 * guard_bins - 4, size):
+            for mags in self._spectra(size, rng):
+                self._check(mags, k_fund, guard_bins)
+
+    def test_ties_between_periods_and_tail(self):
+        # equal maxima in a period and in the tail: the lower bin wins
+        mags = np.zeros(30)
+        mags[[6, 27]] = 1.0  # k_fund 12, guard 1: 6 is in a period, 27 in the tail
+        assert _worst_spur(mags, 12, 1) == 6 == _masked_argmax(mags, 12, 1)
+        mags[27] = np.nextafter(1.0, 2.0)
+        assert _worst_spur(mags, 12, 1) == 27 == _masked_argmax(mags, 12, 1)
+
+    def test_spurs_of_zero_report_the_first_spur_bin(self):
+        # harmonics and DC only: the spur bins are all 0.0
+        mags = np.zeros(2049)
+        mags[::12] = 1.0
+        assert _worst_spur(mags, 12, 3) == 4
+        assert _worst_spur(mags, 7, 3) == 2048  # only the top edge is a spur
+
+
+class TestFloorGate:
+    def test_matches_the_exact_median(self, monkeypatch):
+        # light and heavy tails, so the mean bound is conclusive for some
+        # fundamentals and not for others; fundamentals on and next to ten
+        # times the median and 20.5 times the mean
+        rng = np.random.default_rng(18)
+        real = np.median
+        medians = []
+        monkeypatch.setattr(phase.np, "median", lambda a: medians.append(a.size) or real(a))
+        conclusive = inconclusive = 0
+        for size in (2048, 2049, 16384):
+            for mags in (
+                rng.exponential(1.0, size),
+                rng.pareto(1.1, size),
+                np.r_[np.zeros(size - 3), 1e6, 1e6, 1e6],
+                np.r_[np.zeros(size // 2 - 1), np.ones(size - size // 2 + 1)],  # median ~ 2 mean
+                np.zeros(size),
+                1e305 * rng.exponential(1.0, size),  # the mean overflows
+            ):
+                median = float(real(mags))
+                with np.errstate(over="ignore"):
+                    mean = float(np.mean(mags))
+                for f in (
+                    0.0, 10.0 * median, 9.9 * median, 20.5 * mean, 1e-300,
+                    *rng.uniform(5.0, 40.0, 8) * median, *rng.uniform(0.5, 2.0, 4) * 20.5 * mean,
+                ):
+                    for f in (np.nextafter(f, 0.0), f, np.nextafter(f, np.inf)):
+                        if not math.isfinite(f):
+                            continue
+                        before = len(medians)
+                        exact = f > 0.0 and f >= 10.0 * median
+                        assert _stands_above_floor(float(f), mags) == exact, (size, f)
+                        if f > 0.0:
+                            conclusive += len(medians) == before
+                            inconclusive += len(medians) > before
+        assert conclusive > 100 and inconclusive > 100
 
 
 def test_hann_window_cached_read_only():
