@@ -297,10 +297,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         options = dataclasses.replace(options, trace_decimation=None)
     problem = load_problem(args.input_path)
     result = solve(problem, cfg, options)
-    # side file first: a failed trace write leaves no result document
+    # the document is built first, as it reads the spectrum, whose eigensolve
+    # can still fail; then the side file, so a failed trace write leaves no
+    # result document
+    doc = _result_document(result, problem, _config_block(args))
     if result.trace is not None:
         result.trace.write_csv(args.trace_path)
-    _emit(_result_document(result, problem, _config_block(args)), args.out, args.trace_path)
+    _emit(doc, args.out, args.trace_path)
     if not result.converged:
         print(f"solver did not converge: {result.diagnostics or 'residual above threshold'}", file=sys.stderr)
         return EXIT_DIVERGENCE

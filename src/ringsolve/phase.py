@@ -459,9 +459,12 @@ def simulate_phase_lowpass(
 
     Each sample then counts its high channels as ``ceil(M*duty - wrap)``
     (a finite duty lies in [0, 1], so this is already clipped to [0, M])
-    where ``tol < frac(M*duty - wrap) < 1 - tol`` certifies it, and by the
-    M-carrier comparison elsewhere (about 1 % of the samples of an
-    8192-sample step response at M = 8, 24 samples per carrier period).
+    where ``tol < frac(M*duty - wrap) < 1 - tol`` certifies it.  Where the
+    wrap is within rounding of an integer, the M - 1 carriers off it are
+    counted in closed form under the same margin and the one on it by its
+    own comparison, as ``_high_taps`` counts them; the M-carrier comparison
+    takes the rest (none of the samples of the 8192-sample step responses
+    at M = 8, 24 samples per carrier period, that the benchmark runs).
     The next feedback ``v_out / ratio`` is read from an (M+1)-entry table,
     and the output is the table of levels indexed by the counts.  A
     non-finite sample, ratio or phase0 raises ValueError naming it.
@@ -500,6 +503,14 @@ def simulate_phase_lowpass(
     np.cumsum(ref, out=ref)
     wrap, tol = _wrap_certificate(ref, m)
     upper = 1.0 - tol
+    # integer wraps, as _high_taps counts them: per sample, off = m*ref - J
+    # and the carrier (-J mod m) that sits on the wrap, J = rint(m*ref)
+    on_wrap = np.flatnonzero(np.isnan(wrap))
+    ma = np.multiply(m, ref[on_wrap])
+    near = np.rint(ma)
+    on_carrier = _remainder(ref[on_wrap] + np.mod(-near, m) / m, 1.0)
+    integer_wraps = dict(zip(on_wrap.tolist(), zip((ma - near).tolist(), on_carrier.tolist())))
+    not_on_wrap = (math.nan, 0.0)
 
     ceil = math.ceil
     m_float = float(m)  # the same product as int m, with no per-sample int coercion
@@ -529,7 +540,14 @@ def simulate_phase_lowpass(
             if tol < y % 1.0 < upper:
                 high = ceil(y)
             else:
-                high = _count_carriers_below(float(ref[lo + len(chunk)]), duty, taps)
+                i = lo + len(chunk)
+                # off is NaN where the wrap is not an integer, failing the test
+                off, carrier = integer_wraps.get(i, not_on_wrap)
+                y = m_float * duty - off
+                if tol < y % 1.0 < upper:
+                    high = min(max(ceil(y) - 1, 0), m - 1) + (carrier < duty)
+                else:
+                    high = _count_carriers_below(float(ref[i]), duty, taps)
             append(high)
         counts[lo:hi] = chunk
     return np.array(levels)[counts]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Optional, Union
@@ -194,6 +195,61 @@ def _lu_factor(
         if k + 1 < n:
             lu[k + 1 :, k + 1 :] -= lu[k + 1 :, k, None] * lu[k, k + 1 :]
     return lu, perm
+
+
+# Largest n the dominance certificate tries: its growth bound 2^(n-1) keeps
+# it from passing long before this (about n = 35), and 2.0**(n - 1) stays
+# finite.
+_DOMINANCE_MAX_N = 64
+
+
+def _dominance_certificate(a: np.ndarray, a_norm: float) -> bool:
+    """True when row dominance proves that _lu_factor(a, a_norm=a_norm)
+    passes its pivot gate; False when it cannot, proving nothing.
+
+    a is finite and a_norm = ||A||_inf as _finite_inf_norm formed it.  The
+    computed partial factorization after k steps is exact for P(A + dA),
+    with the computed Schur complement S_k as the trailing block and
+    |dA| <= gamma_n (|L||U| + |S_k|) plus one underflow unit per product
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, Thm 9.3).
+    Partial pivoting keeps |L| <= 1 and the entries within 2^(n-1) max|a_ij|,
+    so ||dA||_inf <= beta = 2 gamma_n n^2 2^(n-1) max|a_ij| + n^2 2^-1074.
+    S_k^-1 is a block of (P(A + dA))^-1, so the pivot, the largest entry of
+    S_k's first column, is at least 1/||(A + dA)^-1||_inf, and Varah's bound
+    (Linear Algebra Appl. 11, 1975) puts that at or above mu - beta, where
+    mu = min_i(|a_ii| - off_i) is A's dominance margin.  mu is formed from
+    off_i = rowsum_i - |a_ii| (no 2|a_ii| to overflow) and lowered by the
+    row sums' rounding, 2 gamma_n rowsum_i.  The pivot test compares with
+    PIVOT_RTOL a_norm; asking for 1.01 times that covers the rounding of
+    the comparison itself, and a tolerance below the smallest normal float
+    (a zero matrix among them, which _lu_factor refuses by name) is never
+    certified, so underflow in the bounds cannot eat that slack.
+    """
+    n = a.shape[0]
+    tol = PIVOT_RTOL * a_norm  # as _lu_factor forms it
+    if n > _DOMINANCE_MAX_N or not tol >= sys.float_info.min:
+        return False
+    absa = np.abs(a)
+    rows = absa.sum(axis=1)
+    diag = absa.diagonal()
+    unit = 2.0**-53
+    gamma = n * unit / (1.0 - n * unit)
+    margin = float((diag - (rows - diag) - 2.0 * gamma * rows).min())
+    if not margin > 0.0:
+        return False
+    # Python floats: an overflowing bound is inf, with no warning
+    beta = 2.0 * gamma * n * n * 2.0 ** (n - 1) * float(absa.max()) + n * n * 2.0**-1074
+    return margin - beta > 1.01 * tol
+
+
+def _check_nonsingular(a: np.ndarray) -> None:
+    """The nonsingularity gate: raises what _lu_factor(a) raises
+    (NormOverflow, SingularMatrix with the same text) and nothing else.
+    ||A||_inf is formed first, so NormOverflow comes first as before; A is
+    factored only when _dominance_certificate cannot decide."""
+    a_norm = _finite_inf_norm(a)
+    if not _dominance_certificate(a, a_norm):
+        _lu_factor(a, a_norm=a_norm)
 
 
 def _back_substitute(lu: np.ndarray) -> np.ndarray:

@@ -262,6 +262,25 @@ class TestSolveCommand:
         )
         assert not out.exists()
 
+    def test_failed_deferred_eigensolve_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # the rung is certified stable, so the solve itself eigensolves
+        # nothing; the result document reads the spectrum, and its failure
+        # there leaves neither the trace nor the document behind
+        path = tmp_path / "dominant.json"
+        path.write_text(json.dumps({"a": [[-4, -1], [-1, -4]], "b": [0.1, -0.2]}))
+
+        def refusing(m):
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refusing)
+        out, trace = tmp_path / "r.json", tmp_path / "t.csv"
+        argv = ["solve", str(path), "--out", str(out), "--trace", str(trace)]
+        assert run(argv) == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == (
+            "eigensolve failed: Array must not contain infs or NaNs\n"
+        )
+        assert not out.exists() and not trace.exists()
+
     @pytest.mark.parametrize("command", ["solve", "sweep"])
     def test_overflowing_normal_equations(self, tmp_path, capsys, command):
         # every entry is finite and both direct rungs are unstable, but

@@ -375,7 +375,7 @@ class TestLadderIsLazy:
     def events(self, monkeypatch):
         log = []
         real_plan, real_report = dynamics.compile_plan, dynamics.stability_report
-        real_gram = dynamics._gram_problem
+        real_gram, real_discs = dynamics._gram_problem, dynamics._stable_by_discs
 
         def logging_gram(*args, **kwargs):
             log.append("gram")
@@ -390,7 +390,15 @@ class TestLadderIsLazy:
             log.append("stable" if rep.stable else "unstable")
             return rep
 
+        def logging_discs(ss):
+            # a rung the disc certificate proves stable skips the eigensolve
+            certified = real_discs(ss)
+            if certified:
+                log.append("stable")
+            return certified
+
         monkeypatch.setattr(dynamics, "compile_plan", logging_plan)
+        monkeypatch.setattr(dynamics, "_stable_by_discs", logging_discs)
         monkeypatch.setattr(dynamics, "stability_report", logging_report)
         monkeypatch.setattr(dynamics, "_gram_problem", logging_gram)
         return log
