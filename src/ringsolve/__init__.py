@@ -44,6 +44,7 @@ from .dynamics import (
     StateSpace,
     StepBudgetExceeded,
     StepMapOverflow,
+    TraceBudgetExceeded,
     UnstableSystem,
     ac_response,
     bandwidth,

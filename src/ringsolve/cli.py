@@ -7,10 +7,10 @@ names the flag, not the field (_flag_terms).  Every JSON document embeds
 its settings (for solve and plan, the parsed flags themselves), so identical
 invocations produce byte-identical files.  Exit codes: 0 success, 2
 validation error (a refused flag or an overflowing ||A||_inf among them),
-3 solver divergence / no stable orientation / state dimension or step
-count over the simulator's limit / an eigensolve that fails (a state
-matrix that is not finite) / an SFDR tone that does not stand above the
-noise floor, 4 singular matrix.
+3 solver divergence / no stable orientation / state dimension, step count
+or trace size over the simulator's limit / an eigensolve that fails (a
+state matrix that is not finite) / an SFDR tone that does not stand above
+the noise floor, 4 singular matrix.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .dynamics import (
     StateDimensionLimit,
     StepBudgetExceeded,
     StepMapOverflow,
+    TraceBudgetExceeded,
     UnstableSystem,
     bandwidth,
     solve,
@@ -47,10 +48,7 @@ from .dynamics import (
 from .netlist import (
     CountScheme,
     MemristorBank,
-    NonFiniteEntry,
-    OutOfRange,
     QuantizerSpec,
-    TargetOutOfDeviceRange,
     integrator_count,
     plan as compile_plan,
     plan_to_dict,
@@ -58,8 +56,6 @@ from .netlist import (
 )
 from .problem import (
     LinearProblem,
-    NormOverflow,
-    RangeViolation,
     ScalePolicy,
     SingularMatrix,
     load_problem,
@@ -514,7 +510,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     except UnstableSystem as exc:
         print(f"unstable system: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (StateDimensionLimit, StepBudgetExceeded, StepMapOverflow) as exc:
+    except (
+        StateDimensionLimit, StepBudgetExceeded, StepMapOverflow, TraceBudgetExceeded,
+    ) as exc:
         print(f"simulator limit: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except EigenFailure as exc:
@@ -523,16 +521,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     except phase_mod.NoFundamental as exc:
         print(f"no fundamental: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (
-        RangeViolation,
-        NormOverflow,
-        NonFiniteEntry,
-        OutOfRange,
-        TargetOutOfDeviceRange,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    # every refusal of the input or a flag is a ValueError (json's
+    # JSONDecodeError and the named RangeViolation, NormOverflow, ... too)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -26,15 +26,16 @@ The negated rung is the planned circuit with its path signs swapped
 system builds one ideal_system.  It is derived only when the planned rung
 is unstable; the Gram system is formed only when both direct rungs are,
 from the already validated working problem (_gram_problem checks only that
-the products are finite).  A rung whose trace exceeds a small margin has
-an eigenvalue in the right half-plane, so the ladder skips its eigensolve
-(_unstable_by_trace); in ideal mode that is one of the two direct rungs and
-the planned Gram rung, while a structural state matrix never has a positive
-trace.  The report of a skipped rung is formed only for the UnstableSystem
-message.  A direct rung whose scaled Gershgorin discs all lie left of a
-small margin is stable, so the ladder simulates it without an eigensolve
-(_stable_by_discs; row-dominant structural rungs, lags included); its
-report forms max Re(eig) only when it is read.
+the products are finite).  One gate decides every rung (_gate), with
+two certificates before the eigensolve.  A rung whose trace exceeds a
+small margin has an eigenvalue in the right half-plane (_unstable_by_trace);
+in ideal mode that is one of the two direct rungs and the planned Gram
+rung, while a structural state matrix never has a positive trace, which
+the test reads first.  A direct rung whose scaled Gershgorin discs all lie
+left of a small margin is stable (_stable_by_discs; row-dominant
+structural rungs, lags included).  Either way the rung gets one kind of
+deferred report, which forms max Re(eig) only when it is read: for a
+skipped rung, only by the UnstableSystem message.
 
 Integration is classical fixed-step 4th-order Runge-Kutta.  For a linear
 system one RK4 step is the exact affine map z' = R z + u, kept as
@@ -118,6 +119,11 @@ _EIG_DIM_LIMIT = 256
 # one is refused before stepping rather than run for minutes.
 _STEP_BUDGET = 100_000_000
 
+# Most float64 values a trace may hold, counted as its rows times n_main + 3
+# (the states, the residual, the step index and the time): 512 MiB.  The
+# rows are allocated before stepping, so a longer trace is refused first.
+_TRACE_BUDGET = 1 << 26
+
 # States per block: the stepper keeps the last _BLOCK states and forms the
 # next _BLOCK from them with one matrix product.  Longer blocks take fewer
 # products per step but form more states past the block that meets the
@@ -143,6 +149,10 @@ class StateDimensionLimit(ValueError):
 
 class StepBudgetExceeded(ValueError):
     """The horizon t_max / dt asks for more RK4 steps than the simulator takes."""
+
+
+class TraceBudgetExceeded(ValueError):
+    """The trace asked for holds more values than the simulator keeps."""
 
 
 class StepMapOverflow(ValueError):
@@ -203,8 +213,8 @@ class StabilityReport:
     included) and whether it is negative.
 
     Built as StabilityReport(max_re_eig=..., stable=...), and immutable.
-    The report of a rung _stable_by_discs proves stable is built by
-    _certified(ss): stable is known, and max_re_eig is formed by
+    The report of a rung a certificate decides (_gate) is built by
+    _deferred(ss, stable): stable is known, and max_re_eig is formed by
     stability_report(ss) when it is first read, then kept, so a caller that
     never reads it never eigensolves.  An EigenFailure is raised at that
     read.  Equality and hash compare (max_re_eig, stable).
@@ -218,8 +228,8 @@ class StabilityReport:
         object.__setattr__(self, "_ss", None)
 
     @classmethod
-    def _certified(cls, ss: "StateSpace") -> "StabilityReport":
-        report = cls(math.nan, True)
+    def _deferred(cls, ss: "StateSpace", stable: bool) -> "StabilityReport":
+        report = cls(math.nan, stable)
         object.__setattr__(report, "_ss", ss)
         return report
 
@@ -441,12 +451,14 @@ def _unstable_by_trace(m: np.ndarray) -> bool:
     to the 256-state cap, so past it the computed real parts still sum
     above 0, their largest is above 0 and the report is unstable.  A
     non-finite m gives a non-finite margin, which no trace exceeds: such a
-    rung still reaches eigvals.  The state-dimension cap is checked first,
-    as stability_report does.
+    rung still reaches eigvals.  The margin is never negative, so a trace
+    that is not positive (every structural rung's) decides without the
+    scan for max|m_ij|.  The caller checks the state-dimension cap first
+    (_gate does).
     """
-    _check_eig_dim(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        return bool(m.trace() > 1e-9 * len(m) * np.abs(m).max())
+        trace = m.trace()
+        return bool(trace > 0.0 and trace > 1e-9 * len(m) * np.abs(m).max())
 
 
 def _stable_by_discs(ss: StateSpace) -> bool:
@@ -473,7 +485,7 @@ def _stable_by_discs(ss: StateSpace) -> bool:
     before any numpy reduction: that is every ideal rung that is not row
     dominant, and most of them fail on that first row.  A non-finite m is
     never certified.  The caller checks the state-dimension cap first
-    (_unstable_by_trace does).
+    (_gate does).
     """
     m, nm = ss.m, ss.n_main
     first = m[0].tolist()
@@ -499,6 +511,21 @@ def _stable_by_discs(ss: StateSpace) -> bool:
         low = max(0.5, float(np.fmax.reduce(outer[:nm] / room[:nm])))
         high = min(1.0, float(np.fmin.reduce(room[nm:] / inner[nm:])))
         return low <= high
+
+
+def _gate(ss: StateSpace, direct: bool) -> StabilityReport:
+    """The stability report of one ladder rung: the state-dimension cap,
+    then the trace test, then (direct rungs only) the discs, then the
+    eigensolve.  A rung either certificate decides gets a deferred report,
+    whose max Re(eig) is formed only when it is read.  A Gram rung is rarely
+    row dominant, so its discs would cost more than the eigensolves they
+    save."""
+    _check_eig_dim(ss.m)
+    if _unstable_by_trace(ss.m):
+        return StabilityReport._deferred(ss, False)
+    if direct and _stable_by_discs(ss):
+        return StabilityReport._deferred(ss, True)
+    return stability_report(ss)
 
 
 def _step_operators(m: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -647,15 +674,13 @@ def _through(factor, states):
 
 def _jump(factors, z):
     """Apply the factors to z in turn, each only when its bounds certify on
-    the running state that no state along it passes OVERFLOW_LIMIT; stop at
-    the first that fails: (z, steps advanced)."""
-    steps = 0
-    for count, d, p, norm_r, norm_p in factors:
+    the running state that no state along it passes OVERFLOW_LIMIT: the
+    state after all of them, or None at the first that fails."""
+    for _, d, p, norm_r, norm_p in factors:
         if not norm_r * np.abs(z).max() + norm_p <= OVERFLOW_LIMIT:
-            break
+            return None
         z = z + d @ z + p
-        steps += count
-    return z, steps
+    return z
 
 
 def _auto_dt(ss: StateSpace, cfg: SolverConfig) -> float:
@@ -701,7 +726,9 @@ def simulate(
     it unless the jump's overflow certificate fails.  Raises, before
     stepping, StepBudgetExceeded when t_max / dt asks for more than
     _STEP_BUDGET steps or is not finite (a dt that underflows, or an auto
-    step whose g * max gamma overflows to dt = 0), and StepMapOverflow when
+    step whose g * max gamma overflows to dt = 0), TraceBudgetExceeded when
+    the trace's rows times (n_main + 3) pass _TRACE_BUDGET values, and
+    StepMapOverflow when
     the RK4 step map R or its offset S f is not finite at this dt.  The
     stepping runs in one numpy error state, overflow and invalid ignored.
     """
@@ -716,8 +743,18 @@ def simulate(
             f"of {_STEP_BUDGET:.0e}"
         )
     n_steps = max(CONVERGENCE_WINDOW + 1, int(horizon))
+    dec = trace_decimation
+    if dec is not None:
+        dec = dec or max(1, n_steps // 4096)
+        rows = n_steps // dec + 2  # the grid, its start and the last step
+        if rows * (ss.n_main + 3) > _TRACE_BUDGET:
+            raise TraceBudgetExceeded(
+                f"a trace of {rows} rows of {ss.n_main + 3} values exceeds the "
+                f"trace budget of {_TRACE_BUDGET} values; a larger "
+                "trace_decimation keeps fewer rows"
+            )
     with np.errstate(over="ignore", invalid="ignore"):
-        return _integrate(ss, cfg, dt, n_steps, trace_decimation, stability)
+        return _integrate(ss, cfg, dt, n_steps, dec, stability)
 
 
 class _Run:
@@ -725,18 +762,17 @@ class _Run:
     CONVERGENCE_WINDOW residual flags, the convergence and overflow steps,
     settled = (z, k) at the end of the block that met the window, and a
     trace's kept rows, on the grid 0, dec, 2 dec, ... up to grid_end.
-    Without a trace, kept is None, dec is 1 and grid_end 0."""
+    Without a trace (dec None), kept is None, dec is 1 and grid_end 0."""
 
-    def __init__(self, ss, eps, dt, n_steps, trace_decimation):
+    def __init__(self, ss, eps, dt, n_steps, dec):
         self.nm, self.a_hat_t, self.b_hat = ss.n_main, ss.a_hat.T, ss.b_hat
         self.eps, self.dt = eps, dt
         self.z, self.k = np.zeros(ss.m.shape[0]), 0
         start_res = float(np.abs(self.b_hat).max())
         self.recent = np.array([start_res <= eps], dtype=int)
         self.t_converge = self.overflow_at = self.settled = None
-        self.kept, self.dec, self.grid_end = None, 1, 0
-        if trace_decimation is not None:
-            self.dec = trace_decimation or max(1, n_steps // 4096)
+        self.kept, self.dec, self.grid_end = None, dec or 1, 0
+        if dec is not None:
             self.grid_end = n_steps - n_steps % self.dec
             self.kept = np.zeros((self.grid_end // self.dec + 2, self.nm))
             self.kept_res = np.empty(len(self.kept))
@@ -808,8 +844,9 @@ class _Run:
         self.z, self.k = z, k
 
 
-def _integrate(ss, cfg, dt, n_steps, trace_decimation, stability):
-    """simulate past its argument checks, run in simulate's error state."""
+def _integrate(ss, cfg, dt, n_steps, dec, stability):
+    """simulate past its argument checks, run in simulate's error state;
+    dec is the trace's resolved decimation, or None for no trace."""
     r, s = _step_operators(ss.m, dt)
     u = s @ ss.f
     if not (np.isfinite(r).all() and np.isfinite(u).all()):
@@ -817,7 +854,7 @@ def _integrate(ss, cfg, dt, n_steps, trace_decimation, stability):
             f"the RK4 step map at dt = {dt:.3e} s is not finite in float64"
         )
     powers = [(1, r - np.eye(len(r)), u)]  # the 1, 2, 4, ... step maps
-    run = _Run(ss, cfg.eps_residual, dt, n_steps, trace_decimation)
+    run = _Run(ss, cfg.eps_residual, dt, n_steps, dec)
     run.walk(powers, 1, n_steps)
 
     # Settled: x jumps from the window's block to t_max, certified factor by
@@ -825,10 +862,7 @@ def _integrate(ss, cfg, dt, n_steps, trace_decimation, stability):
     # or without a trace.
     jumped = None
     if run.overflow_at is None and run.settled is not None and run.settled[1] < n_steps:
-        left = n_steps - run.settled[1]
-        jumped, steps = _jump(_factors(powers, left), run.settled[0])
-        if steps < left:
-            jumped = None
+        jumped = _jump(_factors(powers, n_steps - run.settled[1]), run.settled[0])
 
     # Trace rows: the dec-step map, one row per grid step, as far as its
     # certificate says no state along it can pass OVERFLOW_LIMIT.
@@ -888,19 +922,6 @@ def _integrate(ss, cfg, dt, n_steps, trace_decimation, stability):
     )
 
 
-def _structural_attempts(prob, cfg, options):
-    """Yield (tag_suffix, state space, plan): the planned circuit, then the
-    same circuit with its path signs swapped, derived only on request."""
-    circuit = compile_plan(prob, options.r_in, options.quantizer)
-    if options.memristor is not None:
-        circuit = program_memristors(
-            circuit, options.memristor, options.memristor_seed
-        )
-    yield "", build_system(circuit, cfg), circuit
-    flipped = negated_plan(circuit)
-    yield "negated", build_system(flipped, cfg), flipped
-
-
 def _negated_ideal(ss: StateSpace) -> StateSpace:
     """ideal_system(-a, -b) from ss = ideal_system(a, b), bit for bit:
     gamma reads |a| alone, and m = d a and f = -d b are single products,
@@ -908,12 +929,27 @@ def _negated_ideal(ss: StateSpace) -> StateSpace:
     return StateSpace(-ss.m, -ss.f, ss.gamma, ss.n_main, -ss.a_hat, -ss.b_hat)
 
 
-def _ideal_attempts(prob, cfg, _options):
-    """Yield (tag_suffix, state space, None): the ideal system, then the
-    same state space negated, derived only on request."""
-    ss = ideal_system(prob.a, prob.b, cfg)
-    yield "", ss, None
-    yield "negated", _negated_ideal(ss), None
+def _rungs(work, cfg, options):
+    """Yield (tag, state space, plan or None) for each ladder rung in turn,
+    each built only when the one before it is asked for: the working
+    system's planned and negated rungs, then its Gram system's.  The
+    negated rung is the planned circuit with its path signs swapped (in
+    ideal mode, the planned state space negated)."""
+    for system, negated in (("none", "negated"), ("gram", "gram-negated")):
+        prob = work if system == "none" else _gram_problem(work)
+        if cfg.mode is Mode.IDEAL:
+            ss = ideal_system(prob.a, prob.b, cfg)
+            yield system, ss, None
+            yield negated, _negated_ideal(ss), None
+            continue
+        circuit = compile_plan(prob, options.r_in, options.quantizer)
+        if options.memristor is not None:
+            circuit = program_memristors(
+                circuit, options.memristor, options.memristor_seed
+            )
+        yield system, build_system(circuit, cfg), circuit
+        flipped = negated_plan(circuit)
+        yield negated, build_system(flipped, cfg), flipped
 
 
 def _gram_problem(p: LinearProblem) -> LinearProblem:
@@ -949,15 +985,16 @@ def solve(
     already validated, so neither is validated again.  The Gram rungs exist
     because saddle-spectrum matrices are stable in neither direct
     orientation; the exact normal equations admit a stable one, though a
-    realized (quantized or programmed) Gram plan need not.  A rung whose
-    trace proves it unstable is not eigensolved (_unstable_by_trace), nor
-    is a direct rung whose scaled Gershgorin discs prove it stable
-    (_stable_by_discs): the result's report then forms max_re_eig when it
-    is first read.  The Gram rungs' discs are not tried: a Gram system is
-    reached only when both direct rungs are unstable, and its negated form
-    is rarely row dominant (13 of 1 000 ideal-ladder draws at n 4 and 8).
-    Without scaling, the nonsingularity gate is _lu_factor's pivot test,
-    decided without elimination for a row-dominant A
+    realized (quantized or programmed) Gram plan need not.  One gate
+    decides each rung (_gate): a rung whose trace proves it unstable
+    (_unstable_by_trace) is not eigensolved, nor is a direct rung whose
+    scaled Gershgorin discs prove it stable (_stable_by_discs); either
+    report forms max_re_eig when it is first read, by the result's reader
+    or by the UnstableSystem message.  The Gram rungs' discs are not tried:
+    a Gram system is reached only when both direct rungs are unstable, and
+    its negated form is rarely row dominant (13 of 1 000 ideal-ladder draws
+    at n 4 and 8).  Without scaling, the nonsingularity gate is
+    _lu_factor's pivot test, decided without elimination for a row-dominant A
     (problem._dominance_certificate); it raises SingularMatrix and
     NormOverflow as _lu_factor does.  Raises UnstableSystem when every rung
     is unstable.
@@ -976,41 +1013,21 @@ def solve(
         factor = sp.factor_scale
         work = LinearProblem._unchecked(sp.scaled_a, p.b, p.symmetric)
 
-    attempts = _structural_attempts if cfg.mode is Mode.STRUCTURAL else _ideal_attempts
-
-    def systems():
-        yield "", work
-        yield "gram", _gram_problem(work)
-
     primary_plan: Optional[CircuitPlan] = None
-    # (tag, state space, report); None where the trace showed the rung unstable
-    tried: list[tuple[str, StateSpace, Optional[StabilityReport]]] = []
-    for system_tag, prob in systems():
-        for orient_tag, ss, circuit in attempts(prob, cfg, options):
-            tag = "-".join(t for t in (system_tag, orient_tag) if t) or "none"
-            if primary_plan is None and circuit is not None:
-                primary_plan = circuit
-            if _unstable_by_trace(ss.m):
-                report = None
-            # a Gram rung is rarely row dominant: its discs cost more than
-            # the eigensolves they would save
-            elif not system_tag and _stable_by_discs(ss):
-                report = StabilityReport._certified(ss)
-            else:
-                report = stability_report(ss)
-            tried.append((tag, ss, report))
-            if report is None or not report.stable:
-                continue
+    tried: list[tuple[str, StabilityReport]] = []
+    for tag, ss, circuit in _rungs(work, cfg, options):
+        if not tried:
+            primary_plan = circuit
+        report = _gate(ss, direct=not tag.startswith("gram"))
+        tried.append((tag, report))
+        if report.stable:
             res = simulate(ss, cfg, options.trace_decimation, stability=report)
             return dataclasses.replace(
                 res, x=res.x * factor, fallback=tag, plan=primary_plan,
                 scale_factor=factor,
             )
 
-    summary = "; ".join(
-        f"{tag}: max Re(eig) = {(rep or stability_report(ss)).max_re_eig:.3e}"
-        for tag, ss, rep in tried
-    )
+    summary = "; ".join(f"{tag}: max Re(eig) = {rep.max_re_eig:.3e}" for tag, rep in tried)
     raise UnstableSystem(f"no stable orientation found ({summary})")
 
 

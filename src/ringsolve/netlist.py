@@ -274,15 +274,19 @@ def plan(
         ladder_code, ladder_weight = _ladder(weight, quantizer)
         code = np.where(connected, ladder_code, -1)
         weight = np.where(connected, ladder_weight, 0.0)
+    # a subnormal weight makes R_f overflow to inf: the state space reads
+    # only the weights, and plan_to_dict refuses such a path
+    with np.errstate(over="ignore"):
+        r_feedback = np.divide(
+            float(r_in_default), weight, out=np.full(weight.shape, np.inf),
+            where=connected,
+        )
     return CircuitPlan(
         n=p.n,
         r_in=np.full(p.n, float(r_in_default)),
         sign=np.sign(compiled),
         weight=weight,
-        r_feedback=np.divide(
-            float(r_in_default), weight, out=np.full(weight.shape, np.inf),
-            where=connected,
-        ),
+        r_feedback=r_feedback,
         code=code,
         b_compiled=-p.b if negated else p.b,
         negated=negated,
@@ -366,7 +370,16 @@ def realized_matrix(circuit: CircuitPlan) -> tuple[np.ndarray, np.ndarray]:
 
 
 def plan_to_dict(circuit: CircuitPlan) -> dict:
-    """JSON-ready plan dump for the command-line front end."""
+    """JSON-ready plan dump for the command-line front end.  Raises
+    ValueError, naming the first such path in row-major order, when a
+    connected path's R_f is not finite (a subnormal coefficient)."""
+    bad = np.argwhere((circuit.sign != 0) & ~np.isfinite(circuit.r_feedback))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise ValueError(
+            f"path ({i}, {j}): R_f = {circuit.r_in[i]:g} ohm / "
+            f"{circuit.weight[i, j]:.6g} overflows float64"
+        )
     paths = [
         {
             "row": i,

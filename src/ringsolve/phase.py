@@ -20,10 +20,11 @@ of comparing all M carriers.  With ``a = f_ref * t`` the carriers
 ``frac(a + k/M)``, k = 0..M-1, are exactly the points
 ``(frac(M*a) + j) / M``, j = 0..M-1, so the number of carriers below the
 duty ``d`` is ``clip(ceil(M*d - frac(M*a)), 0, M)``.  The float form of
-this count is kept only where its rounding is certified; in the open-loop
-integrator a sample whose only doubt is an integer wrap compares the one
-carrier at the wrap, and every other sample takes the M-carrier
-comparison.  One certificate serves both the open-loop integrator and the
+this count is kept only where its rounding is certified; a sample whose
+only doubt is an integer wrap counts the M - 1 carriers off the wrap in
+closed form and compares the one carrier on it, and every other sample
+takes the M-carrier comparison (``_carriers_below``).  One certificate,
+with its integer-wrap tier, serves both the open-loop integrator and the
 closed loop (see ``_wrap_certificate``).
 
 Every remainder is formed by ``_remainder``, as ``x - p*floor(x/p)`` with
@@ -246,21 +247,10 @@ def _carriers_below(a: np.ndarray, duty: np.ndarray, m: int) -> np.ndarray:
     return _remainder(a[None, :] + taps, 1.0) < duty[None, :]
 
 
-def _count_carriers_below(ref: float, duty: float, taps: list) -> int:
-    """The M-carrier comparison of one closed-loop sample, on Python floats:
-    how many carriers ``(ref + tap) % 1.0`` lie below ``duty``.  Float ``%``
-    is the same fmod-and-sign-fix as np.mod, so this is the integer that
-    ``_carriers_below`` counts."""
-    high = 0
-    for tap in taps:
-        if (ref + tap) % 1.0 < duty:
-            high += 1
-    return high
-
-
-def _wrap_certificate(a: np.ndarray, m: int) -> tuple[np.ndarray, float]:
+def _wrap_certificate(a: np.ndarray, m: int) -> tuple[np.ndarray, float, tuple]:
     """The carrier wrap ``frac(m*a)`` per sample, NaN where it is uncertain,
-    and the margin ``tol`` of the closed-form tap count.
+    the margin ``tol`` of the closed-form tap count, and the integer-wrap
+    tier of the uncertain samples: ``(idx, off, carrier)``.
 
     A sample's count of carriers ``frac(a + k/m)`` below a duty d is
     ``ceil(y)`` with ``y = m*d - wrap`` (at most m, and at least 0 for
@@ -268,9 +258,18 @@ def _wrap_certificate(a: np.ndarray, m: int) -> tuple[np.ndarray, float]:
     ``(tol, 1 - tol)`` (no carrier within rounding of its wrap from 1 to 0)
     and ``frac(y)`` does too (no carrier within rounding of the duty).  A
     NaN wrap makes y NaN, so one test ``tol < frac(y) < 1 - tol`` covers
-    both, and a NaN duty as well.  Every other sample takes the M-carrier
-    comparison.  ``_high_taps`` applies the test with numpy, the closed
-    loop with float ``%``, which rounds as ``_remainder`` does.
+    both, and a NaN duty as well.  ``_high_taps`` applies the test with
+    numpy, the closed loop with float ``%``, which rounds as ``_remainder``
+    does.
+
+    An uncertain wrap is within rounding of an integer J = rint(m*a): it
+    puts carrier k0 = -J mod m on the wrap and each other carrier within
+    rounding of (j + off)/m, j = 1..m-1, where off = m*a - J (exact:
+    Sterbenz).  Those m - 1 are counted as ``clip(ceil(y) - 1, 0, m - 1)``
+    with ``y = m*duty - off`` under the same margin, and ``carrier``, the
+    float carrier k0, is compared with the duty.  ``idx`` lists the
+    uncertain samples.  Every sample neither form certifies takes the
+    M-carrier comparison.
 
     The margin, in units of y: each float carrier is within
     ``spacing(max|a| + 1)`` of the exact ``frac(a + k/m)`` (k/m and the sum
@@ -287,7 +286,11 @@ def _wrap_certificate(a: np.ndarray, m: int) -> tuple[np.ndarray, float]:
     )
     wrap = _remainder(np.multiply(m, a), 1.0)
     wrap[(wrap <= tol) | (wrap >= 1.0 - tol)] = np.nan
-    return wrap, tol
+    idx = np.flatnonzero(np.isnan(wrap))
+    ma = np.multiply(m, a[idx])
+    near = np.rint(ma)
+    carrier = _remainder(a[idx] + np.mod(-near, m) / m, 1.0)
+    return wrap, tol, (idx, ma - near, carrier)
 
 
 def _high_taps(a: np.ndarray, duty: np.ndarray, m: int) -> np.ndarray:
@@ -295,13 +298,11 @@ def _high_taps(a: np.ndarray, duty: np.ndarray, m: int) -> np.ndarray:
     below ``duty``: the integer the M-carrier comparison counts.
 
     The closed form ``clip(ceil(y), 0, m)`` is kept where
-    ``_wrap_certificate`` certifies it.  Where only the wrap is uncertain
-    (an integer wrap), the m - 1 carriers off the wrap are counted in closed
-    form and the one on it by its own comparison.  The rest are counted by
-    the M-carrier comparison, in blocks of at most ``_FALLBACK_CARRIERS``
-    carrier values.
+    ``_wrap_certificate`` certifies it, or its integer-wrap tier where the
+    wrap is uncertain.  The rest are counted by the M-carrier comparison, in
+    blocks of at most ``_FALLBACK_CARRIERS`` carrier values.
     """
-    wrap, tol = _wrap_certificate(a, m)
+    wrap, tol, (idx, off, carrier) = _wrap_certificate(a, m)
     y = np.multiply(m, duty)
     y -= wrap
     count = np.ceil(y)
@@ -310,24 +311,15 @@ def _high_taps(a: np.ndarray, duty: np.ndarray, m: int) -> np.ndarray:
     count[uncertain] = 0.0
     count = np.clip(count, 0, m, out=count).astype(np.intp)
 
-    # A wrap within rounding of an integer J = rint(m*a) puts carrier
-    # k0 = -J mod m at the wrap and each other carrier within rounding of
-    # (j + off)/m, j = 1..m-1, where off = m*a - J (exact: Sterbenz).  Those
-    # m - 1 are counted as clip(ceil(y) - 1, 0, m - 1) with y = m*duty - off
-    # under the same margin; carrier k0 is compared.
-    idx = np.flatnonzero(uncertain & np.isnan(wrap))
-    ma = np.multiply(m, a[idx])
-    near = np.rint(ma)
+    # the integer wraps (every uncertain wrap is an uncertain sample)
     y = np.multiply(m, duty[idx])
-    y -= ma - near
+    y -= off
     others = np.ceil(y)
     frac = _remainder(y, 1.0)
     sure = (frac > tol) & (frac < 1.0 - tol)
     idx = idx[sure]
-    k0 = np.mod(-near[sure], m)
-    carrier = _remainder(a[idx] + k0 / m, 1.0)
     count[idx] = np.clip(others[sure] - 1.0, 0, m - 1).astype(np.intp)
-    count[idx] += carrier < duty[idx]
+    count[idx] += carrier[sure] < duty[idx]
     uncertain[idx] = False
 
     fallback = np.flatnonzero(uncertain)
@@ -454,17 +446,18 @@ def simulate_phase_lowpass(
     - the reference phase, as one in-order ``np.cumsum`` of ``f_ref * dt``
       from 0.0 (``add.accumulate`` adds in order, so sample k holds the
       same bits as k repeated ``ref += f_ref * dt``);
-    - its carrier wrap and the margin from ``_wrap_certificate``, which the
-      open-loop integrator shares.
+    - its carrier wrap, the margin and the integer-wrap tier from
+      ``_wrap_certificate``, which the open-loop integrator shares.
 
     Each sample then counts its high channels as ``ceil(M*duty - wrap)``
     (a finite duty lies in [0, 1], so this is already clipped to [0, M])
     where ``tol < frac(M*duty - wrap) < 1 - tol`` certifies it.  Where the
     wrap is within rounding of an integer, the M - 1 carriers off it are
     counted in closed form under the same margin and the one on it by its
-    own comparison, as ``_high_taps`` counts them; the M-carrier comparison
-    takes the rest (none of the samples of the 8192-sample step responses
-    at M = 8, 24 samples per carrier period, that the benchmark runs).
+    own comparison, as ``_high_taps`` counts them; the rest take the
+    M-carrier comparison, ``_carriers_below`` on the one sample (none of the
+    samples of the 8192-sample step responses at M = 8, 24 samples per
+    carrier period, that the benchmark runs).
     The next feedback ``v_out / ratio`` is read from an (M+1)-entry table,
     and the output is the table of levels indexed by the counts.  A
     non-finite sample, ratio or phase0 raises ValueError naming it.
@@ -488,7 +481,6 @@ def simulate_phase_lowpass(
     f_center = cfg.f0 / div
     k_eff = gain.k_vco_hz_per_v
     m = cfg.m_phases
-    taps = (np.arange(m) / m).tolist()
     two_pi = 2.0 * math.pi
     pi = math.pi
     v_dd, v0, f_ref, dt = cfg.v_dd, cfg.v0, cfg.f_ref, cfg.dt
@@ -501,15 +493,10 @@ def simulate_phase_lowpass(
     ref = np.full(b_in.size, f_ref * dt)
     ref[:1] = 0.0
     np.cumsum(ref, out=ref)
-    wrap, tol = _wrap_certificate(ref, m)
+    wrap, tol, (on_wrap, off, carrier) = _wrap_certificate(ref, m)
     upper = 1.0 - tol
-    # integer wraps, as _high_taps counts them: per sample, off = m*ref - J
-    # and the carrier (-J mod m) that sits on the wrap, J = rint(m*ref)
-    on_wrap = np.flatnonzero(np.isnan(wrap))
-    ma = np.multiply(m, ref[on_wrap])
-    near = np.rint(ma)
-    on_carrier = _remainder(ref[on_wrap] + np.mod(-near, m) / m, 1.0)
-    integer_wraps = dict(zip(on_wrap.tolist(), zip((ma - near).tolist(), on_carrier.tolist())))
+    # per integer wrap, as _high_taps counts it: off and the carrier on it
+    integer_wraps = dict(zip(on_wrap.tolist(), zip(off.tolist(), carrier.tolist())))
     not_on_wrap = (math.nan, 0.0)
 
     ceil = math.ceil
@@ -547,7 +534,8 @@ def simulate_phase_lowpass(
                 if tol < y % 1.0 < upper:
                     high = min(max(ceil(y) - 1, 0), m - 1) + (carrier < duty)
                 else:
-                    high = _count_carriers_below(float(ref[i]), duty, taps)
+                    below = _carriers_below(ref[i : i + 1], np.array([duty]), m)
+                    high = int(np.count_nonzero(below))
             append(high)
         counts[lo:hi] = chunk
     return np.array(levels)[counts]

@@ -35,7 +35,8 @@ class SingularMatrix(Exception):
 
 
 class NormOverflow(ValueError):
-    """||A||_inf is not finite in float64, so no pivot tolerance exists."""
+    """||A||_inf is not finite in float64, so no pivot tolerance exists, or
+    ||A^-1||_inf is not."""
 
 
 class RangeViolation(ValueError):
@@ -285,9 +286,15 @@ def inv_inf_norm(a: np.ndarray, a_norm: Optional[float] = None) -> float:
 
     The O(n^3) inversion is irrelevant at desk scale; the norm evaluation
     itself stays O(n^2).  a_norm, if given, is ||A||_inf (see _lu_factor).
-    Raises SingularMatrix for singular input.
+    Raises SingularMatrix for singular input, and NormOverflow when the
+    inverse or its norm is not finite in float64 (a nonsingular A near the
+    underflow range, such as [[1e-310]]).
     """
-    return inf_norm(matrix_inverse(a, a_norm))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = inf_norm(matrix_inverse(a, a_norm))
+    if not math.isfinite(norm):
+        raise NormOverflow(f"||A^-1||_inf = {norm} is not finite in float64")
+    return norm
 
 
 def direct_solve_oracle(p: LinearProblem) -> np.ndarray:

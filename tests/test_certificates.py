@@ -226,7 +226,7 @@ def test_certified_rungs_are_stable_with_the_same_spectrum():
                 certified[name] += 1
                 want = stability_report(ss)
                 assert want.stable
-                got = StabilityReport._certified(ss)
+                got = StabilityReport._deferred(ss, True)
                 assert same_bits(got.max_re_eig, want.max_re_eig) and got == want
     assert certified["rungs"] > 150 and certified["near"] > 500
 

@@ -612,6 +612,59 @@ class TestPlanCommand:
         codes = [p["code"] for p in doc["paths"]]
         assert all(c is not None for c in codes)
 
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    def test_subnormal_entry_refused_by_path(self, tmp_path, capsys, to_stdout):
+        # R_f = r_in / 1e-320 overflows: the plan names the path instead of
+        # writing "Infinity" (not JSON) with a numpy warning on stderr
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps({"a": [[1e-320, 0], [0, 1e-320]], "b": [0.1, 0.2]}))
+        out = tmp_path / "plan.json"
+        argv = ["plan", str(path)] + ([] if to_stdout else ["--out", str(out)])
+        assert run(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: path (0, 0): R_f = 2000 ohm / 9.99989e-321 overflows float64\n"
+        )
+        assert captured.out == "" and not out.exists()
+
+
+class TestSubnormalSolve:
+    """Subnormal systems keep their refusals, with nothing else on stderr."""
+
+    @pytest.mark.parametrize(
+        "a, code, message",
+        [
+            ([[1e-320, 0], [0, 1e-320]], EXIT_SINGULAR, "singular matrix: zero matrix"),
+            # the Gram system's entries are subnormal, so its R_f overflow
+            ([[-4e-160, 1.5e-160], [-2e-160, 1e-160]], EXIT_DIVERGENCE,
+             "unstable system: no stable orientation found"),
+        ],
+    )
+    def test_one_line_refusal(self, tmp_path, capsys, a, code, message):
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps({"a": a, "b": [0.1, 0.2]}))
+        out = tmp_path / "r.json"
+        assert run(["solve", str(path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestTraceBudget:
+    def test_trace_over_budget_is_a_simulator_limit(self, neg_file, tmp_path, capsys):
+        # 8.7e7 RK4 steps fit the step budget, but 8.7e7 trace rows of 5
+        # values (1.6 GiB) do not fit the trace budget: refused before stepping
+        out, trace = tmp_path / "r.json", tmp_path / "t.csv"
+        argv = ["solve", neg_file, "--tmax", "1.4e-2", "--decimation", "1",
+                "--trace", str(trace), "--out", str(out)]
+        start = time.perf_counter()
+        assert run(argv) == EXIT_DIVERGENCE
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("simulator limit: a trace of ") and err.count("\n") == 1
+        assert "trace budget" in err
+        assert not out.exists() and not trace.exists()
+
 
 class TestScaleCommand:
     def test_scale_document(self, neg_file, tmp_path):

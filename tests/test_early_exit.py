@@ -29,6 +29,7 @@ from ringsolve.dynamics import (
     StepBudgetExceeded,
     StepMapOverflow,
     Trace,
+    TraceBudgetExceeded,
     build_system,
     ideal_system,
     simulate,
@@ -422,6 +423,44 @@ def test_step_budget_refused_before_any_chain(monkeypatch):
         simulate(ss, cfg)
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_trace_budget_refused_before_any_row(monkeypatch, mode):
+    # a 4x4 uniform draw under exact scaling, every step traced: 27.6e6
+    # rows of 7 values, a process peak of 2.15 GB when they were allocated
+    def no_stepping(*args):
+        raise AssertionError("a step map power or block was formed")
+
+    monkeypatch.setattr(dynamics, "_extend", no_stepping)
+    monkeypatch.setattr(dynamics, "_block", no_stepping)
+    rng = np.random.default_rng(2)
+    a = rng.uniform(-1.0, 1.0, (4, 4))
+    a /= np.abs(a).sum(axis=1).max()
+    b = rng.uniform(-0.4, 0.4, 4)
+    options = SolveOptions(scale=ScalePolicy.EXACT, trace_decimation=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TraceBudgetExceeded, match="^a trace of 27644820 rows of 7 values"):
+            solve(LinearProblem(a, b), SolverConfig(mode=mode), options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_trace_budget_counts_rows_and_columns(monkeypatch):
+    # dec = 1 keeps n_steps + 2 rows of n_main + 3 = 4 values: a budget of
+    # 4000 takes 998 steps and refuses 999, unless fewer rows are kept
+    monkeypatch.setattr(dynamics, "_TRACE_BUDGET", 4000)
+    cfg = SolverConfig(dt=2.0**-30, t_max=998 * 2.0**-30)
+    ss = scalar_system(cfg)
+    assert len(simulate(ss, cfg, 1).trace.t) == 999
+    over = dataclasses.replace(cfg, t_max=999 * 2.0**-30)
+    with pytest.raises(TraceBudgetExceeded, match="^a trace of 1001 rows of 4 values"):
+        simulate(ss, over, 1)
+    assert simulate(ss, over, 2).trace is not None
+    assert simulate(ss, over).trace is None
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -460,13 +499,12 @@ def test_jump_certificate_fails_to_the_grid(monkeypatch, dec, kappa, overflows):
 
     def recording_jump(factors, z):
         out = real_jump(factors, z)
-        jumps.append((out[1], sum(f[0] for f in factors)))
+        jumps.append(out is None)
         return out
 
     monkeypatch.setattr(dynamics, "_jump", recording_jump)
     res = simulate(ss, cfg, dec)
-    advanced, asked = jumps[0]
-    assert advanced < asked  # the certificate failed: the rest was block-stepped
+    assert jumps[0]  # the certificate failed: the rest was block-stepped
     assert_matches(res, ref)
     if overflows:
         # past the block that met the window, inside the stretch a jump skips
@@ -633,9 +671,7 @@ def old_integrate(ss, cfg, dt, n_steps, trace_decimation, stability):
     jumped = None
     if overflow_at is None and settled is not None and settled[1] < n_steps:
         left = n_steps - settled[1]
-        jumped, steps = dynamics._jump(dynamics._factors(powers, left), settled[0])
-        if steps < left:
-            jumped = None
+        jumped = dynamics._jump(dynamics._factors(powers, left), settled[0])
 
     if traced and overflow_at is None and k < grid_end:
         stride = reduce(dynamics._then, dynamics._factors(powers, dec))
@@ -762,7 +798,7 @@ def test_one_walk_matches_the_two_loops(monkeypatch, neg2x2, mixed2x2, dec):
 
     def recording_jump(factors, z):
         out = real_jump(factors, z)
-        jumps.append(out[1] < sum(f[0] for f in factors))
+        jumps.append(out is None)
         return out
 
     monkeypatch.setattr(dynamics._Run, "walk", recording_walk)

@@ -355,3 +355,59 @@ def test_state_dimension_cap_checked_before_the_trace():
     assert dynamics.ideal_system(p.a, p.b, IDEAL).m.trace() > 0
     with pytest.raises(StateDimensionLimit, match=f"state dimension {n} exceeds"):
         solve(p, IDEAL)
+
+
+def test_skipped_rung_spectrum_is_formed_for_the_message(monkeypatch):
+    # the gate gives a trace-skipped rung a deferred report: nothing forms
+    # its spectrum while the ladder runs, and the message forms the same
+    # bits stability_report gives
+    p = LinearProblem([[0.5, 1.0], [1.5, 2.99999995]], [0.1, 0.1])
+    gated, real_gate = [], dynamics._gate
+    formed, real_report = [], dynamics.stability_report
+
+    def recording_gate(ss, direct):
+        report = real_gate(ss, direct)
+        gated.append((ss, report, len(formed)))
+        return report
+
+    def recording_report(ss):
+        formed.append(ss)
+        return real_report(ss)
+
+    monkeypatch.setattr(dynamics, "_gate", recording_gate)
+    monkeypatch.setattr(dynamics, "stability_report", recording_report)
+    with pytest.raises(UnstableSystem) as info:
+        solve(p, IDEAL)
+    skipped = [(ss, report) for ss, report, _ in gated if dynamics._unstable_by_trace(ss.m)]
+    assert len(skipped) == 2
+    # when the ladder ended, only the two eigensolved rungs had a spectrum
+    assert gated[-1][2] == 2 and not any(ss is s for s, _ in skipped for ss in formed[:2])
+    assert len(formed) == 4 and all(a is b for a, (b, _) in zip(formed[2:], skipped))
+    for ss, report in skipped:
+        want = real_report(ss)
+        assert bits_equal(report.max_re_eig, want.max_re_eig) and report == want
+        assert f"max Re(eig) = {want.max_re_eig:.3e}" in str(info.value)
+
+
+def test_structural_trace_test_skips_the_scan(monkeypatch):
+    # a structural state matrix never has a positive trace, so its trace
+    # test never forms |m|; a rung with a positive trace does
+    rng = np.random.default_rng(8)
+    real_abs = np.abs
+    scanned = []
+
+    def guarded_abs(x, *args, **kwargs):
+        scanned.append(any(x is m for m in watched))
+        return real_abs(x, *args, **kwargs)
+
+    watched = []
+    for _ in range(100):
+        n = int(rng.integers(1, 10))
+        circuit = plan(LinearProblem(rng.uniform(-1, 1, (n, n)), rng.uniform(-0.5, 0.5, n)))
+        watched += [build_system(c, SolverConfig()).m for c in (circuit, negated_plan(circuit))]
+    monkeypatch.setattr(np, "abs", guarded_abs)
+    assert not any(dynamics._unstable_by_trace(m) for m in watched)
+    assert not any(scanned)
+    watched.append(ideal_system(np.eye(3), np.zeros(3), IDEAL).m)
+    assert dynamics._unstable_by_trace(watched[-1])
+    assert any(scanned)

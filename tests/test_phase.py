@@ -444,6 +444,14 @@ def test_lowpass_closed_form_matches_numpy_oracle(m):
             )
 
 
+def _count_carriers_below(ref, duty, taps):
+    """The M-carrier comparison of one closed-loop sample, on Python floats:
+    how many carriers ``(ref + tap) % 1.0`` lie below ``duty``.  Float ``%``
+    is the same fmod-and-sign-fix as np.mod, so this is the integer that
+    ``phase._carriers_below`` counts."""
+    return sum((ref + tap) % 1.0 < duty for tap in taps)
+
+
 def _lowpass_per_sample(b_in, rf_over_rin, cfg, phase0=1.5 * math.pi):
     """The closed loop with every sample's node and phase step formed from
     its own input: the Python-float loop before a chunk of equal inputs
@@ -460,7 +468,7 @@ def _lowpass_per_sample(b_in, rf_over_rin, cfg, phase0=1.5 * math.pi):
     ref = np.full(b_in.size, f_ref * dt)
     ref[:1] = 0.0
     np.cumsum(ref, out=ref)
-    wrap, tol = phase._wrap_certificate(ref, m)
+    wrap, tol, _ = phase._wrap_certificate(ref, m)
     counts = []
     v_fb = v_dd * (1.0 - abs((phase0 / pi) % 2.0 - 1.0)) / rf_over_rin
     phase_err = phase0
@@ -472,7 +480,7 @@ def _lowpass_per_sample(b_in, rf_over_rin, cfg, phase0=1.5 * math.pi):
         if tol < y % 1.0 < 1.0 - tol:
             high = math.ceil(y)
         else:
-            high = phase._count_carriers_below(float(ref[k]), duty, taps)
+            high = _count_carriers_below(float(ref[k]), duty, taps)
         v_fb = feedback[high]
         counts.append(high)
     return np.array(levels)[np.array(counts, dtype=np.intp)]
@@ -518,13 +526,13 @@ def _recording_fallback(monkeypatch):
     """Record the reference phase of every closed-loop sample that takes the
     M-carrier comparison."""
     fell_back = []
-    real = phase._count_carriers_below
+    real = phase._carriers_below
 
-    def recording(ref, duty, taps):
-        fell_back.append(ref)
-        return real(ref, duty, taps)
+    def recording(a, duty, m):
+        fell_back.extend(a.tolist())
+        return real(a, duty, m)
 
-    monkeypatch.setattr(phase, "_count_carriers_below", recording)
+    monkeypatch.setattr(phase, "_carriers_below", recording)
     return fell_back
 
 
@@ -541,7 +549,7 @@ def test_lowpass_closed_form_carries_the_benchmark_steps(monkeypatch):
         fell_back.clear()
         got = simulate_phase_lowpass(b, ratio, cfg)
         assert np.array_equal(got, _lowpass_numpy_oracle(b, ratio, cfg))
-        wrap, _ = phase._wrap_certificate(_reference_phase(cfg, b.size), cfg.m_phases)
+        wrap = phase._wrap_certificate(_reference_phase(cfg, b.size), cfg.m_phases)[0]
         uncertain = _reference_phase(cfg, b.size)[np.isnan(wrap)]
         assert uncertain.size and not set(uncertain.tolist()) & set(fell_back)
         assert len(fell_back) < 0.001 * b.size

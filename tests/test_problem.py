@@ -99,6 +99,19 @@ class TestInverseNorm:
         with pytest.raises(SingularMatrix):
             inv_inf_norm(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "a", [[[1e-310]], [[1e-309, 1e-309], [0.0, 1e-309]], [[8e-309, 8e-309], [0.0, 8e-309]]]
+    )
+    def test_overflowing_inverse_raises(self, a):
+        # nonsingular, but an entry of the inverse (1e310, 1e309) or its row
+        # sum (2.5e308) is past float64: named, with no numpy warning, under
+        # both scale policies
+        with pytest.raises(NormOverflow, match=r"^\|\|A\^-1\|\|_inf = (inf|nan) is not finite"):
+            inv_inf_norm(np.array(a))
+        for policy in ScalePolicy:
+            with pytest.raises(NormOverflow):
+                scale_problem(LinearProblem(a, np.zeros(len(a))), policy)
+
     def test_condition_number_lower_bound(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
