@@ -45,6 +45,7 @@ from .dynamics import (
     StepBudgetExceeded,
     StepMapOverflow,
     TraceBudgetExceeded,
+    TransferOutOfRange,
     UnstableSystem,
     ac_response,
     bandwidth,

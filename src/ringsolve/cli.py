@@ -462,11 +462,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"x{i}" for i in range(problem.n)
     )
     lines = [header]
-    worst = EXIT_OK
+    failed = None  # the first point that did not converge, and why
     for point in points:  # fixed input order; points are independent
         result = solve(problem, point, options)
-        if not result.converged:
-            worst = EXIT_DIVERGENCE
+        if not result.converged and failed is None:
+            failed = point.k_vco, result.diagnostics or "residual above threshold"
         lines.append(
             ",".join(
                 [
@@ -480,7 +480,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         )
     _emit("\n".join(lines) + "\n", args.out)
-    return worst
+    if failed is not None:
+        print(
+            f"solver did not converge: at k_vco = {failed[0]:.9g} Hz/V: {failed[1]}",
+            file=sys.stderr,
+        )
+        return EXIT_DIVERGENCE
+    return EXIT_OK
 
 
 _DISPATCH = {

@@ -40,39 +40,53 @@ skipped rung, only by the UnstableSystem message.
 Integration is classical fixed-step 4th-order Runge-Kutta.  For a linear
 system one RK4 step is the exact affine map z' = R z + u, kept as
 (R - I, u); doubling it in one loop gives the 2^b-step maps (R^(2^b) - I,
-sum_{i<2^b} R^i u).  Norm bounds on every state along a map are formed only
-where a certificate reads them (the jump and the trace stride), for all the
-maps in one pass over their stack.  The engine steps in blocks of L states,
-one per row: the first block after a state comes from it by doubling
-(states h+1..2h from states 1..h through the h-step map), and each later
-block from the one before through the L-step map,
-Z' = Z + Z (R^L - I)^T + P_L, one matrix product.  simulate
-takes every step, in blocks, only until the residual window is met.  From
-the end of that block x jumps to t_max: the remaining m steps split into
-the power-of-two maps of m's set bits, applied to the state one after
-another.  A factor is applied only when its bound certifies that no state
-along it passes OVERFLOW_LIMIT.  A trace, when asked for, takes its rows
-from the trace grid with the dec-step map composed from the same maps,
-in blocks of its own, under the same kind of certificate per row, and ends
-on the jumped x, so x does not depend on the trace.  Every stretch no
-certificate covers (the rest of the horizon when the jump fails, the rest
-of the grid after the first uncertified row) is block-stepped exactly, as
-before the window, so divergence is still reported at the exact step.
-One loop forms every block, _Run.walk: it advances the run's explicit
-state (z, the step, the window flags, the convergence and overflow steps,
-the kept trace rows) through the one-step map or the dec-step map, so a
-run is a walk to the window, the jump, a walk along the grid and an exact
-walk over whatever no certificate covered.  Row peaks (the overflow scan,
-the residuals, the stride certificate) are reduced from a transposed copy
-(_row_max), since numpy reduces short rows one at a time; the block
-maps' peaks, over rows of dim^2 entries, are plain row maxima.  A block's
-overflow scan looks at rows only when the whole block's max or min fails.
-simulate holds one numpy error-state context (overflow and invalid
-ignored) for its whole run; the stepping helpers (_step_operators, _extend,
-_factors, _then, _block, _jump, _Run.walk) enter none, so any other caller
-sets its own.  This regroups the same arithmetic: results
-agree with one-step-at-a-time stepping to rounding and are
-byte-deterministic.
+sum_{i<2^b} R^i u), formed once per run as far as the horizon.  One pass
+over their stack (_stack) gives each map's norm and the bounds on every
+state along it that the certificates read (the search, the jump and the
+trace stride).  The engine steps in blocks of L states, one per row: the
+first block after a state comes from it by doubling (states h+1..2h from
+states 1..h through the h-step map), and each later block from the one
+before through the L-step map, Z' = Z + Z (R^L - I)^T + P_L, one matrix
+product.  Until the residual window is near, simulate forms only every
+_SAMPLE-th state of a run of state dimension _SEARCH_DIM or more, by the
+same doubling and recurrence over the _SAMPLE-step map and those after it
+(_Run.search): any
+CONVERGENCE_WINDOW + 1 consecutive steps hold a sample, so no window is met
+before a sample is at or below eps.  A sample is accepted only while the
+_SAMPLE-step bounds show that no state since the sample before passes
+OVERFLOW_LIMIT.  From the sample before the first one at or below eps the
+run steps exactly over _STRETCH steps, and searches again if they end
+above eps without the window; after an uncertified sample, or a stretch
+that ends at or below eps, it steps exactly to the window.  From the end
+of the block that met the window x jumps to t_max: the remaining m steps
+split into the power-of-two maps of m's set bits, applied to the state one
+after another.  A factor is applied only when its bound certifies that no
+state along it passes OVERFLOW_LIMIT.  A trace, when asked for, takes its
+rows before the search stopped from the sample before each, carried the
+remaining steps through the 1-, 2- and 4-step maps; after the window from
+the trace grid with the dec-step map composed from the same maps, in
+blocks of its own, under the same kind of certificate per row; and ends
+on the jumped x.  The search and the stretches run the same way with or
+without a trace, so x does not depend on it.  Every stretch no certificate
+covers (the rest of the horizon when the jump fails, the rest of the grid
+after the first uncertified row) is block-stepped exactly, as before the
+window, so divergence is still reported at the exact step.  One loop forms
+every block of exact or grid steps, _Run.walk: it advances the run's
+explicit state (z, the step, the window flags, the convergence and
+overflow steps, the kept trace rows) through the one-step map or the
+dec-step map, so a run is a search with exact stretches to the window,
+the jump, a walk along the grid and an exact walk over whatever no
+certificate covered.  Row peaks (the overflow scan, the residuals, the
+certificates) are reduced from a transposed copy (_row_max), since numpy
+reduces short rows one at a time.  A block's overflow scan looks at rows
+only when the whole block's max or min fails.  simulate holds one numpy
+error-state context (overflow and invalid ignored) for its whole run; the
+stepping helpers (_step_operators, _extend, _stack, _factors, _then,
+_block, _jump, _Run.search, _Run.walk) enter none, so any other caller
+sets its own.  This regroups the same arithmetic: results agree with
+one-step-at-a-time stepping to rounding and are byte-deterministic; where
+the horizon does not contract the rounding of the state a search stopped
+on, x can differ from stepping every state in its last bits.
 """
 
 from __future__ import annotations
@@ -130,6 +144,38 @@ _TRACE_BUDGET = 1 << 26
 # window; a dense n = 20 solve settles in about 1.4-1.9 k steps.
 _BLOCK = 512
 
+# Steps between the states the window search forms (_Run.search), a power
+# of two: any CONVERGENCE_WINDOW + 1 consecutive steps hold a multiple of
+# it, so until a sample is at or below eps no window can be met.
+_SAMPLE = 8
+
+# Samples per search block: each block after the first comes from the one
+# before through the _SAMPLE * _SAMPLES-step power, one matrix product.  A
+# dense n = 20 solve samples 1.4-1.9 k steps before its window.  Longer
+# blocks make fewer numpy calls (see _SEARCH_DIM for why they are not used).
+_SAMPLES = 32
+
+# Least state dimension at which simulate searches.  Below 20 a run costs
+# its numpy calls more than its state rows, and blocks of _SAMPLES samples
+# make more calls than exact stepping: interleaved timings put the search
+# 3-21 % behind it on dense structural systems of dimension 2-16, level at
+# 20 and ahead from 23, and 6-9 % behind on ideal-ladder systems
+# (dimension 4-8).  From 20 to 39 it pays too, and blocks of 128 samples
+# pay at every dimension: structural-dense ran 1.38 times the op rate of
+# stepping every state with this floor at 20 or 32, and 1.62 times with
+# 128-sample blocks and no floor.
+# But perfbench keeps one record per op and reads the peak RSS after a
+# fixed time, so those op rates read as 5-6 % more peak RSS, past its
+# 5 % bound, at memory the solver does not hold (ROADMAP item 6).  At 40
+# only n = 20 structural-dense solves search (1.22 times the op rate).
+# Lower it to 20, and lengthen the blocks, once that metric is fixed.
+_SEARCH_DIM = 40
+
+# Steps stepped exactly from the sample before the first one at or below
+# eps: the window starts within _SAMPLE steps of it and, on a settling
+# residual, is met CONVERGENCE_WINDOW steps later, inside one block.
+_STRETCH = 32
+
 
 class EigenFailure(RuntimeError):
     """The eigenvalue iteration did not converge."""
@@ -157,6 +203,10 @@ class TraceBudgetExceeded(ValueError):
 
 class StepMapOverflow(ValueError):
     """The RK4 step map at this dt is not finite in float64."""
+
+
+class TransferOutOfRange(ValueError):
+    """A single-path bandwidth or transfer value does not fit float64."""
 
 
 class Mode(Enum):
@@ -592,29 +642,32 @@ def _nan_max(a: float, b: float) -> float:
     return a if a >= b or a != a else b
 
 
-def _factors(powers, n):
-    """The n-step map as binary factors, smallest first, one per set bit of n.
-
-    powers holds the 1, 2, 4, ... step maps of one map (see _extend) and is
-    extended here as far as n needs.  Each factor is (steps, R^steps - I,
-    sum_{i<steps} R^i u, norm_r, norm_p) with norm_r >= ||R^j||_inf and
-    norm_p >= ||sum_{i<j} R^i u||_inf for every j <= steps, so no state
-    along a factor applied to z exceeds norm_r ||z||_inf + norm_p.  The
-    bounds are those of the one-step factor, (max(1, ||R||), ||u||), each
-    doubled as _then doubles a factor with itself: ||R^steps|| and ||P|| of
-    every power come from one pass over the stacked maps, then the scalar
-    recurrence runs in Python floats (the same IEEE products and sums as
-    _then, _nan_max for np.maximum).  Non-finite bounds fail every
-    certificate.
-    """
-    _extend(powers, n)
-    count = n.bit_length()
-    maps = powers[:count]
-    dim = len(maps[0][1])
-    ends = np.array([d for _, d, _ in maps])
+def _norms(powers):
+    """||R^steps||_inf of each power, as a list: one pass over their
+    stacked maps."""
+    count, dim = len(powers), len(powers[0][1])
+    ends = np.array([d for _, d, _ in powers])
     ends.reshape(count, -1)[:, :: dim + 1] += 1.0  # R^steps of each power
-    end_r = _row_max(np.abs(ends, out=ends).sum(axis=2)).tolist()
-    peak_p = _row_max(np.abs(np.array([p for _, _, p in maps]))).tolist()
+    return _row_max(np.abs(ends, out=ends).sum(axis=2)).tolist()
+
+
+def _stack(powers):
+    """The norms ||R^steps||_inf of every power in powers (see _extend),
+    which _block_maps reads, and their bounds (norm_r, norm_p), from one
+    pass over their stacked maps.
+
+    norm_r >= ||R^j||_inf and norm_p >= ||sum_{i<j} R^i u||_inf for every
+    j <= steps, so no state along a power applied to z exceeds
+    norm_r ||z||_inf + norm_p.  The bounds are those of the one-step factor,
+    (max(1, ||R||), ||u||), each doubled as _then doubles a factor with
+    itself: the recurrence runs in Python floats over the norms and the
+    peaks ||P||_inf (the same IEEE products and sums as _then, _nan_max for
+    np.maximum).  A bound depends only on the powers up to its own, so a
+    longer list leaves the earlier ones as they are.  Non-finite bounds
+    fail every certificate.
+    """
+    end_r = _norms(powers)
+    peak_p = _row_max(np.abs(np.array([p for _, _, p in powers]))).tolist()
     norm_r, norm_p = _nan_max(1.0, end_r[0]), peak_p[0]
     bounds = [(norm_r, norm_p)]
     for e, q in zip(end_r[:-1], peak_p[:-1]):
@@ -622,25 +675,41 @@ def _factors(powers, n):
             _nan_max(norm_r, norm_r * e), _nan_max(norm_p, norm_r * q + norm_p)
         )
         bounds.append((norm_r, norm_p))
-    return [(*maps[b], *bounds[b]) for b in range(count) if n >> b & 1]
+    return end_r, bounds
 
 
-def _block_maps(powers, count):
+def _factors(powers, n, bounds=None):
+    """The n-step map as binary factors, smallest first, one per set bit of n.
+
+    powers holds the 1, 2, 4, ... step maps of one map (see _extend) and is
+    extended here as far as n needs.  Each factor is (steps, R^steps - I,
+    sum_{i<steps} R^i u, norm_r, norm_p), with the bounds of _stack: those
+    given (formed for at least n.bit_length() powers), else formed here.
+    """
+    _extend(powers, n)
+    count = n.bit_length()
+    if bounds is None:
+        bounds = _stack(powers[:count])[1]
+    return [(*powers[b], *bounds[b]) for b in range(count) if n >> b & 1]
+
+
+def _block_maps(powers, count, norms=None):
     """The maps a block of states needs: powers up to the L-step map,
     L = min(_BLOCK, count) rounded down to a power of two, halved while a
     map up to it has an entry past 1e100 (strongly unstable maps), so a
-    state within OVERFLOW_LIMIT never feeds an overflowing product.
-    Returns (maps, L)."""
+    state within OVERFLOW_LIMIT never feeds an overflowing product.  An
+    entry of R^steps - I is at most ||R^steps||_inf + 1, so only a map
+    whose norm (as _stack gives them, formed here when not given) is past
+    1e99 or NaN has its entries read.  Returns (maps, L)."""
     top = min(_BLOCK, count)
     _extend(powers, top)
     size = top.bit_length()
-    if size > 1:
-        # long rows (dim^2 entries each): a plain row max, no transposed copy
-        stack = np.abs(np.array([d for _, d, _ in powers[1:size]]))
-        peaks = stack.reshape(size - 1, -1).max(axis=1)
-        over = ~(peaks <= 1e100)
-        if over.any():
-            size = 1 + int(np.argmax(over))
+    if norms is None and size > 1:
+        norms = _norms(powers[:size])
+    for i in range(1, size):
+        if not norms[i] <= 1e99 and not np.abs(powers[i][1]).max() <= 1e100:
+            size = i
+            break
     return powers[:size], 1 << (size - 1)
 
 
@@ -702,28 +771,36 @@ def simulate(
 
     Convergence is declared at the first time the residual
     ||b_hat - A_hat x||_inf stays at or below cfg.eps_residual for
-    CONVERGENCE_WINDOW consecutive steps.  Every step is taken until then,
-    in blocks of up to _BLOCK states (each formed from the block before
-    with one product, by _Run.walk; see the module docstring).  A block's
-    residuals are row peaks taken with _row_max, and its window search runs
-    only when one of them is at or below eps; its overflow scan looks at rows only
-    when the block's max or min is past +-OVERFLOW_LIMIT or NaN, so the
-    overflow step stays exact.  The power-of-two maps carry no bounds while
-    stepping: _factors forms them, in one pass, for the jump and the trace
-    stride, the only certificates that read them.  From the end of the
-    block that met the window, x jumps straight to t_max through one
-    power-of-two map per set bit of the remaining steps, so the cost
-    follows the convergence time, not t_max.  Where the jump's overflow
-    certificate fails, the rest of the horizon is block-stepped exactly
-    instead.  The returned x is the state at t_max, which has settled
-    further than the detection instant, unless a state magnitude exceeds
-    OVERFLOW_LIMIT (or is not finite) first: the run then stops at that
-    step and reports divergence.
+    CONVERGENCE_WINDOW consecutive steps.  Until a state near it, at state
+    dimension _SEARCH_DIM or more, only every _SAMPLE-th state is formed
+    (_Run.search), in blocks of _SAMPLES samples, each accepted while the
+    _SAMPLE-step bounds certify every state since the sample before.  Below
+    _SEARCH_DIM every state is stepped.  The run backs up to the sample before
+    the first one at or below eps, where no window has been met, and steps
+    every state from there, over _STRETCH steps and then searching again,
+    or to the window, in blocks of up to _BLOCK states (each formed from
+    the block before with one product, by _Run.walk; see the module
+    docstring).  So t_converge is the first window's start, as when every
+    step is taken.  A block's residuals are row peaks taken with _row_max,
+    and its window search runs only when one of them is at or below eps;
+    its overflow scan looks at rows only when the block's max or min is
+    past +-OVERFLOW_LIMIT or NaN, so the overflow step stays exact.  The
+    power-of-two maps' bounds come from one pass over their stack (_stack)
+    for the three certificates that read them: the search, the jump and the
+    trace stride.  From the end of the block that met the window, x jumps
+    straight to t_max through one power-of-two map per set bit of the
+    remaining steps, so the cost follows the convergence time, not t_max.
+    Where the jump's overflow certificate fails, the rest of the horizon is
+    block-stepped exactly instead.  The returned x is the state at t_max,
+    which has settled further than the detection instant, unless a state
+    magnitude exceeds OVERFLOW_LIMIT (or is not finite) first: the run then
+    stops at that step and reports divergence.
 
     trace_decimation None forms no trace (result.trace is None); 0 keeps
     about 4096 evenly spaced steps and k > 0 every k-th step, plus the last
     step reached; a negative value raises ValueError.  x does not depend on
-    it unless the jump's overflow certificate fails.  Raises, before
+    it unless the jump's overflow certificate fails: the search and its
+    stretches run the same way with or without a trace.  Raises, before
     stepping, StepBudgetExceeded when t_max / dt asks for more than
     _STEP_BUDGET steps or is not finite (a dt that underflows, or an auto
     step whose g * max gamma overflows to dt = 0), TraceBudgetExceeded when
@@ -762,11 +839,15 @@ class _Run:
     CONVERGENCE_WINDOW residual flags, the convergence and overflow steps,
     settled = (z, k) at the end of the block that met the window, and a
     trace's kept rows, on the grid 0, dec, 2 dec, ... up to grid_end.
-    Without a trace (dec None), kept is None, dec is 1 and grid_end 0."""
+    Without a trace (dec None), kept is None, dec is 1 and grid_end 0.
+    powers are the step map's power-of-two maps, extended to the horizon;
+    norms and bounds are theirs from one _stack pass."""
 
-    def __init__(self, ss, eps, dt, n_steps, dec):
+    def __init__(self, ss, eps, dt, n_steps, dec, powers):
         self.nm, self.a_hat_t, self.b_hat = ss.n_main, ss.a_hat.T, ss.b_hat
         self.eps, self.dt = eps, dt
+        self.powers = powers
+        self.norms, self.bounds = _stack(powers)
         self.z, self.k = np.zeros(ss.m.shape[0]), 0
         start_res = float(np.abs(self.b_hat).max())
         self.recent = np.array([start_res <= eps], dtype=int)
@@ -783,22 +864,94 @@ class _Run:
         np.subtract(self.b_hat, res, out=res)
         return _row_max(np.abs(res, out=res))
 
-    def walk(self, powers, stride, end, bounds=None):
-        """Advance (z, k) toward step end, one state per row, through the
-        stride-step map whose 1, 2, 4, ... powers are given, in blocks;
-        keep the trace rows on the grid.  Rows stop at the first state past
+    def search(self, end):
+        """Advance (z, k) toward step end forming only every _SAMPLE-th
+        state, through the _SAMPLE-step power and those after it, in blocks
+        of _SAMPLES samples.  A sample is accepted while its residual is
+        above eps, its peak within OVERFLOW_LIMIT (not NaN), and the
+        _SAMPLE-step bounds (norm_r, norm_p), applied to the sample before,
+        certify that no state between the two passes OVERFLOW_LIMIT.  The
+        run stops on the last accepted sample, whose flag (above eps)
+        becomes recent: every window before it holds an accepted sample, so
+        none is met, and the exact walk on from it finds the first one.
+        True when the search stopped at a sample at or below eps, False at
+        an uncertified sample or at the end.  The caller ensures that the
+        flag at k is above eps.
+        """
+        samples = (end - self.k) // _SAMPLE
+        if not samples:
+            return False
+        first = _SAMPLE.bit_length() - 1  # the _SAMPLE-step power's index
+        maps, size = _block_maps(
+            self.powers[first:], min(_SAMPLES, samples), self.norms[first:]
+        )
+        norm_r, norm_p = self.bounds[first]
+        z, k = self.z, self.k
+        states, found = z, False
+        while samples:
+            count = min(size, samples)
+            block = _block(maps, states, count)
+            peaks = _row_max(np.abs(block))
+            before = np.concatenate(([np.abs(z).max()], peaks[:-1]))
+            safe = norm_r * before + norm_p <= OVERFLOW_LIMIT
+            unsafe = np.flatnonzero(~(safe & (peaks <= OVERFLOW_LIMIT)))
+            take = int(unsafe[0]) if unsafe.size else count
+            below = np.flatnonzero(self.residuals(block[:take]) <= self.eps)
+            found = below.size > 0
+            if found:
+                take = int(below[0])
+            if self.kept is not None:
+                self._sampled_rows(z, k, block[:take])
+            if take:
+                z = block[take - 1]
+            k += take * _SAMPLE
+            if found or unsafe.size:
+                break
+            samples -= count
+            states = block
+        self.z, self.k, self.recent = z, k, np.zeros(1, dtype=int)
+        return found
+
+    def _sampled_rows(self, z, k, samples):
+        """Keep the grid rows in (k, k + len(samples) _SAMPLE]: each is the
+        sample before it (z for the first) carried g mod _SAMPLE steps
+        through the 1-, 2- and 4-step maps, inside the stretch the sample's
+        bounds certify."""
+        dec = self.dec
+        steps = np.arange(k - k % dec + dec, k + len(samples) * _SAMPLE + 1, dec)
+        if not steps.size:
+            return
+        off = steps - k
+        rows = np.concatenate((z[None], samples))[off // _SAMPLE]
+        for b in range(_SAMPLE.bit_length() - 1):
+            carried = np.flatnonzero(off >> b & 1)
+            if carried.size:
+                rows[carried] = _through(self.powers[b], rows[carried])
+        self.kept[steps // dec] = rows[:, : self.nm]
+        self.kept_res[steps // dec] = self.residuals(rows)
+
+    def walk(self, end, stride=None):
+        """Advance (z, k) toward step end, one state per row, in blocks:
+        exactly through the one-step powers, or along the trace grid through
+        the stride factor (steps, R^steps - I, P, norm_r, norm_p); keep the
+        trace rows on the grid.  Rows stop at the first state past
         OVERFLOW_LIMIT (a non-finite peak counts as past it), which records
-        divergence; or, with the map's bounds (norm_r, norm_p), before the
-        first row they do not certify.  The window is searched row by row,
-        so only while stepping exactly (stride 1); once it is first met the
-        walk ends with that block, or traced, at the next grid step."""
+        divergence; or, along a stride, before the first row its bounds do
+        not certify.  The window is searched row by row, so only while
+        stepping exactly; once it is first met the walk ends with that
+        block, or traced, at the next grid step."""
         if self.overflow_at is not None or self.k >= end:
             return
-        maps, size = _block_maps(powers, (end - self.k) // stride)
+        if stride is None:
+            step, bounds = 1, None
+            maps, size = _block_maps(self.powers, end - self.k, self.norms)
+        else:
+            step, bounds = stride[0], stride[3:]
+            maps, size = _block_maps([stride[:3]], (end - self.k) // step)
         z, k, dec = self.z, self.k, self.dec
         states = z
         while k < end:
-            block = _block(maps, states, min(size, (end - k) // stride))
+            block = _block(maps, states, min(size, (end - k) // step))
             take = len(block)
             if bounds is not None:
                 peaks = _row_max(np.abs(block))
@@ -811,7 +964,7 @@ class _Run:
             ):
                 over = ~(_row_max(np.abs(block)) <= OVERFLOW_LIMIT)
                 take = int(np.argmax(over)) + 1
-                self.overflow_at = k + take * stride
+                self.overflow_at = k + take * step
             states = block[:take]
             res = self.residuals(states)
             if self.t_converge is None:
@@ -828,14 +981,14 @@ class _Run:
                         self.t_converge = float(met * self.dt)
                 self.recent = flags[-CONVERGENCE_WINDOW:]
             if self.kept is not None:
-                first = -(k + stride) % dec // stride  # the block's first grid row
-                row = (k + stride * (first + 1)) // dec
-                on_grid = states[first :: dec // stride, : self.nm]
+                first = -(k + step) % dec // step  # the block's first grid row
+                row = (k + step * (first + 1)) // dec
+                on_grid = states[first :: dec // step, : self.nm]
                 self.kept[row : row + len(on_grid)] = on_grid
-                self.kept_res[row : row + len(on_grid)] = res[first :: dec // stride]
+                self.kept_res[row : row + len(on_grid)] = res[first :: dec // step]
             if take:
                 z = states[-1]
-            k += take * stride
+            k += take * step
             if self.overflow_at is not None or take < len(block):
                 break
             if self.settled is None and self.t_converge is not None:
@@ -854,26 +1007,44 @@ def _integrate(ss, cfg, dt, n_steps, dec, stability):
             f"the RK4 step map at dt = {dt:.3e} s is not finite in float64"
         )
     powers = [(1, r - np.eye(len(r)), u)]  # the 1, 2, 4, ... step maps
-    run = _Run(ss, cfg.eps_residual, dt, n_steps, dec)
-    run.walk(powers, 1, n_steps)
+    _extend(powers, n_steps)
+    run = _Run(ss, cfg.eps_residual, dt, n_steps, dec, powers)
+
+    # To the window: from state dimension _SEARCH_DIM, sample every
+    # _SAMPLE-th state while the flag at the run's step is above eps, step
+    # exactly over _STRETCH steps from the sample before each one at or
+    # below eps, and step exactly to the window from wherever the search
+    # cannot go on (below _SEARCH_DIM, from the start).  The search and the
+    # stretches do not depend on the trace, so neither does where the
+    # window's block ends.
+    while (
+        len(r) >= _SEARCH_DIM
+        and run.t_converge is None
+        and run.overflow_at is None
+        and not run.recent[-1]
+        and run.search(n_steps)
+    ):
+        run.walk(min(run.k + _STRETCH, n_steps))
+    # a stretch that met the window ends a trace's walk at its next grid step
+    run.walk(n_steps if run.settled is None else min(n_steps, run.k + -run.k % run.dec))
 
     # Settled: x jumps from the window's block to t_max, certified factor by
     # factor.  The start does not depend on the grid, so x is the same with
     # or without a trace.
     jumped = None
     if run.overflow_at is None and run.settled is not None and run.settled[1] < n_steps:
-        jumped = _jump(_factors(powers, n_steps - run.settled[1]), run.settled[0])
+        factors = _factors(powers, n_steps - run.settled[1], run.bounds)
+        jumped = _jump(factors, run.settled[0])
 
     # Trace rows: the dec-step map, one row per grid step, as far as its
     # certificate says no state along it can pass OVERFLOW_LIMIT.
     if run.overflow_at is None and run.k < run.grid_end:
-        stride = reduce(_then, _factors(powers, run.dec))
-        run.walk([stride[:3]], run.dec, run.grid_end, stride[3:])
+        run.walk(run.grid_end, reduce(_then, _factors(powers, run.dec, run.bounds)))
 
     # Whatever no certificate covered is stepped exactly: the rest of the
     # horizon when the jump failed, the rest of the grid when the stride
     # walk stopped early.
-    run.walk(powers, 1, n_steps if jumped is None else run.grid_end)
+    run.walk(n_steps if jumped is None else run.grid_end)
     if jumped is not None and run.overflow_at is None:
         run.z, run.k = jumped, n_steps
 
@@ -1031,26 +1202,69 @@ def solve(
     raise UnstableSystem(f"no stable orientation found ({summary})")
 
 
-def _single_path(circuit: CircuitPlan, row: int) -> float:
-    """R_f / R_in of a row's only feedback path."""
+def _single_path(circuit: CircuitPlan, row: int) -> tuple[float, float]:
+    """(R_in, R_f) of a row's only feedback path."""
     (cols,) = np.nonzero(circuit.sign[row])
     if cols.size != 1:
         raise MultiPathRow(
             f"row {row} has {cols.size} feedback paths; AC analysis needs 1"
         )
-    return circuit.r_feedback[row, cols[0]] / circuit.r_in[row]
+    return float(circuit.r_in[row]), float(circuit.r_feedback[row, cols[0]])
+
+
+def _exact(*values):
+    """Each float as an exact Fraction.  fractions is imported here: it
+    loads decimal, about 0.3 MB that a process which never asks for a
+    transfer value need not hold."""
+    from fractions import Fraction
+
+    return [Fraction(v) for v in values]
+
+
+def _to_float(value, what: str) -> float:
+    """value rounded to float64, or TransferOutOfRange past its range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise TransferOutOfRange(f"{what} overflows float64") from None
 
 
 def ac_response(
     circuit: CircuitPlan, row: int, cfg: SolverConfig, freq_hz: float
 ) -> complex:
-    """Single-path transfer H(jw) = -(R_f/R_in) / (1 + jw (1 + R_f/R_in) / g)."""
-    ratio = _single_path(circuit, row)
-    omega = 2.0 * math.pi * freq_hz
-    return -ratio / (1.0 + 1j * omega * (1.0 + ratio) / cfg.g)
+    """Single-path transfer H(jw) = -(R_f/R_in) / (1 + jw (1 + R_f/R_in) / g).
+
+    Formed in exact rationals from the floats g, 2 pi, freq_hz, R_in and
+    R_f, and rounded once per part, so no product or ratio on the way can
+    overflow; raises TransferOutOfRange when a part of H itself is past
+    float64 (a DC gain R_f/R_in past 1.8e308), and ValueError for a
+    frequency that is not finite.
+    """
+    _require_finite(freq_hz=freq_hz)
+    g, two_pi, f, r_in, r_f = _exact(
+        cfg.g, 2.0 * math.pi, freq_hz, *_single_path(circuit, row)
+    )
+    ratio = r_f / r_in
+    x = two_pi * f * (1 + ratio) / g
+    scale = ratio / (1 + x * x)
+    what = f"the transfer of row {row} at {freq_hz:g} Hz"
+    return complex(_to_float(-scale, what), _to_float(scale * x, what))
 
 
 def bandwidth(circuit: CircuitPlan, row: int, cfg: SolverConfig) -> float:
-    """3-dB bandwidth g / (1 + R_f/R_in) of a single-path row, in rad/s."""
-    ratio = _single_path(circuit, row)
-    return cfg.g / (1.0 + ratio)
+    """3-dB bandwidth g R_in / (R_in + R_f) of a single-path row, in rad/s.
+
+    Formed in exact rationals and rounded once, so R_f / R_in is never
+    formed as a float, and the result is at most g.  Raises
+    TransferOutOfRange when it falls below the smallest normal float64
+    (a weight R_in/R_f below about 2e-308 / g).
+    """
+    r_in, r_f = _single_path(circuit, row)
+    g, exact_in, exact_f = _exact(cfg.g, r_in, r_f)
+    rad_s = float(g * exact_in / (exact_in + exact_f))
+    if rad_s < sys.float_info.min:
+        raise TransferOutOfRange(
+            f"the single-path bandwidth of row {row} underflows float64 "
+            f"(R_in = {r_in:.3e}, R_f = {r_f:.3e} ohm)"
+        )
+    return rad_s

@@ -322,7 +322,10 @@ def program_memristors(
     write grid.  Returns a new plan; the input plan is untouched.
     """
     connected = circuit.sign != 0
-    targets = 1.0 / circuit.r_feedback[connected]  # row-major
+    # an R_f that underflowed to 0 (or is subnormal) asks for an infinite
+    # conductance, which the range check below refuses
+    with np.errstate(divide="ignore", over="ignore"):
+        targets = 1.0 / circuit.r_feedback[connected]  # row-major
     if targets.size and (targets.min() < bank.g_min or targets.max() > bank.g_max):
         raise TargetOutOfDeviceRange(
             f"target conductances span [{targets.min():.3e}, "

@@ -628,6 +628,44 @@ class TestPlanCommand:
         assert captured.out == "" and not out.exists()
 
 
+    def test_bandwidth_of_a_huge_ratio_is_exact(self, tmp_path, capsys):
+        # R_f / R_in = 1e10 / 1e-300 overflows, so g / (1 + R_f / R_in)
+        # read 0.0 with an overflow warning; g R_in / (R_in + R_f) does not
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"a": [[1e-310]], "b": [0.1]}))
+        out = tmp_path / "plan.json"
+        assert run(["plan", str(path), "--r-in", "1e-300", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        doc = json.loads(out.read_text())
+        r_f = doc["paths"][0]["r_feedback_ohms"]
+        bw = doc["single_path_bandwidth"]["0"]["rad_per_s"]
+        assert r_f == pytest.approx(1e10, rel=1e-9)
+        assert bw == pytest.approx(300e6 / math.pi * 1e-300 / r_f, rel=1e-15)
+
+    def test_bandwidth_past_float64_named(self, tmp_path, capsys):
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps({"a": [[1e-320]], "b": [0.1]}))
+        out = tmp_path / "plan.json"
+        assert run(["plan", str(path), "--r-in", "1e-300", "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: the single-path bandwidth of row 0 underflows float64")
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_memristor_target_of_a_zero_r_f_refused_alone(self, tmp_path, capsys):
+        # R_f = 1e-300 / 1e300 underflows to 0: its conductance target is
+        # infinite, refused by range without a divide-by-zero warning
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"a": [[1e300]], "b": [0.1]}))
+        out = tmp_path / "plan.json"
+        argv = ["plan", str(path), "--memristor", "--r-in", "1e-300", "--out", str(out)]
+        assert run(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: target conductances span [inf, inf] S but devices accept "
+            "[1.000e-06, 1.000e-02] S\n"
+        )
+        assert not out.exists()
+
+
 class TestSubnormalSolve:
     """Subnormal systems keep their refusals, with nothing else on stderr."""
 
@@ -873,6 +911,20 @@ class TestSweepCommand:
             "error: bad --kvco-list value -1e+08: k_vco and k_pd must be positive\n"
         )
         assert solved == [] and not out.exists()
+
+    def test_unconverged_point_named_on_stderr(self, tmp_path, capsys):
+        # both points end above eps: one line, naming the first of them, as
+        # solve prints one; the summary is still written
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"a": [[1e-310]], "b": [-0.5]}))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", str(path), "--kvco-list", "1e8,3e8", "--out", str(out)]
+        assert run(argv) == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == (
+            "solver did not converge: at k_vco = 100000000 Hz/V: "
+            "residual above threshold\n"
+        )
+        assert len(out.read_text().splitlines()) == 3
 
     def test_non_finite_list_value(self, neg_file, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -1,9 +1,10 @@
 """The command line's contract, checked in process on fixed inputs.
 
-Every run of plan, solve, scale and metrics --input exits 0, 2, 3 or 4; a
-run that exits nonzero prints exactly one line on stderr, and one that exits
-0 prints none; exit 2 or 4 writes no document; and every document written
-is JSON that holds no NaN or Infinity.  The inputs are the CLI test
+Every run of plan, solve, scale, metrics --input and sweep exits 0, 2, 3 or
+4; a run that exits nonzero prints exactly one line on stderr, and one that
+exits 0 prints none; exit 2 or 4 writes no document; every document written
+is JSON (the sweep's, CSV) that holds no NaN or Infinity; and the same argv
+run twice gives the same exit code, stderr and bytes.  The inputs are the CLI test
 fixtures and small systems drawn with a fixed seed from a value set of
 zeros, in-window values, magnitudes near the float64 limits and subnormals.
 The pyproject warning filters turn a numpy RuntimeWarning into a test error.
@@ -51,11 +52,20 @@ COMMANDS = {
     "solve": lambda path: ["solve", path],
     "scale": lambda path: ["scale", path],
     "metrics": lambda path: ["metrics", "--input", path, "--time-us", "1"],
+    "sweep": lambda path: ["sweep", path, "--kvco-list", "1e8,3e8"],
 }
 
 
 def _refuse_constant(name):
     raise ValueError(f"{name} in a JSON document")
+
+
+def _run_once(capsys, argv, out):
+    if out.exists():
+        out.unlink()
+    code = run([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    return code, captured, out.read_bytes() if out.exists() else None
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -64,8 +74,8 @@ def test_cli_contract(tmp_path, capsys, command, name):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(DOCUMENTS[name]))
     out = tmp_path / "out.json"
-    code = run([*COMMANDS[command](str(path)), "--out", str(out)])
-    captured = capsys.readouterr()
+    argv = COMMANDS[command](str(path))
+    code, captured, written = _run_once(capsys, argv, out)
     assert code in (0, 2, 3, 4)
     assert captured.out == ""
     if code == 0:
@@ -73,6 +83,11 @@ def test_cli_contract(tmp_path, capsys, command, name):
     else:
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     if code in (2, 4):
-        assert not out.exists()
-    if out.exists():
-        json.loads(out.read_text(), parse_constant=_refuse_constant)
+        assert written is None
+    if written is not None and command == "sweep":
+        fields = written.decode().replace("\n", ",").split(",")
+        assert not {"nan", "inf", "-inf"} & set(fields)
+    elif written is not None:
+        json.loads(written, parse_constant=_refuse_constant)
+    again, captured_again, written_again = _run_once(capsys, argv, out)
+    assert (again, captured_again.err, written_again) == (code, captured.err, written)

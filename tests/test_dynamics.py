@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 import re
 import sys
 
@@ -454,6 +455,31 @@ class TestAcResponse:
         assert bandwidth(c, 0, cfg2) == pytest.approx(
             2.0 * bandwidth(c, 0, self.CFG1), rel=1e-12
         )
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 4.0, 1e6])
+    def test_rounded_once_from_the_exact_value(self, ratio):
+        # both are the exact value of the realized resistors rounded once
+        # (Fraction is exact): within half an ulp of the float formula
+        c = self._single_path_plan(ratio)
+        r_in = Fraction(c.r_in[0])
+        rho = Fraction(c.r_feedback[0, 0]) / r_in
+        g = Fraction(self.CFG1.g)
+        assert bandwidth(c, 0, self.CFG1) == float(g / (1 + rho))
+        x = Fraction(2.0 * math.pi) * Fraction(3e7) * (1 + rho) / g
+        h = ac_response(c, 0, self.CFG1, 3e7)
+        assert h == complex(float(-rho / (1 + x * x)), float(rho * x / (1 + x * x)))
+
+    @pytest.mark.parametrize("freq_hz", [math.inf, -math.inf, math.nan])
+    def test_non_finite_frequency_named(self, freq_hz):
+        with pytest.raises(ValueError, match="^freq_hz must be finite"):
+            ac_response(self._single_path_plan(4.0), 0, self.CFG1, freq_hz)
+
+    def test_dc_gain_past_float64_named(self):
+        # R_f / R_in = 1e310: the transfer overflows, the bandwidth does not
+        c = plan(LinearProblem([[-1e-310]], [0.3]), 1e-300)
+        with pytest.raises(dynamics.TransferOutOfRange, match="overflows float64"):
+            ac_response(c, 0, self.CFG1, 0.0)
+        assert bandwidth(c, 0, self.CFG1) == pytest.approx(1e9 * 1e-310, rel=1e-9)
 
     def test_multipath_row_rejected(self, neg2x2):
         c = plan(neg2x2)

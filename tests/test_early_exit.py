@@ -1,12 +1,14 @@
-"""Early exit, the jump to t_max and trace-grid striding in simulate,
-against plain stepping.
+"""Early exit, the window search, the jump to t_max and trace-grid striding
+in simulate, against plain stepping.
 
-simulate takes every RK4 step only until the residual window is met, then
-jumps x to t_max with composed step maps and, when a trace is asked for,
-advances along the trace grid with the dec-step map.  Every stretch that no
-overflow certificate covers is block-stepped exactly.  The oracle below is
-the literal loop it replaces: one step z <- R z + u at a time over the
-whole horizon, every residual kept, the window found afterwards.
+simulate forms only every _SAMPLE-th state until a sample is at or below
+eps, steps exactly from the sample before it until the residual window is
+met, then jumps x to t_max with composed step maps and, when a trace is
+asked for, advances along the trace grid with the dec-step map.  Every
+stretch that no overflow certificate covers is block-stepped exactly.  The
+oracle below is the literal loop it replaces: one step z <- R z + u at a
+time over the whole horizon, every residual kept, the window found
+afterwards.
 """
 
 import dataclasses
@@ -539,24 +541,220 @@ def test_failed_certificates_step_each_step_once(monkeypatch, dec):
     assert_matches(res, plain_simulate(ss, cfg, dec))
 
 
-@pytest.mark.parametrize("n", [5, 6, 10])
-def test_untraced_run_stops_with_the_window_block(monkeypatch, n):
-    # nothing reads grid rows without a trace, so stepping ends with the
-    # block that met the window, where the jump starts, and does not go on
-    # to the next step of the automatic grid
-    p = random_stable(np.random.default_rng(n), n, -1)
+def record_searches(monkeypatch):
+    """Record (step before, step after, result) of each window search."""
+    calls, real_search = [], dynamics._Run.search
+
+    def recording_search(run, end):
+        before = run.k
+        found = real_search(run, end)
+        calls.append((before, run.k, found))
+        return found
+
+    monkeypatch.setattr(dynamics._Run, "search", recording_search)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [5, 6, 10])
+def test_untraced_run_stops_with_the_window_block(monkeypatch, seed):
+    # an untraced n = 20 solve forms its samples in blocks and one exact
+    # stretch, at most 288 state rows, where stepping every state to the
+    # window's block formed 2 048; stepping ends with the stretch that met
+    # the window, where the jump starts, not at the next automatic grid step
+    p = random_stable(np.random.default_rng(seed), 20, -1)
     cfg = SolverConfig()
     ss = build_system(plan(p), cfg)
+    assert ss.m.shape[0] >= dynamics._SEARCH_DIM
     rows = count_block_states(monkeypatch)
+    searches = record_searches(monkeypatch)
     res = simulate(ss, cfg)
     dt = dynamics._auto_dt(ss, cfg)
-    met = round(res.t_converge / dt) + CONVERGENCE_WINDOW  # the window's last step
+    start = round(res.t_converge / dt)
     assert res.converged and res.trace is None
-    assert sum(rows[:-1]) < met <= sum(rows)
-    # that block ends off the automatic grid, so a grid walk would show
-    assert sum(rows) % (math.ceil(cfg.t_max / dt) // 4096) != 0
+    # the samples to the window's start, the rest of their block, the stretch
+    samples = start // dynamics._SAMPLE + 1
+    assert sum(rows) <= samples + dynamics._SAMPLES + dynamics._STRETCH
+    assert sum(rows) <= 288
+    assert rows[-1] == dynamics._STRETCH
+    # the search stopped one sample before the window's first step, and the
+    # window's last step lies in the stretch after it
+    (_, backed_up, found), = searches
+    assert found and backed_up < start <= backed_up + dynamics._SAMPLE
+    assert start + CONVERGENCE_WINDOW <= backed_up + dynamics._STRETCH
     monkeypatch.undo()
     np.testing.assert_array_equal(simulate(ss, cfg, 0).x, res.x)
+
+
+@pytest.fixture
+def search_any_dimension(monkeypatch):
+    """Let systems below _SEARCH_DIM search, so small ones can exercise it."""
+    monkeypatch.setattr(dynamics, "_SEARCH_DIM", 1)
+
+
+def test_no_search_below_the_dimension_floor(monkeypatch):
+    # a small system steps every state to the window, as before the search
+    cfg = SolverConfig(t_max=1e-6)
+    ss = scalar_system(cfg)
+    searches = record_searches(monkeypatch)
+    res = simulate(ss, cfg, 7)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_integrate", old_integrate)
+        ref = simulate(ss, cfg, 7)
+    assert searches == []
+    assert same_bits(res.x, ref.x) and res.t_converge == ref.t_converge
+    assert same_bits(res.trace.states, ref.trace.states)
+
+
+def every_residual(ss, cfg):
+    return plain_simulate(ss, cfg, 1).trace.residual_inf
+
+
+def eps_at(cfg, residual, start):
+    """cfg with a threshold between the residuals of steps start-1 and start
+    of a decaying run: its first sustained window starts at step start."""
+    return dataclasses.replace(
+        cfg, eps_residual=math.sqrt(residual[start - 1] * residual[start])
+    )
+
+
+@pytest.mark.parametrize("dec", [None, 0, 7])
+@pytest.mark.parametrize("after", [1, 7, 8])
+@pytest.mark.parametrize(
+    "sample", [20, dynamics._SAMPLES], ids=["first-block", "across-blocks"]
+)
+def test_window_after_a_sample(monkeypatch, search_any_dimension, dec, after, sample):
+    # the window starts 1, 7 or 8 steps after a sample: the first sample at
+    # or below eps is the next multiple of _SAMPLE, the search backs up to
+    # the one before it, and the stretch from there finds the exact step;
+    # sample _SAMPLES ends the first block of samples, so the next one
+    # comes from the block before through the long map
+    cfg = SolverConfig(t_max=1e-6)
+    ss = scalar_system(cfg)
+    start = sample * dynamics._SAMPLE + after
+    cfg = eps_at(cfg, every_residual(ss, cfg), start)
+    ref = plain_simulate(ss, cfg, dec)
+    assert ref.t_converge == start * dynamics._auto_dt(ss, cfg)
+    searches = record_searches(monkeypatch)
+    assert_matches(simulate(ss, cfg, dec), ref)
+    first_below = -(-start // dynamics._SAMPLE) * dynamics._SAMPLE
+    assert searches == [(0, first_below - dynamics._SAMPLE, True)]
+
+
+def ringing_system(decay=0.004, turn=2 * math.pi / 50, dt=1e-9):
+    """x settles on (0.5, 0) along a decaying rotation, 50 steps a turn:
+    the residual |0.5 - x0| dips to zero twice a turn and rises again."""
+    m = np.array([[-decay, -turn], [turn, -decay]]) / dt
+    w = np.array([0.5, 0.0])
+    return StateSpace(m, -m @ w, np.ones(2), 2, np.diag([1.0, 0.0]), w)
+
+
+@pytest.mark.parametrize("dec", [None, 0, 1, 7])
+def test_residual_dips_at_a_sample_and_rises(monkeypatch, search_any_dimension, dec):
+    # eps is the residual at the lowest early sample, a dip two steps wide:
+    # the search stops there, the stretch meets no window and ends above
+    # eps, so the search resumes; the window comes hundreds of steps later
+    cfg = SolverConfig(dt=1e-9, t_max=4000e-9)
+    ss = ringing_system()
+    residual = every_residual(ss, cfg)
+    sample = dynamics._SAMPLE * (1 + int(np.argmin(residual[8:480:8])))
+    cfg = dataclasses.replace(cfg, eps_residual=float(residual[sample]))
+    assert (residual[: sample + 1] <= cfg.eps_residual).sum() == 1
+    ref = plain_simulate(ss, cfg, dec)
+    assert ref.t_converge > (sample + 400) * cfg.dt
+    searches = record_searches(monkeypatch)
+    assert_matches(simulate(ss, cfg, dec), ref)
+    assert searches[0] == (0, sample - dynamics._SAMPLE, True)
+    resumed = sample - dynamics._SAMPLE + dynamics._STRETCH
+    assert searches[1][0] == resumed and len(searches) >= 2
+
+
+@pytest.mark.parametrize("dec", [None, 0, 7])
+def test_stretch_ending_below_eps_steps_to_the_window(monkeypatch, search_any_dimension, dec):
+    # a stretch too short to hold the window ends on a step at or below
+    # eps, where windows may still start: the run steps exactly from there
+    # instead of searching again
+    monkeypatch.setattr(dynamics, "_STRETCH", dynamics._SAMPLE)
+    cfg = SolverConfig(t_max=1e-6)
+    ss = scalar_system(cfg)
+    start = 40 * dynamics._SAMPLE + 3
+    cfg = eps_at(cfg, every_residual(ss, cfg), start)
+    searches = record_searches(monkeypatch)
+    assert_matches(simulate(ss, cfg, dec), plain_simulate(ss, cfg, dec))
+    assert searches == [(0, 40 * dynamics._SAMPLE, True)]
+
+
+def spike_system(phi=math.pi / 6, dt=1e-9, steps=2000):
+    """x0 settles slowly on 0.5 (the residual); (x1, x2) turn by pi/4 a step
+    and grow by 2 % a step from phase phi, so within a turn of 8 steps
+    their peak swings between r / sqrt(2) and r."""
+    m = np.zeros((3, 3))
+    m[0, 0] = -1e-3 / dt
+    m[1:, 1:] = np.array([[0.02, -math.pi / 4], [math.pi / 4, 0.02]]) / dt
+    w = np.array([0.0, math.cos(phi), math.sin(phi)])
+    f = -m @ w
+    f[0] = 0.5e-3 / dt
+    ss = StateSpace(m, f, np.ones(3), 3, np.diag([1.0, 0.0, 0.0]), np.array([0.5, 0, 0]))
+    return ss, SolverConfig(dt=dt, t_max=steps * dt)
+
+
+@pytest.mark.parametrize("dec", [None, 0, 1, 7, 100])
+def test_overflow_between_two_samples(monkeypatch, search_any_dimension, dec):
+    # the first state past OVERFLOW_LIMIT lies between two samples, and the
+    # sample after it is back below: the samples alone would miss it, the
+    # certificate stops the search before it and exact stepping finds it
+    ss, cfg = spike_system()
+    r, s = dynamics._step_operators(ss.m, cfg.dt)
+    u, z, first = s @ ss.f, np.zeros(3), None
+    for k in range(1, 1000):
+        z = r @ z + u
+        if first is None and np.abs(z).max() > OVERFLOW_LIMIT:
+            first = k
+        if first is not None and k % dynamics._SAMPLE == 0:
+            break
+    assert first % dynamics._SAMPLE and np.abs(z).max() < OVERFLOW_LIMIT
+    ref = plain_simulate(ss, cfg, dec)
+    assert f"t = {first * cfg.dt:.3e} s" in ref.diagnostics
+    searches = record_searches(monkeypatch)
+    res = simulate(ss, cfg, dec)
+    assert_matches(res, ref)
+    (_, stopped, found), = searches
+    assert not found and first - 4 * dynamics._SAMPLE < stopped < first
+    if dec is not None:
+        assert res.trace.t[-1] == first * cfg.dt
+
+
+@pytest.mark.parametrize("dec", [None, 0, 7])
+def test_run_that_never_settles_samples_its_horizon(monkeypatch, search_any_dimension, dec):
+    cfg = SolverConfig(t_max=2e-7, eps_residual=1e-12)
+    ss = scalar_system(cfg)
+    n_steps = math.ceil(cfg.t_max / dynamics._auto_dt(ss, cfg))
+    rows = count_block_states(monkeypatch)
+    searches = record_searches(monkeypatch)
+    ref = plain_simulate(ss, cfg, dec)
+    assert ref.t_converge is None
+    assert_matches(simulate(ss, cfg, dec), ref)
+    last_sample = n_steps - n_steps % dynamics._SAMPLE
+    assert searches == [(0, last_sample, False)]
+    # the samples, then the last few steps exactly
+    assert sum(rows) == n_steps // dynamics._SAMPLE + n_steps % dynamics._SAMPLE
+
+
+@pytest.mark.parametrize("dec", [1, 5, 7, 8, 16, 100])
+def test_trace_rows_inside_sampled_stretches(monkeypatch, search_any_dimension, dec):
+    # grid rows before the window come from the sample before each, carried
+    # the remaining steps through the 1-, 2- and 4-step maps; x is the
+    # untraced x
+    rng = np.random.default_rng(22)
+    p = random_stable(rng, 6, -1)
+    cfg = SolverConfig(t_max=2e-6)
+    options = SolveOptions(trace_decimation=dec)
+    searches = record_searches(monkeypatch)
+    res, ref = solve_both(monkeypatch, p, cfg, options)
+    assert searches and searches[0][1] > 4 * dec
+    assert_matches(res, ref)
+    untraced = solve(p, cfg, dataclasses.replace(options, trace_decimation=None))
+    np.testing.assert_array_equal(res.x, untraced.x)
+    assert res.t_converge == untraced.t_converge
 
 
 @pytest.mark.parametrize("seed", range(7))
@@ -786,13 +984,17 @@ def walk_cases(neg2x2, mixed2x2, dec):
 
 @pytest.mark.parametrize("dec", [None, 0, 1, 7, 100])
 def test_one_walk_matches_the_two_loops(monkeypatch, neg2x2, mixed2x2, dec):
+    # bit for bit wherever the window search accepts no sample; where it
+    # does, the exact walk starts from a state reached by another grouping
+    # of the same arithmetic, so the run agrees with the loops to the
+    # oracle's tolerance, with t_converge exact
     walks, real_walk = [], dynamics._Run.walk
 
-    def recording_walk(run, powers, stride, end, bounds=None):
+    def recording_walk(run, end, stride=None):
         before = run.k
-        real_walk(run, powers, stride, end, bounds)
+        real_walk(run, end, stride)
         settled_at = None if run.settled is None else run.settled[1]
-        walks.append((bounds is not None, before, run.k, end, settled_at))
+        walks.append((stride is not None, before, run.k, end, settled_at))
 
     jumps, real_jump = [], dynamics._jump
 
@@ -803,23 +1005,32 @@ def test_one_walk_matches_the_two_loops(monkeypatch, neg2x2, mixed2x2, dec):
 
     monkeypatch.setattr(dynamics._Run, "walk", recording_walk)
     monkeypatch.setattr(dynamics, "_jump", recording_jump)
+    # a floor the n = 12 cases reach and the small ones do not
+    monkeypatch.setattr(dynamics, "_SEARCH_DIM", 20)
+    searches = record_searches(monkeypatch)
     seen = set()
     for name, run in walk_cases(neg2x2, mixed2x2, dec):
+        searches.clear()
         res = run()
         with monkeypatch.context() as m:
             m.setattr(dynamics, "_integrate", old_integrate)
             ref = run()
-        assert same_bits(res.x, ref.x), name
         assert res.t_converge == ref.t_converge, name
-        assert same_bits(res.residual_inf, ref.residual_inf), name
         assert res.converged == ref.converged, name
         assert res.fallback == ref.fallback, name
         assert res.diagnostics == ref.diagnostics, name
         assert (res.trace is None) == (dec is None), name
-        if dec is not None:
-            for field in ("t", "states", "residual_inf"):
-                got, want = getattr(res.trace, field), getattr(ref.trace, field)
-                assert got.shape == want.shape and same_bits(got, want), (name, field)
+        if any(found or after > before for before, after, found in searches):
+            seen.add("searched")
+            assert_matches(res, ref)
+        else:
+            seen.add("not searched")
+            assert same_bits(res.x, ref.x), name
+            assert same_bits(res.residual_inf, ref.residual_inf), name
+            if dec is not None:
+                for field in ("t", "states", "residual_inf"):
+                    got, want = getattr(res.trace, field), getattr(ref.trace, field)
+                    assert got.shape == want.shape and same_bits(got, want), (name, field)
         if ref.t_converge is None:
             seen.add("never settled")
         if "exceeded" in ref.diagnostics:
@@ -831,7 +1042,10 @@ def test_one_walk_matches_the_two_loops(monkeypatch, neg2x2, mixed2x2, dec):
             seen.add("stride certificate failed")
         if before == 0 and settled_at is not None and settled_at <= dynamics._BLOCK:
             seen.add("window met in the first block")
-    expected = {"never settled", "overflow", "jump failed", "window met in the first block"}
+    expected = {
+        "never settled", "overflow", "jump failed", "window met in the first block",
+        "searched", "not searched",
+    }
     if dec is not None:
         expected.add("stride certificate failed")
     assert expected <= seen
