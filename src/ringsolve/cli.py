@@ -368,6 +368,12 @@ def _cmd_sfdr(args: argparse.Namespace) -> int:
     n = args.samples
     if n < 4096 or n & (n - 1):
         raise ValueError("--samples must be a power of two >= 4096")
+    # a subnormal f0 gives a dt near the float64 limit: the sample times
+    # would overflow
+    if not math.isfinite(n * cfg.dt):
+        raise ValueError(
+            f"--samples {n} at dt = {cfg.dt:.3e} s: the sample times overflow float64"
+        )
     t = np.arange(n) * cfg.dt
     f_sig = args.tone_bin / (n * cfg.dt)
     v_in = cfg.v0 + args.tone_amp * np.sin(2.0 * math.pi * f_sig * t)

@@ -42,51 +42,54 @@ system one RK4 step is the exact affine map z' = R z + u, kept as
 (R - I, u); doubling it in one loop gives the 2^b-step maps (R^(2^b) - I,
 sum_{i<2^b} R^i u), formed once per run as far as the horizon.  One pass
 over their stack (_stack) gives each map's norm and the bounds on every
-state along it that the certificates read (the search, the jump and the
-trace stride).  The engine steps in blocks of L states, one per row: the
-first block after a state comes from it by doubling (states h+1..2h from
-states 1..h through the h-step map), and each later block from the one
-before through the L-step map, Z' = Z + Z (R^L - I)^T + P_L, one matrix
-product.  Until the residual window is near, simulate forms only every
-_SAMPLE-th state of a run of state dimension _SEARCH_DIM or more, by the
-same doubling and recurrence over the _SAMPLE-step map and those after it
-(_Run.search): any
-CONVERGENCE_WINDOW + 1 consecutive steps hold a sample, so no window is met
-before a sample is at or below eps.  A sample is accepted only while the
-_SAMPLE-step bounds show that no state since the sample before passes
-OVERFLOW_LIMIT.  From the sample before the first one at or below eps the
-run steps exactly over _STRETCH steps, and searches again if they end
-above eps without the window; after an uncertified sample, or a stretch
-that ends at or below eps, it steps exactly to the window.  From the end
-of the block that met the window x jumps to t_max: the remaining m steps
-split into the power-of-two maps of m's set bits, applied to the state one
-after another.  A factor is applied only when its bound certifies that no
-state along it passes OVERFLOW_LIMIT.  A trace, when asked for, takes its
-rows before the search stopped from the sample before each, carried the
-remaining steps through the 1-, 2- and 4-step maps; after the window from
-the trace grid with the dec-step map composed from the same maps, in
-blocks of its own, under the same kind of certificate per row; and ends
-on the jumped x.  The search and the stretches run the same way with or
-without a trace, so x does not depend on it.  Every stretch no certificate
+state along it that the certificates read.  One loop forms every block of
+states, _Run.walk, one state per row: the first block after a state comes
+from it by doubling (states h+1..2h from states 1..h through the h-step
+map), and each later block from the one before through the L-step map,
+Z' = Z + Z (R^L - I)^T + P_L, one matrix product.  The walk advances the
+run's explicit state (z, the step, the window flags, the convergence and
+overflow steps, the kept trace rows) along one of three strides:
+
+- exact, through the one-step maps, in blocks of up to _BLOCK states: the
+  only stride that searches for the window and scans for overflow, so
+  both are found at their exact step;
+- search, every _SAMPLE-th state through the _SAMPLE-step map and those
+  after it, in blocks of _SAMPLES, at state dimension _SEARCH_DIM or more:
+  any CONVERGENCE_WINDOW + 1 consecutive steps hold a sample, so no window
+  is met before a sample is at or below eps, and the search stops on the
+  sample before the first such one;
+- grid, through the dec-step map composed from the power-of-two maps, one
+  trace row per grid step, after the window.
+
+A row of the last two is kept only while its peak is within OVERFLOW_LIMIT
+and its stride's bounds, applied to the row before, show that no state
+between the two passes it.  A run is then: search, step exactly over
+_STRETCH steps from where the search stopped, and search again if they end
+above eps without the window; from an uncertified sample, a stretch that
+ends at or below eps, or below _SEARCH_DIM from the start, step exactly to
+the window.  From the end of the block that met the window x jumps to
+t_max: the remaining m steps split into the power-of-two maps of m's set
+bits, applied to the state one after another, each only when its bound
+certifies that no state along it passes OVERFLOW_LIMIT.  A trace walks the
+grid from there and ends on the jumped x.  Every stretch no certificate
 covers (the rest of the horizon when the jump fails, the rest of the grid
-after the first uncertified row) is block-stepped exactly, as before the
-window, so divergence is still reported at the exact step.  One loop forms
-every block of exact or grid steps, _Run.walk: it advances the run's
-explicit state (z, the step, the window flags, the convergence and
-overflow steps, the kept trace rows) through the one-step map or the
-dec-step map, so a run is a search with exact stretches to the window,
-the jump, a walk along the grid and an exact walk over whatever no
-certificate covered.  Row peaks (the overflow scan, the residuals, the
-certificates) are reduced from a transposed copy (_row_max), since numpy
-reduces short rows one at a time.  A block's overflow scan looks at rows
-only when the whole block's max or min fails.  simulate holds one numpy
-error-state context (overflow and invalid ignored) for its whole run; the
-stepping helpers (_step_operators, _extend, _stack, _factors, _then,
-_block, _jump, _Run.search, _Run.walk) enter none, so any other caller
-sets its own.  This regroups the same arithmetic: results agree with
-one-step-at-a-time stepping to rounding and are byte-deterministic; where
-the horizon does not contract the rounding of the state a search stopped
-on, x can differ from stepping every state in its last bits.
+after the first uncertified row) is stepped exactly, so divergence is still
+reported at the exact step.  Each walk keeps the trace rows on the grid it
+passes with one keeper (_Run._keep): a row the walk formed is sliced out,
+and a grid row between two samples is the sample before it carried the
+remaining steps through the 1-, 2- and 4-step maps.  The walks run the same
+way with or without a trace, so x does not depend on it.  Row peaks (the
+overflow scan, the residuals, the certificates) are reduced from a
+transposed copy (_row_max), since numpy reduces short rows one at a time.
+An exact block's overflow scan looks at rows only when the whole block's
+max or min fails.  simulate holds one numpy error-state context (overflow
+and invalid ignored) for its whole run; the stepping helpers
+(_step_operators, _extend, _stack, _factors, _then, _block, _jump,
+_Run.walk) enter none, so any other caller sets its own.  This regroups the
+same arithmetic: results agree with one-step-at-a-time stepping to rounding
+and are byte-deterministic; where the horizon does not contract the
+rounding of the state a search stopped on, x can differ from stepping
+every state in its last bits.
 """
 
 from __future__ import annotations
@@ -144,7 +147,7 @@ _TRACE_BUDGET = 1 << 26
 # window; a dense n = 20 solve settles in about 1.4-1.9 k steps.
 _BLOCK = 512
 
-# Steps between the states the window search forms (_Run.search), a power
+# Steps between the states the window search forms (_Run.walk), a power
 # of two: any CONVERGENCE_WINDOW + 1 consecutive steps hold a multiple of
 # it, so until a sample is at or below eps no window can be met.
 _SAMPLE = 8
@@ -604,19 +607,30 @@ def _compose(later, earlier):
     return d_a + d_b + d_a @ d_b, p_b + d_a @ p_b + p_a
 
 
+def _nan_max(a: float, b: float) -> float:
+    """np.maximum of two floats: NaN when either is NaN."""
+    return a if a >= b or a != a else b
+
+
+def _bounds(first, second, end_r, peak_p):
+    """The bounds (norm_r, norm_p) of the factor `second` after `first`,
+    from theirs and the exact end map of `first`: its norm ||R^(n_a)||_inf
+    (end_r) and its peak ||P_a||_inf (peak_p).  A state j <= n_b steps into
+    `second` is R^j (R^(n_a) z + P_a) + P_j, so norm_r = max(r_a, r_b end_r)
+    and norm_p = max(q_a, r_b peak_p + q_b); _nan_max keeps a NaN bound.
+    _then and _stack both compose through it."""
+    (r_a, q_a), (r_b, q_b) = first, second
+    return _nan_max(r_a, r_b * end_r), _nan_max(q_a, r_b * peak_p + q_b)
+
+
 def _then(first, second):
     """The factor `second` after `first`, with bounds for every state along
-    both.  A state j <= n_b steps into `second` is R^j (R^(n_a) z + P_a) + P_j,
-    so the exact end map of `first` (||R^(n_a)||, ||P_a||) carries into the
-    bounds of `second`: norm_r = max(r_a, r_b ||R^(n_a)||) and
-    norm_p = max(q_a, r_b ||P_a|| + q_b).  np.maximum keeps a NaN bound."""
-    n_a, d_a, p_a, r_a, q_a = first
-    n_b, d_b, p_b, r_b, q_b = second
+    both (_bounds)."""
+    n_a, d_a, p_a, *bounds_a = first
+    n_b, d_b, p_b, *bounds_b = second
     end_r = np.abs(d_a + np.eye(len(d_a))).sum(axis=1).max()
     d, p = _compose((d_b, p_b), (d_a, p_a))
-    norm_r = np.maximum(r_a, r_b * end_r)
-    norm_p = np.maximum(q_a, r_b * np.abs(p_a).max() + q_b)
-    return n_a + n_b, d, p, norm_r, norm_p
+    return (n_a + n_b, d, p, *_bounds(bounds_a, bounds_b, end_r, np.abs(p_a).max()))
 
 
 def _extend(powers, n):
@@ -637,11 +651,6 @@ def _extend(powers, n):
         powers.append((steps + steps, d2, p2))
 
 
-def _nan_max(a: float, b: float) -> float:
-    """np.maximum of two floats: NaN when either is NaN."""
-    return a if a >= b or a != a else b
-
-
 def _norms(powers):
     """||R^steps||_inf of each power, as a list: one pass over their
     stacked maps."""
@@ -660,37 +669,25 @@ def _stack(powers):
     j <= steps, so no state along a power applied to z exceeds
     norm_r ||z||_inf + norm_p.  The bounds are those of the one-step factor,
     (max(1, ||R||), ||u||), each doubled as _then doubles a factor with
-    itself: the recurrence runs in Python floats over the norms and the
-    peaks ||P||_inf (the same IEEE products and sums as _then, _nan_max for
-    np.maximum).  A bound depends only on the powers up to its own, so a
-    longer list leaves the earlier ones as they are.  Non-finite bounds
-    fail every certificate.
+    itself: _bounds over the norms and the peaks ||P||_inf, in Python
+    floats.  A bound depends only on the powers up to its own, so a longer
+    list leaves the earlier ones as they are.  Non-finite bounds fail every
+    certificate.
     """
     end_r = _norms(powers)
     peak_p = _row_max(np.abs(np.array([p for _, _, p in powers]))).tolist()
-    norm_r, norm_p = _nan_max(1.0, end_r[0]), peak_p[0]
-    bounds = [(norm_r, norm_p)]
+    bounds = [(_nan_max(1.0, end_r[0]), peak_p[0])]
     for e, q in zip(end_r[:-1], peak_p[:-1]):
-        norm_r, norm_p = (
-            _nan_max(norm_r, norm_r * e), _nan_max(norm_p, norm_r * q + norm_p)
-        )
-        bounds.append((norm_r, norm_p))
+        bounds.append(_bounds(bounds[-1], bounds[-1], e, q))
     return end_r, bounds
 
 
-def _factors(powers, n, bounds=None):
-    """The n-step map as binary factors, smallest first, one per set bit of n.
-
-    powers holds the 1, 2, 4, ... step maps of one map (see _extend) and is
-    extended here as far as n needs.  Each factor is (steps, R^steps - I,
-    sum_{i<steps} R^i u, norm_r, norm_p), with the bounds of _stack: those
-    given (formed for at least n.bit_length() powers), else formed here.
-    """
-    _extend(powers, n)
-    count = n.bit_length()
-    if bounds is None:
-        bounds = _stack(powers[:count])[1]
-    return [(*powers[b], *bounds[b]) for b in range(count) if n >> b & 1]
+def _factors(powers, n, bounds):
+    """The n-step map as binary factors, smallest first, one per set bit of
+    n: (steps, R^steps - I, sum_{i<steps} R^i u, norm_r, norm_p), read from
+    powers (see _extend), already extended as far as n needs, and their
+    bounds from _stack."""
+    return [(*powers[b], *bounds[b]) for b in range(n.bit_length()) if n >> b & 1]
 
 
 def _block_maps(powers, count, norms=None):
@@ -771,36 +768,30 @@ def simulate(
 
     Convergence is declared at the first time the residual
     ||b_hat - A_hat x||_inf stays at or below cfg.eps_residual for
-    CONVERGENCE_WINDOW consecutive steps.  Until a state near it, at state
-    dimension _SEARCH_DIM or more, only every _SAMPLE-th state is formed
-    (_Run.search), in blocks of _SAMPLES samples, each accepted while the
-    _SAMPLE-step bounds certify every state since the sample before.  Below
-    _SEARCH_DIM every state is stepped.  The run backs up to the sample before
-    the first one at or below eps, where no window has been met, and steps
-    every state from there, over _STRETCH steps and then searching again,
-    or to the window, in blocks of up to _BLOCK states (each formed from
-    the block before with one product, by _Run.walk; see the module
-    docstring).  So t_converge is the first window's start, as when every
-    step is taken.  A block's residuals are row peaks taken with _row_max,
-    and its window search runs only when one of them is at or below eps;
-    its overflow scan looks at rows only when the block's max or min is
-    past +-OVERFLOW_LIMIT or NaN, so the overflow step stays exact.  The
-    power-of-two maps' bounds come from one pass over their stack (_stack)
-    for the three certificates that read them: the search, the jump and the
-    trace stride.  From the end of the block that met the window, x jumps
-    straight to t_max through one power-of-two map per set bit of the
-    remaining steps, so the cost follows the convergence time, not t_max.
-    Where the jump's overflow certificate fails, the rest of the horizon is
-    block-stepped exactly instead.  The returned x is the state at t_max,
-    which has settled further than the detection instant, unless a state
-    magnitude exceeds OVERFLOW_LIMIT (or is not finite) first: the run then
-    stops at that step and reports divergence.
+    CONVERGENCE_WINDOW consecutive steps.  Every state the run forms comes
+    from one block loop, _Run.walk, along one of three strides (see the
+    module docstring).  At state dimension _SEARCH_DIM or more the search
+    stride forms only every _SAMPLE-th state until one is at or below eps,
+    and the run steps exactly from the sample before it, where no window
+    has been met, over _STRETCH steps and then searching again, or to the
+    window; below _SEARCH_DIM it steps exactly from the start.  So
+    t_converge is the first window's start, as when every step is taken,
+    and the exact stride's overflow scan keeps the overflow step exact.
+    From the end of the block that met the window, x jumps straight to
+    t_max through one power-of-two map per set bit of the remaining steps,
+    so the cost follows the convergence time, not t_max; where the jump's
+    overflow certificate fails, the rest of the horizon is stepped exactly
+    instead.  The returned x is the state at t_max, which has settled
+    further than the detection instant, unless a state magnitude exceeds
+    OVERFLOW_LIMIT (or is not finite) first: the run then stops at that
+    step and reports divergence.
 
     trace_decimation None forms no trace (result.trace is None); 0 keeps
     about 4096 evenly spaced steps and k > 0 every k-th step, plus the last
     step reached; a negative value raises ValueError.  x does not depend on
     it unless the jump's overflow certificate fails: the search and its
-    stretches run the same way with or without a trace.  Raises, before
+    stretches run the same way with or without a trace, and the grid
+    stride walks the trace grid after the window.  Raises, before
     stepping, StepBudgetExceeded when t_max / dt asks for more than
     _STEP_BUDGET steps or is not finite (a dt that underflows, or an auto
     step whose g * max gamma overflows to dt = 0), TraceBudgetExceeded when
@@ -864,93 +855,39 @@ class _Run:
         np.subtract(self.b_hat, res, out=res)
         return _row_max(np.abs(res, out=res))
 
-    def search(self, end):
-        """Advance (z, k) toward step end forming only every _SAMPLE-th
-        state, through the _SAMPLE-step power and those after it, in blocks
-        of _SAMPLES samples.  A sample is accepted while its residual is
-        above eps, its peak within OVERFLOW_LIMIT (not NaN), and the
-        _SAMPLE-step bounds (norm_r, norm_p), applied to the sample before,
-        certify that no state between the two passes OVERFLOW_LIMIT.  The
-        run stops on the last accepted sample, whose flag (above eps)
-        becomes recent: every window before it holds an accepted sample, so
+    def walk(self, end, stride=None, search=False):
+        """Advance (z, k) toward step end, one state per row, in blocks,
+        along one of three strides: exactly, through the one-step powers;
+        searching, every _SAMPLE-th state through the _SAMPLE-step power and
+        those after it, in blocks of _SAMPLES; or along the trace grid,
+        through the stride factor (steps, R^steps - I, P, norm_r, norm_p).
+        Exact rows stop at the first state past OVERFLOW_LIMIT (a non-finite
+        peak counts as past it), which records divergence.  The other two
+        are certified: a row is kept only while its peak is within
+        OVERFLOW_LIMIT and its stride's bounds, applied to the row before,
+        show that no state between the two passes it.  The window is
+        searched row by row only while stepping exactly; once it is first
+        met the walk ends with that block or, traced, at the next grid step.
+        A search stops before its first row at or below eps and leaves
+        recent = [0]: every window before it holds a sample above eps, so
         none is met, and the exact walk on from it finds the first one.
-        True when the search stopped at a sample at or below eps, False at
-        an uncertified sample or at the end.  The caller ensures that the
-        flag at k is above eps.
-        """
-        samples = (end - self.k) // _SAMPLE
-        if not samples:
+        True when it stopped there; the caller ensures that the flag at k is
+        above eps.  Every walk keeps the trace rows on the grid (_keep)."""
+        powers, norms, bounds, cap = self.powers, self.norms, None, _BLOCK
+        if search:
+            first = _SAMPLE.bit_length() - 1  # the _SAMPLE-step power's index
+            powers, norms, bounds, cap = (
+                powers[first:], norms[first:], self.bounds[first], _SAMPLES
+            )
+        elif stride is not None:
+            powers, norms, bounds = [stride[:3]], None, stride[3:]
+        step = powers[0][0]
+        if self.overflow_at is not None or self.k + step > end:
             return False
-        first = _SAMPLE.bit_length() - 1  # the _SAMPLE-step power's index
-        maps, size = _block_maps(
-            self.powers[first:], min(_SAMPLES, samples), self.norms[first:]
-        )
-        norm_r, norm_p = self.bounds[first]
-        z, k = self.z, self.k
-        states, found = z, False
-        while samples:
-            count = min(size, samples)
-            block = _block(maps, states, count)
-            peaks = _row_max(np.abs(block))
-            before = np.concatenate(([np.abs(z).max()], peaks[:-1]))
-            safe = norm_r * before + norm_p <= OVERFLOW_LIMIT
-            unsafe = np.flatnonzero(~(safe & (peaks <= OVERFLOW_LIMIT)))
-            take = int(unsafe[0]) if unsafe.size else count
-            below = np.flatnonzero(self.residuals(block[:take]) <= self.eps)
-            found = below.size > 0
-            if found:
-                take = int(below[0])
-            if self.kept is not None:
-                self._sampled_rows(z, k, block[:take])
-            if take:
-                z = block[take - 1]
-            k += take * _SAMPLE
-            if found or unsafe.size:
-                break
-            samples -= count
-            states = block
-        self.z, self.k, self.recent = z, k, np.zeros(1, dtype=int)
-        return found
-
-    def _sampled_rows(self, z, k, samples):
-        """Keep the grid rows in (k, k + len(samples) _SAMPLE]: each is the
-        sample before it (z for the first) carried g mod _SAMPLE steps
-        through the 1-, 2- and 4-step maps, inside the stretch the sample's
-        bounds certify."""
-        dec = self.dec
-        steps = np.arange(k - k % dec + dec, k + len(samples) * _SAMPLE + 1, dec)
-        if not steps.size:
-            return
-        off = steps - k
-        rows = np.concatenate((z[None], samples))[off // _SAMPLE]
-        for b in range(_SAMPLE.bit_length() - 1):
-            carried = np.flatnonzero(off >> b & 1)
-            if carried.size:
-                rows[carried] = _through(self.powers[b], rows[carried])
-        self.kept[steps // dec] = rows[:, : self.nm]
-        self.kept_res[steps // dec] = self.residuals(rows)
-
-    def walk(self, end, stride=None):
-        """Advance (z, k) toward step end, one state per row, in blocks:
-        exactly through the one-step powers, or along the trace grid through
-        the stride factor (steps, R^steps - I, P, norm_r, norm_p); keep the
-        trace rows on the grid.  Rows stop at the first state past
-        OVERFLOW_LIMIT (a non-finite peak counts as past it), which records
-        divergence; or, along a stride, before the first row its bounds do
-        not certify.  The window is searched row by row, so only while
-        stepping exactly; once it is first met the walk ends with that
-        block, or traced, at the next grid step."""
-        if self.overflow_at is not None or self.k >= end:
-            return
-        if stride is None:
-            step, bounds = 1, None
-            maps, size = _block_maps(self.powers, end - self.k, self.norms)
-        else:
-            step, bounds = stride[0], stride[3:]
-            maps, size = _block_maps([stride[:3]], (end - self.k) // step)
-        z, k, dec = self.z, self.k, self.dec
+        maps, size = _block_maps(powers, min(cap, (end - self.k) // step), norms)
+        z, k, found = self.z, self.k, False
         states = z
-        while k < end:
+        while k + step <= end:
             block = _block(maps, states, min(size, (end - k) // step))
             take = len(block)
             if bounds is not None:
@@ -958,6 +895,11 @@ class _Run:
                 before = np.concatenate(([np.abs(z).max()], peaks[:-1]))
                 safe = bounds[0] * before + bounds[1] <= OVERFLOW_LIMIT
                 take = take if safe.all() else int(np.argmin(safe))
+                # norm_r >= 1 and norm_p >= 0, so a row the next one's test
+                # passes is itself within the limit: only the last row the
+                # test keeps has its own peak (or NaN) left to check
+                if take and not peaks[take - 1] <= OVERFLOW_LIMIT:
+                    take -= 1
             # a row past the limit, or NaN (which fails both comparisons)
             elif not (
                 block.max() <= OVERFLOW_LIMIT and block.min() >= -OVERFLOW_LIMIT
@@ -967,7 +909,13 @@ class _Run:
                 self.overflow_at = k + take * step
             states = block[:take]
             res = self.residuals(states)
-            if self.t_converge is None:
+            if search:
+                below = np.flatnonzero(res <= self.eps)
+                found = below.size > 0
+                if found:
+                    take = int(below[0])
+                    states, res = states[:take], res[:take]
+            elif self.t_converge is None:
                 below = res <= self.eps
                 flags = np.concatenate((self.recent, below))
                 # every window ends in this block: none is met without a
@@ -981,20 +929,49 @@ class _Run:
                         self.t_converge = float(met * self.dt)
                 self.recent = flags[-CONVERGENCE_WINDOW:]
             if self.kept is not None:
-                first = -(k + step) % dec // step  # the block's first grid row
-                row = (k + step * (first + 1)) // dec
-                on_grid = states[first :: dec // step, : self.nm]
-                self.kept[row : row + len(on_grid)] = on_grid
-                self.kept_res[row : row + len(on_grid)] = res[first :: dec // step]
+                self._keep(z, k, step, states, res)
             if take:
-                z = states[-1]
+                z = states[take - 1]
             k += take * step
             if self.overflow_at is not None or take < len(block):
                 break
             if self.settled is None and self.t_converge is not None:
                 self.settled = z, k
-                end = min(end, k + -k % dec)
+                end = min(end, k + -k % self.dec)
         self.z, self.k = z, k
+        if search:
+            self.recent = np.zeros(1, dtype=int)
+        return found
+
+    def _keep(self, z, k, step, states, res):
+        """Keep the trace's grid rows in (k, k + len(states) step]: states
+        are the rows step, 2 step, ... steps after z at step k, and res
+        their residuals.  Where every grid row is one of them (step divides
+        dec and k) they are taken with their residuals by basic slicing, so
+        a block builds no index array.  Otherwise (a search's samples on a
+        grid that is not a multiple of _SAMPLE) each is the row before it,
+        z for the first, carried the remaining steps through the 1-, 2- and
+        4-step maps, inside the stretch that row's bounds certify, and its
+        residual is formed."""
+        dec = self.dec
+        first, last = k - k % dec + dec, k + len(states) * step
+        if first > last:
+            return
+        if dec % step == 0 == k % step:
+            rows = slice(first // dec, last // dec + 1)
+            on_grid = slice((first - k) // step - 1, None, dec // step)
+            self.kept[rows] = states[on_grid, : self.nm]
+            self.kept_res[rows] = res[on_grid]
+            return
+        steps = np.arange(first, last + 1, dec)
+        off = steps - k
+        rows = np.concatenate((z[None], states))[off // step]
+        for b in range(step.bit_length() - 1):
+            carried = np.flatnonzero(off >> b & 1)
+            if carried.size:
+                rows[carried] = _through(self.powers[b], rows[carried])
+        self.kept[steps // dec] = rows[:, : self.nm]
+        self.kept_res[steps // dec] = self.residuals(rows)
 
 
 def _integrate(ss, cfg, dt, n_steps, dec, stability):
@@ -1020,9 +997,8 @@ def _integrate(ss, cfg, dt, n_steps, dec, stability):
     while (
         len(r) >= _SEARCH_DIM
         and run.t_converge is None
-        and run.overflow_at is None
         and not run.recent[-1]
-        and run.search(n_steps)
+        and run.walk(n_steps, search=True)
     ):
         run.walk(min(run.k + _STRETCH, n_steps))
     # a stretch that met the window ends a trace's walk at its next grid step

@@ -375,13 +375,16 @@ def realized_matrix(circuit: CircuitPlan) -> tuple[np.ndarray, np.ndarray]:
 def plan_to_dict(circuit: CircuitPlan) -> dict:
     """JSON-ready plan dump for the command-line front end.  Raises
     ValueError, naming the first such path in row-major order, when a
-    connected path's R_f is not finite (a subnormal coefficient)."""
-    bad = np.argwhere((circuit.sign != 0) & ~np.isfinite(circuit.r_feedback))
+    connected path's R_f is not positive and finite: R_in over a subnormal
+    coefficient overflows, R_in over a huge one can underflow to 0."""
+    r_f = circuit.r_feedback
+    bad = np.argwhere((circuit.sign != 0) & ~((r_f > 0.0) & (r_f < math.inf)))
     if bad.size:
         i, j = bad[0].tolist()
+        past = "underflows" if r_f[i, j] == 0.0 else "overflows"
         raise ValueError(
             f"path ({i}, {j}): R_f = {circuit.r_in[i]:g} ohm / "
-            f"{circuit.weight[i, j]:.6g} overflows float64"
+            f"{circuit.weight[i, j]:.6g} {past} float64"
         )
     paths = [
         {

@@ -98,3 +98,10 @@ def probe_single_path_gain(
     basis = np.column_stack([s, c])
     coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
     return float(np.hypot(coef[0], coef[1]))
+
+
+def factors(powers, n):
+    """dynamics._factors of the n-step map, with powers extended as far as
+    n needs and their bounds stacked first, as simulate does once per run."""
+    dynamics._extend(powers, n)
+    return dynamics._factors(powers, n, dynamics._stack(powers[: n.bit_length()])[1])

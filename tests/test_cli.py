@@ -627,6 +627,20 @@ class TestPlanCommand:
         )
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    def test_zero_r_f_refused_by_path(self, tmp_path, capsys, to_stdout):
+        # R_f = 1e-300 / 1e300 underflows to 0: the plan names the path
+        # instead of writing a short circuit beside a weight of 1e300
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"a": [[1e300]], "b": [0.1]}))
+        out = tmp_path / "plan.json"
+        argv = ["plan", str(path), "--r-in", "1e-300"]
+        assert run(argv + ([] if to_stdout else ["--out", str(out)])) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: path (0, 0): R_f = 1e-300 ohm / 1e+300 underflows float64\n"
+        )
+        assert captured.out == "" and not out.exists()
 
     def test_bandwidth_of_a_huge_ratio_is_exact(self, tmp_path, capsys):
         # R_f / R_in = 1e10 / 1e-300 overflows, so g / (1 + R_f / R_in)
@@ -806,6 +820,17 @@ class TestSfdrCommand:
         )
         assert proc.returncode == EXIT_VALIDATION
         assert proc.stderr == message
+        assert not out.exists()
+
+    def test_sample_times_past_float64_named(self, tmp_path, capsys):
+        # a subnormal f0 gives dt = 1.3e307 s: the sample times overflowed
+        # with numpy warnings on stderr before the tone was refused as NaN
+        out = tmp_path / "sfdr.json"
+        argv = ["sfdr", "--samples", "4096", "--kvco=1e-310", "--f0=1e-310", "--out", str(out)]
+        assert run(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: --samples 4096 at dt = 1.302e+307 s: the sample times overflow float64\n"
+        )
         assert not out.exists()
 
     def test_negative_dt_is_a_validation_error(self, tmp_path, capsys):

@@ -19,6 +19,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from conftest import factors
 from ringsolve import dynamics
 from ringsolve.dynamics import (
     CONVERGENCE_WINDOW,
@@ -542,16 +543,19 @@ def test_failed_certificates_step_each_step_once(monkeypatch, dec):
 
 
 def record_searches(monkeypatch):
-    """Record (step before, step after, result) of each window search."""
-    calls, real_search = [], dynamics._Run.search
+    """Record (step before, step after, result) of each window search: each
+    walk along the sampled stride.  Wraps whatever _Run.walk is, so it
+    stacks on a recording_walk."""
+    calls, real_walk = [], dynamics._Run.walk
 
-    def recording_search(run, end):
+    def recording_search(run, end, stride=None, search=False):
         before = run.k
-        found = real_search(run, end)
-        calls.append((before, run.k, found))
+        found = real_walk(run, end, stride, search)
+        if search:
+            calls.append((before, run.k, found))
         return found
 
-    monkeypatch.setattr(dynamics._Run, "search", recording_search)
+    monkeypatch.setattr(dynamics._Run, "walk", recording_search)
     return calls
 
 
@@ -739,18 +743,20 @@ def test_run_that_never_settles_samples_its_horizon(monkeypatch, search_any_dime
     assert sum(rows) == n_steps // dynamics._SAMPLE + n_steps % dynamics._SAMPLE
 
 
-@pytest.mark.parametrize("dec", [1, 5, 7, 8, 16, 100])
+@pytest.mark.parametrize("dec", [1, 3, 5, 7, 8, 12, 16, 100, 4096])
 def test_trace_rows_inside_sampled_stretches(monkeypatch, search_any_dimension, dec):
-    # grid rows before the window come from the sample before each, carried
-    # the remaining steps through the 1-, 2- and 4-step maps; x is the
-    # untraced x
+    # grid rows before the window: on a grid that is a multiple of _SAMPLE
+    # (8, 16, 4096) every one is a sample, sliced from the block; on any
+    # other each is the sample before it, carried the remaining steps
+    # through the 1-, 2- and 4-step maps; x is the untraced x.  eps 1e-9
+    # keeps the search going past the first row of the 4096 grid
     rng = np.random.default_rng(22)
     p = random_stable(rng, 6, -1)
-    cfg = SolverConfig(t_max=2e-6)
+    cfg = SolverConfig(t_max=2e-6, eps_residual=1e-9 if dec == 4096 else 1e-3)
     options = SolveOptions(trace_decimation=dec)
     searches = record_searches(monkeypatch)
     res, ref = solve_both(monkeypatch, p, cfg, options)
-    assert searches and searches[0][1] > 4 * dec
+    assert searches and searches[0][1] > min(4 * dec, 4096)
     assert_matches(res, ref)
     untraced = solve(p, cfg, dataclasses.replace(options, trace_decimation=None))
     np.testing.assert_array_equal(res.x, untraced.x)
@@ -770,10 +776,10 @@ def test_factor_bounds_cover_every_state(seed):
         # shrink the bound for the powers before it
         r = np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.9]])
     u = rng.normal(0.0, 1.0, dim)
-    factors = dynamics._factors([(1, r - np.eye(dim), u)], n)
-    assert [f[0] for f in factors] == [1, 4, 8, 32, 64]  # the set bits of 109
-    combined = reduce(dynamics._then, factors)
-    for steps, d, p, norm_r, norm_p in [*factors, combined]:
+    parts = factors([(1, r - np.eye(dim), u)], n)
+    assert [f[0] for f in parts] == [1, 4, 8, 32, 64]  # the set bits of 109
+    combined = reduce(dynamics._then, parts)
+    for steps, d, p, norm_r, norm_p in [*parts, combined]:
         power, offset = np.eye(dim), np.zeros(dim)
         peak_r, peak_p = 1.0, 0.0
         for _ in range(steps):
@@ -869,10 +875,10 @@ def old_integrate(ss, cfg, dt, n_steps, trace_decimation, stability):
     jumped = None
     if overflow_at is None and settled is not None and settled[1] < n_steps:
         left = n_steps - settled[1]
-        jumped = dynamics._jump(dynamics._factors(powers, left), settled[0])
+        jumped = dynamics._jump(factors(powers, left), settled[0])
 
     if traced and overflow_at is None and k < grid_end:
-        stride = reduce(dynamics._then, dynamics._factors(powers, dec))
+        stride = reduce(dynamics._then, factors(powers, dec))
         norm_r, norm_p = stride[3:]
         row, last_row = k // dec, grid_end // dec
         maps, size = dynamics._block_maps([stride[:3]], last_row - row)
@@ -990,11 +996,13 @@ def test_one_walk_matches_the_two_loops(monkeypatch, neg2x2, mixed2x2, dec):
     # oracle's tolerance, with t_converge exact
     walks, real_walk = [], dynamics._Run.walk
 
-    def recording_walk(run, end, stride=None):
+    def recording_walk(run, end, stride=None, search=False):
         before = run.k
-        real_walk(run, end, stride)
+        found = real_walk(run, end, stride, search)
         settled_at = None if run.settled is None else run.settled[1]
-        walks.append((stride is not None, before, run.k, end, settled_at))
+        if not search:
+            walks.append((stride is not None, before, run.k, end, settled_at))
+        return found
 
     jumps, real_jump = [], dynamics._jump
 

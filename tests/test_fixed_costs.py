@@ -10,6 +10,7 @@ same verdict) as before; the oracles below are the helpers they replace.
 import numpy as np
 import pytest
 
+from conftest import factors
 from ringsolve import dynamics
 from ringsolve.dynamics import (
     Mode,
@@ -131,7 +132,7 @@ def test_doubling_and_bounds_match_the_then_chain(kind, dim, seed):
     for n in (1, 2, 3, 109, 512, 513, 5000, (1 << 20) + 77):
         with np.errstate(over="ignore", invalid="ignore"):
             want = old_factors(old, n)
-            got = dynamics._factors(new, n)
+            got = factors(new, n)
         assert [f[0] for f in got] == [f[0] for f in want]
         for g, w in zip(got, want):
             assert all(bits_equal(x, y) for x, y in zip(g[1:], w[1:])), (n, g[0])
@@ -150,7 +151,7 @@ def test_stride_bounds_match_the_then_chain(kind, dim, seed):
     for dec in (1, 6, 7, 100, 4097):
         with np.errstate(over="ignore", invalid="ignore"):
             want = old_factors([old_unit(d, u)], dec)
-            got = dynamics._factors([(1, d, u)], dec)
+            got = factors([(1, d, u)], dec)
             want_stride = want[0]
             got_stride = got[0]
             for w, g in zip(want[1:], got[1:]):
