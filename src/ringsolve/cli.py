@@ -126,14 +126,30 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--decimation", type=int, default=0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every argument spelled as a negative
+    float (-1e-6, -.5, -inf, -nan) as a value, as it reads one joined to
+    its flag (--tmax=-1e-6): argparse takes only -1 and -1.5 for numbers
+    and anything else after a minus sign for an unknown option, which ends
+    in a usage message instead of the flag's own refusal.  No ringsolve
+    option looks like a number, so none is shadowed."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.I)
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The ringsolve argument parser, built once per process and shared.
 
     Parsing leaves the parser unchanged and returns a fresh Namespace, so
     every ``run`` reuses it; ``build_parser.__wrapped__()`` builds a new one.
+    Its subcommand parsers are _Parsers too, so a flag's negative value is
+    refused by the object that reads it, in one line, with or without the
+    ``=``.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ringsolve",
         description="Analog linear-equation solver: planner, simulator, and reports",
     )

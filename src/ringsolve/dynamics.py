@@ -40,15 +40,18 @@ skipped rung, only by the UnstableSystem message.
 Integration is classical fixed-step 4th-order Runge-Kutta.  For a linear
 system one RK4 step is the exact affine map z' = R z + u, kept as
 (R - I, u); doubling it in one loop gives the 2^b-step maps (R^(2^b) - I,
-sum_{i<2^b} R^i u), formed once per run as far as the horizon.  One pass
-over their stack (_stack) gives each map's norm and the bounds on every
-state along it that the certificates read.  One loop forms every block of
-states, _Run.walk, one state per row: the first block after a state comes
-from it by doubling (states h+1..2h from states 1..h through the h-step
-map), and each later block from the one before through the L-step map,
-Z' = Z + Z (R^L - I)^T + P_L, one matrix product.  The walk advances the
-run's explicit state (z, the step, the window flags, the convergence and
-overflow steps, the kept trace rows) along one of three strides:
+sum_{i<2^b} R^i u), formed once per run as far as the horizon.  A run
+starts from rest, so the state at step j is exactly P_j = sum_{i<j} R^i u,
+whichever way it is reached.  One pass over the maps' stack (_stack) gives
+each map's norm and the run's reach, a bound on ||P_j||_inf for every step
+of the horizon.  A norm bound, not the spectrum: a non-normal R can carry
+a state far past its start before it decays.  One loop forms every block
+of states, _Run.walk, one state per row: the first block after a state
+comes from it by doubling (states h+1..2h from states 1..h through the
+h-step map), and each later block from the one before through the L-step
+map, Z' = Z + Z (R^L - I)^T + P_L, one matrix product.  The walk advances
+the run's explicit state (z, the step, the window flags, the convergence
+and overflow steps, the kept trace rows) along one of three strides:
 
 - exact, through the one-step maps, in blocks of up to _BLOCK states: the
   only stride that searches for the window and scans for overflow, so
@@ -61,34 +64,32 @@ overflow steps, the kept trace rows) along one of three strides:
 - grid, through the dec-step map composed from the power-of-two maps, one
   trace row per grid step, after the window.
 
-A row of the last two is kept only while its peak is within OVERFLOW_LIMIT
-and its stride's bounds, applied to the row before, show that no state
-between the two passes it.  A run is then: search, step exactly over
-_STRETCH steps from where the search stopped, and search again if they end
-above eps without the window; from an uncertified sample, a stretch that
-ends at or below eps, or below _SEARCH_DIM from the start, step exactly to
-the window.  From the end of the block that met the window x jumps to
-t_max: the remaining m steps split into the power-of-two maps of m's set
-bits, applied to the state one after another, each only when its bound
-certifies that no state along it passes OVERFLOW_LIMIT.  A trace walks the
-grid from there and ends on the jumped x.  Every stretch no certificate
-covers (the rest of the horizon when the jump fails, the rest of the grid
-after the first uncertified row) is stepped exactly, so divergence is still
-reported at the exact step.  Each walk keeps the trace rows on the grid it
-passes with one keeper (_Run._keep): a row the walk formed is sliced out,
-and a grid row between two samples is the sample before it carried the
-remaining steps through the 1-, 2- and 4-step maps.  The walks run the same
-way with or without a trace, so x does not depend on it.  Row peaks (the
-overflow scan, the residuals, the certificates) are reduced from a
+Overflow is decided once per run, from the reach.  When it is within
+OVERFLOW_LIMIT no state of the horizon can pass the limit, so a run may
+skip states: search, step exactly over _STRETCH steps from where the
+search stopped, and search again if they end above eps without the window;
+from a stretch that ends at or below eps, or below _SEARCH_DIM from the
+start, step exactly to the window.  From the end of the block that met the
+window x jumps to t_max: the remaining m steps split into the power-of-two
+maps of m's set bits, applied to the state one after another.  A trace
+walks the grid from there and ends on the jumped x.  None of these tests a
+row.  When the reach passes OVERFLOW_LIMIT (or is NaN), the run forms
+every state of the horizon along the exact stride, whose scan reports
+divergence at its exact step.  Each walk keeps the trace rows on the grid
+it passes with one keeper (_Run._keep): a row the walk formed is sliced
+out, and a grid row between two samples is the sample before it carried
+the remaining steps through the 1-, 2- and 4-step maps.  A certified run
+walks the same way with or without a trace, so its x does not depend on
+it.  Row peaks (the overflow scan, the residuals) are reduced from a
 transposed copy (_row_max), since numpy reduces short rows one at a time.
 An exact block's overflow scan looks at rows only when the whole block's
 max or min fails.  simulate holds one numpy error-state context (overflow
 and invalid ignored) for its whole run; the stepping helpers
 (_step_operators, _extend, _stack, _factors, _then, _block, _jump,
-_Run.walk) enter none, so any other caller sets its own.  This regroups the
-same arithmetic: results agree with one-step-at-a-time stepping to rounding
-and are byte-deterministic; where the horizon does not contract the
-rounding of the state a search stopped on, x can differ from stepping
+_Run.walk) enter none, so any other caller sets its own.  This regroups
+the same arithmetic: results agree with one-step-at-a-time stepping to
+rounding and are byte-deterministic; where the horizon does not contract
+the rounding of the state a search stopped on, x can differ from stepping
 every state in its last bits.
 """
 
@@ -601,42 +602,22 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.T).max(axis=0)
 
 
-def _compose(later, earlier):
-    """The affine map `later` after `earlier`, both as (R - I, offset)."""
-    (d_a, p_a), (d_b, p_b) = later, earlier
-    return d_a + d_b + d_a @ d_b, p_b + d_a @ p_b + p_a
-
-
 def _nan_max(a: float, b: float) -> float:
     """np.maximum of two floats: NaN when either is NaN."""
     return a if a >= b or a != a else b
 
 
-def _bounds(first, second, end_r, peak_p):
-    """The bounds (norm_r, norm_p) of the factor `second` after `first`,
-    from theirs and the exact end map of `first`: its norm ||R^(n_a)||_inf
-    (end_r) and its peak ||P_a||_inf (peak_p).  A state j <= n_b steps into
-    `second` is R^j (R^(n_a) z + P_a) + P_j, so norm_r = max(r_a, r_b end_r)
-    and norm_p = max(q_a, r_b peak_p + q_b); _nan_max keeps a NaN bound.
-    _then and _stack both compose through it."""
-    (r_a, q_a), (r_b, q_b) = first, second
-    return _nan_max(r_a, r_b * end_r), _nan_max(q_a, r_b * peak_p + q_b)
-
-
 def _then(first, second):
-    """The factor `second` after `first`, with bounds for every state along
-    both (_bounds)."""
-    n_a, d_a, p_a, *bounds_a = first
-    n_b, d_b, p_b, *bounds_b = second
-    end_r = np.abs(d_a + np.eye(len(d_a))).sum(axis=1).max()
-    d, p = _compose((d_b, p_b), (d_a, p_a))
-    return (n_a + n_b, d, p, *_bounds(bounds_a, bounds_b, end_r, np.abs(p_a).max()))
+    """The factor `second` after `first`, both as (steps, R^steps - I,
+    sum_{i<steps} R^i u)."""
+    (n_a, d_a, p_a), (n_b, d_b, p_b) = first, second
+    return n_a + n_b, d_b + d_a + d_b @ d_a, p_a + d_b @ p_a + p_b
 
 
 def _extend(powers, n):
     """Extend powers, the 1, 2, 4, ... step maps (steps, R^steps - I,
     sum_{i<steps} R^i u) of one map, as far as n steps need: each entry is
-    the one before after itself, in _compose's order of operations.
+    the one before after itself, in _then's order of operations.
     Doubling in the R^j - I form (R^j itself is never squared) keeps the
     small part of a near-identity step exact: plain doubling of R^j loses
     about ten times the accuracy of one-step-at-a-time products, which long
@@ -662,32 +643,33 @@ def _norms(powers):
 
 def _stack(powers):
     """The norms ||R^steps||_inf of every power in powers (see _extend),
-    which _block_maps reads, and their bounds (norm_r, norm_p), from one
-    pass over their stacked maps.
+    which _block_maps reads, and the run's reach, from one pass over their
+    stacked maps.
 
-    norm_r >= ||R^j||_inf and norm_p >= ||sum_{i<j} R^i u||_inf for every
-    j <= steps, so no state along a power applied to z exceeds
-    norm_r ||z||_inf + norm_p.  The bounds are those of the one-step factor,
-    (max(1, ||R||), ||u||), each doubled as _then doubles a factor with
-    itself: _bounds over the norms and the peaks ||P||_inf, in Python
-    floats.  A bound depends only on the powers up to its own, so a longer
-    list leaves the earlier ones as they are.  Non-finite bounds fail every
-    certificate.
+    A run from rest is at P_j = sum_{i<j} R^i u after j steps, and the
+    reach bounds ||P_j||_inf for every j <= 2^len(powers), so for every
+    step of the horizon the powers were extended to.  The pair (max(1, ||R||),
+    ||u||) bounds (||R^j||_inf, ||P_j||_inf) for j <= 1.  A pair (r, q) for
+    j <= h = 2^b doubles through the h-step power to one for j <= 2h, since
+    R^(h+i) = R^i R^h and P_(h+i) = R^i P_h + P_i:
+    (max(r, r ||R^h||), max(q, r ||P_h|| + q)), in Python floats, so a
+    power whose norm is below 1 never shrinks the bound for the powers
+    before it.  The reach is q one doubling past the last power; a NaN or
+    inf reach certifies nothing.
     """
     end_r = _norms(powers)
     peak_p = _row_max(np.abs(np.array([p for _, _, p in powers]))).tolist()
-    bounds = [(_nan_max(1.0, end_r[0]), peak_p[0])]
-    for e, q in zip(end_r[:-1], peak_p[:-1]):
-        bounds.append(_bounds(bounds[-1], bounds[-1], e, q))
-    return end_r, bounds
+    norm_r, reach = _nan_max(1.0, end_r[0]), peak_p[0]
+    for e, q in zip(end_r, peak_p):
+        norm_r, reach = _nan_max(norm_r, norm_r * e), _nan_max(reach, norm_r * q + reach)
+    return end_r, reach
 
 
-def _factors(powers, n, bounds):
+def _factors(powers, n):
     """The n-step map as binary factors, smallest first, one per set bit of
-    n: (steps, R^steps - I, sum_{i<steps} R^i u, norm_r, norm_p), read from
-    powers (see _extend), already extended as far as n needs, and their
-    bounds from _stack."""
-    return [(*powers[b], *bounds[b]) for b in range(n.bit_length()) if n >> b & 1]
+    n: (steps, R^steps - I, sum_{i<steps} R^i u), read from powers (see
+    _extend), already extended as far as n needs."""
+    return [powers[b] for b in range(n.bit_length()) if n >> b & 1]
 
 
 def _block_maps(powers, count, norms=None):
@@ -739,12 +721,9 @@ def _through(factor, states):
 
 
 def _jump(factors, z):
-    """Apply the factors to z in turn, each only when its bounds certify on
-    the running state that no state along it passes OVERFLOW_LIMIT: the
-    state after all of them, or None at the first that fails."""
-    for _, d, p, norm_r, norm_p in factors:
-        if not norm_r * np.abs(z).max() + norm_p <= OVERFLOW_LIMIT:
-            return None
+    """The state the factors' steps after z: z carried through each
+    factor's map in turn."""
+    for _, d, p in factors:
         z = z + d @ z + p
     return z
 
@@ -770,35 +749,39 @@ def simulate(
     ||b_hat - A_hat x||_inf stays at or below cfg.eps_residual for
     CONVERGENCE_WINDOW consecutive steps.  Every state the run forms comes
     from one block loop, _Run.walk, along one of three strides (see the
-    module docstring).  At state dimension _SEARCH_DIM or more the search
-    stride forms only every _SAMPLE-th state until one is at or below eps,
-    and the run steps exactly from the sample before it, where no window
-    has been met, over _STRETCH steps and then searching again, or to the
-    window; below _SEARCH_DIM it steps exactly from the start.  So
-    t_converge is the first window's start, as when every step is taken,
-    and the exact stride's overflow scan keeps the overflow step exact.
-    From the end of the block that met the window, x jumps straight to
-    t_max through one power-of-two map per set bit of the remaining steps,
-    so the cost follows the convergence time, not t_max; where the jump's
-    overflow certificate fails, the rest of the horizon is stepped exactly
-    instead.  The returned x is the state at t_max, which has settled
-    further than the detection instant, unless a state magnitude exceeds
-    OVERFLOW_LIMIT (or is not finite) first: the run then stops at that
-    step and reports divergence.
+    module docstring).  Whether the run may skip states is decided once,
+    before stepping: from rest the state at step j is sum_{i<j} R^i u, and
+    when the run's reach (_stack), a norm bound on every such state of the
+    horizon, is within OVERFLOW_LIMIT, none can pass it.  Then, at state
+    dimension _SEARCH_DIM or more, the search stride forms only every
+    _SAMPLE-th state until one is at or below eps, and the run steps
+    exactly from the sample before it, where no window has been met, over
+    _STRETCH steps and then searching again, or to the window; below
+    _SEARCH_DIM it steps exactly from the start.  So t_converge is the first
+    window's start, as when every step is taken.  From the end of the block
+    that met the window, x jumps straight to t_max through one power-of-two
+    map per set bit of the remaining steps, so the cost follows the
+    convergence time, not t_max.  When the reach passes OVERFLOW_LIMIT (or
+    is NaN) the whole horizon is stepped exactly instead.  Either way the
+    exact stride's overflow scan keeps the overflow step exact.  The
+    returned x is the state at t_max, which has settled further than the
+    detection instant, unless a state magnitude exceeds OVERFLOW_LIMIT (or
+    is not finite) first: the run then stops at that step and reports
+    divergence.
 
     trace_decimation None forms no trace (result.trace is None); 0 keeps
     about 4096 evenly spaced steps and k > 0 every k-th step, plus the last
     step reached; a negative value raises ValueError.  x does not depend on
-    it unless the jump's overflow certificate fails: the search and its
-    stretches run the same way with or without a trace, and the grid
-    stride walks the trace grid after the window.  Raises, before
-    stepping, StepBudgetExceeded when t_max / dt asks for more than
-    _STEP_BUDGET steps or is not finite (a dt that underflows, or an auto
-    step whose g * max gamma overflows to dt = 0), TraceBudgetExceeded when
-    the trace's rows times (n_main + 3) pass _TRACE_BUDGET values, and
-    StepMapOverflow when
-    the RK4 step map R or its offset S f is not finite at this dt.  The
-    stepping runs in one numpy error state, overflow and invalid ignored.
+    it unless the reach passes OVERFLOW_LIMIT: the search and its stretches
+    run the same way with or without a trace, and the grid stride walks the
+    trace grid after the window.  Raises, before stepping,
+    StepBudgetExceeded when t_max / dt asks for more than _STEP_BUDGET
+    steps or is not finite (a dt that underflows, or an auto step whose
+    g * max gamma overflows to dt = 0), TraceBudgetExceeded when the
+    trace's rows times (n_main + 3) pass _TRACE_BUDGET values, and
+    StepMapOverflow when the RK4 step map R or its offset S f is not finite
+    at this dt.  The stepping runs in one numpy error state, overflow and
+    invalid ignored.
     """
     if trace_decimation is not None and trace_decimation < 0:
         raise ValueError("trace_decimation must be nonnegative (0 = auto)")
@@ -832,13 +815,13 @@ class _Run:
     trace's kept rows, on the grid 0, dec, 2 dec, ... up to grid_end.
     Without a trace (dec None), kept is None, dec is 1 and grid_end 0.
     powers are the step map's power-of-two maps, extended to the horizon;
-    norms and bounds are theirs from one _stack pass."""
+    norms are theirs and reach the run's, from one _stack pass."""
 
     def __init__(self, ss, eps, dt, n_steps, dec, powers):
         self.nm, self.a_hat_t, self.b_hat = ss.n_main, ss.a_hat.T, ss.b_hat
         self.eps, self.dt = eps, dt
         self.powers = powers
-        self.norms, self.bounds = _stack(powers)
+        self.norms, self.reach = _stack(powers)
         self.z, self.k = np.zeros(ss.m.shape[0]), 0
         start_res = float(np.abs(self.b_hat).max())
         self.recent = np.array([start_res <= eps], dtype=int)
@@ -860,27 +843,26 @@ class _Run:
         along one of three strides: exactly, through the one-step powers;
         searching, every _SAMPLE-th state through the _SAMPLE-step power and
         those after it, in blocks of _SAMPLES; or along the trace grid,
-        through the stride factor (steps, R^steps - I, P, norm_r, norm_p).
-        Exact rows stop at the first state past OVERFLOW_LIMIT (a non-finite
-        peak counts as past it), which records divergence.  The other two
-        are certified: a row is kept only while its peak is within
-        OVERFLOW_LIMIT and its stride's bounds, applied to the row before,
-        show that no state between the two passes it.  The window is
-        searched row by row only while stepping exactly; once it is first
-        met the walk ends with that block or, traced, at the next grid step.
-        A search stops before its first row at or below eps and leaves
-        recent = [0]: every window before it holds a sample above eps, so
-        none is met, and the exact walk on from it finds the first one.
-        True when it stopped there; the caller ensures that the flag at k is
-        above eps.  Every walk keeps the trace rows on the grid (_keep)."""
-        powers, norms, bounds, cap = self.powers, self.norms, None, _BLOCK
+        through the stride factor (steps, R^steps - I, P).  Only exact rows
+        are scanned for overflow: the walk stops at the first state past
+        OVERFLOW_LIMIT (a non-finite peak counts as past it), which records
+        divergence.  The other two strides are walked only when the run's
+        reach certifies every state of the horizon (_integrate), so they
+        test no row.  The window is searched row by row only while stepping
+        exactly; once it is first met the walk ends with that block or,
+        traced, at the next grid step.  A search stops before its first row
+        at or below eps and leaves recent = [0]: every window before it
+        holds a sample above eps, so none is met, and the exact walk on from
+        it finds the first one.  True when it stopped there; the caller
+        ensures that the flag at k is above eps.  Every walk keeps the trace
+        rows on the grid (_keep)."""
+        powers, norms, cap = self.powers, self.norms, _BLOCK
         if search:
             first = _SAMPLE.bit_length() - 1  # the _SAMPLE-step power's index
-            powers, norms, bounds, cap = (
-                powers[first:], norms[first:], self.bounds[first], _SAMPLES
-            )
+            powers, norms, cap = powers[first:], norms[first:], _SAMPLES
         elif stride is not None:
-            powers, norms, bounds = [stride[:3]], None, stride[3:]
+            powers, norms = [stride], None
+        exact = stride is None and not search
         step = powers[0][0]
         if self.overflow_at is not None or self.k + step > end:
             return False
@@ -890,18 +872,8 @@ class _Run:
         while k + step <= end:
             block = _block(maps, states, min(size, (end - k) // step))
             take = len(block)
-            if bounds is not None:
-                peaks = _row_max(np.abs(block))
-                before = np.concatenate(([np.abs(z).max()], peaks[:-1]))
-                safe = bounds[0] * before + bounds[1] <= OVERFLOW_LIMIT
-                take = take if safe.all() else int(np.argmin(safe))
-                # norm_r >= 1 and norm_p >= 0, so a row the next one's test
-                # passes is itself within the limit: only the last row the
-                # test keeps has its own peak (or NaN) left to check
-                if take and not peaks[take - 1] <= OVERFLOW_LIMIT:
-                    take -= 1
             # a row past the limit, or NaN (which fails both comparisons)
-            elif not (
+            if exact and not (
                 block.max() <= OVERFLOW_LIMIT and block.min() >= -OVERFLOW_LIMIT
             ):
                 over = ~(_row_max(np.abs(block)) <= OVERFLOW_LIMIT)
@@ -951,8 +923,7 @@ class _Run:
         a block builds no index array.  Otherwise (a search's samples on a
         grid that is not a multiple of _SAMPLE) each is the row before it,
         z for the first, carried the remaining steps through the 1-, 2- and
-        4-step maps, inside the stretch that row's bounds certify, and its
-        residual is formed."""
+        4-step maps, and its residual is formed."""
         dec = self.dec
         first, last = k - k % dec + dec, k + len(states) * step
         if first > last:
@@ -987,6 +958,14 @@ def _integrate(ss, cfg, dt, n_steps, dec, stability):
     _extend(powers, n_steps)
     run = _Run(ss, cfg.eps_residual, dt, n_steps, dec, powers)
 
+    # The run's one overflow decision.  From rest the state at step j is
+    # P_j, and the reach bounds ||P_j||_inf for every step of the horizon:
+    # within OVERFLOW_LIMIT, no state can pass it, so the search, the jump
+    # and the grid stride skip states and test none.  Otherwise (or NaN)
+    # every step is stepped exactly, and the exact stride's scan reports
+    # divergence at its step.
+    certified = run.reach <= OVERFLOW_LIMIT
+
     # To the window: from state dimension _SEARCH_DIM, sample every
     # _SAMPLE-th state while the flag at the run's step is above eps, step
     # exactly over _STRETCH steps from the sample before each one at or
@@ -995,7 +974,8 @@ def _integrate(ss, cfg, dt, n_steps, dec, stability):
     # stretches do not depend on the trace, so neither does where the
     # window's block ends.
     while (
-        len(r) >= _SEARCH_DIM
+        certified
+        and len(r) >= _SEARCH_DIM
         and run.t_converge is None
         and not run.recent[-1]
         and run.walk(n_steps, search=True)
@@ -1004,25 +984,19 @@ def _integrate(ss, cfg, dt, n_steps, dec, stability):
     # a stretch that met the window ends a trace's walk at its next grid step
     run.walk(n_steps if run.settled is None else min(n_steps, run.k + -run.k % run.dec))
 
-    # Settled: x jumps from the window's block to t_max, certified factor by
-    # factor.  The start does not depend on the grid, so x is the same with
-    # or without a trace.
-    jumped = None
-    if run.overflow_at is None and run.settled is not None and run.settled[1] < n_steps:
-        factors = _factors(powers, n_steps - run.settled[1], run.bounds)
-        jumped = _jump(factors, run.settled[0])
-
-    # Trace rows: the dec-step map, one row per grid step, as far as its
-    # certificate says no state along it can pass OVERFLOW_LIMIT.
-    if run.overflow_at is None and run.k < run.grid_end:
-        run.walk(run.grid_end, reduce(_then, _factors(powers, run.dec, run.bounds)))
-
-    # Whatever no certificate covered is stepped exactly: the rest of the
-    # horizon when the jump failed, the rest of the grid when the stride
-    # walk stopped early.
-    run.walk(n_steps if jumped is None else run.grid_end)
-    if jumped is not None and run.overflow_at is None:
+    # Settled: x jumps from the window's block to t_max, and a trace walks
+    # the grid stride from where the walk ended, one row per grid step.  The
+    # jump starts where the window's block ends, whatever the grid, so x is
+    # the same with or without a trace.  Uncertified, the rest of the
+    # horizon is stepped exactly.
+    if certified and run.overflow_at is None and run.settled is not None:
+        z, k = run.settled
+        jumped = _jump(_factors(powers, n_steps - k), z)
+        if run.k < run.grid_end:
+            run.walk(run.grid_end, reduce(_then, _factors(powers, run.dec)))
         run.z, run.k = jumped, n_steps
+    else:
+        run.walk(n_steps)
 
     z, k, nm = run.z, run.k, run.nm
     residual_inf = float(run.residuals(z[None])[0])

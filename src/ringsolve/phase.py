@@ -353,7 +353,10 @@ def simulate_phase_integrator(
     concentrates at m_phases * f_ref and harmonics.  Warns AliasRisk when
     dt is too coarse to resolve that residue.  An empty series gives an
     empty output; a non-finite sample raises ValueError naming its index,
-    and a v_dd whose M-level sum overflows float64 raises ValueError.
+    and so does a sample whose accumulated phase is not finite (a phase
+    step 2*pi*(f_center + k_eff*(v - v0))*dt, or the sum of the steps
+    before it, past float64); a v_dd whose M-level sum overflows float64
+    raises ValueError.
 
     The output is the mean of M channel levels in {0, v_dd}, summed in
     channel order as ``levels.sum(axis=0) / M`` over the (M, N) level
@@ -389,19 +392,28 @@ def simulate_phase_integrator(
     t = np.arange(v_in.size) * cfg.dt
     # Cumulative trapezoid-free phase: left-rectangle accumulation matches
     # repeated vco_phase_step calls exactly.  In place, in the order of
-    # 2*pi * (f_center + k_eff*(v - v0)) * dt.
-    step = np.subtract(v_in, cfg.v0)
-    step *= k_eff
-    step += f_center
-    step *= 2.0 * math.pi
-    step *= cfg.dt
-    phase_err = np.empty(v_in.size)
-    phase_err[0] = 0.0
-    np.cumsum(step[:-1], out=phase_err[1:])
-    # theta - 2*pi*f_ref*t + phase0, reusing step for the reference phase
-    np.multiply(2.0 * math.pi * cfg.f_ref, t, out=step)
-    phase_err -= step
-    phase_err += phase0
+    # 2*pi * (f_center + k_eff*(v - v0)) * dt.  A step or a sum past
+    # float64 is refused below, so its overflow is not reported here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = np.subtract(v_in, cfg.v0)
+        step *= k_eff
+        step += f_center
+        step *= 2.0 * math.pi
+        step *= cfg.dt
+        phase_err = np.empty(v_in.size)
+        phase_err[0] = 0.0
+        np.cumsum(step[:-1], out=phase_err[1:])
+        # theta - 2*pi*f_ref*t + phase0, reusing step for the reference phase
+        np.multiply(2.0 * math.pi * cfg.f_ref, t, out=step)
+        phase_err -= step
+        phase_err += phase0
+    finite = np.isfinite(phase_err)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(
+            f"the VCO phase of sample {i} is not finite: the phase steps up to "
+            f"it overflow float64 (k_eff = {k_eff:.6g} Hz/V, dt = {cfg.dt:.3e} s)"
+        )
     duty = _triangle(phase_err)
 
     a = cfg.f_ref * t

@@ -102,6 +102,27 @@ def probe_single_path_gain(
 
 def factors(powers, n):
     """dynamics._factors of the n-step map, with powers extended as far as
-    n needs and their bounds stacked first, as simulate does once per run."""
+    n needs first, as simulate does once per run."""
     dynamics._extend(powers, n)
-    return dynamics._factors(powers, n, dynamics._stack(powers[: n.bit_length()])[1])
+    return dynamics._factors(powers, n)
+
+
+def assert_reach_covers(d, u, n):
+    """The reach _stack gives for the step map (R - I, u) = (d, u), with its
+    powers extended to a horizon of n steps, bounds ||P_j||_inf for every
+    j <= n, where P_j = sum_{i<j} R^i u is the state j steps from rest,
+    formed here one step at a time; returns the reach.  A P_j that is not
+    finite must leave the reach not finite."""
+    powers = [(1, d, u)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dynamics._extend(powers, n)
+        reach = dynamics._stack(powers)[1]
+        r, z, peak = d + np.eye(len(d)), np.zeros(len(u)), 0.0
+        for _ in range(n):
+            z = r @ z + u
+            peak = np.maximum(peak, np.abs(z).max())  # NaN stays NaN
+            if not np.isfinite(peak):
+                assert not math.isfinite(reach)
+                return reach
+    assert reach * (1 + 1e-12) >= peak
+    return reach

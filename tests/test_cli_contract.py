@@ -14,13 +14,14 @@ frequency from the same set.  The pyproject warning filters turn a numpy
 RuntimeWarning into a test error.
 """
 
+import argparse
 import json
 import math
 import random
 
 import pytest
 
-from ringsolve.cli import run
+from ringsolve.cli import build_parser, run
 
 VALUES = [0.0, -0.0, 0.5, -0.5, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 1e-310]
 
@@ -68,7 +69,8 @@ def sfdr_cases():
     """sfdr argv at 4096 samples: the defaults, then each flag drawn from
     VALUES or left at its default."""
     rng = random.Random(23)
-    cases = {"defaults": []}
+    # a 1e308 V tone overflows the VCO's phase steps
+    cases = {"defaults": [], "tone-amp-1e308": ["--tone-amp", "1e308"]}
     for k in range(32):
         cases[f"draw[{k}]"] = [
             f"{flag}={rng.choice(VALUES)!r}" for flag in SFDR_FLAGS if rng.random() < 0.5
@@ -100,8 +102,8 @@ def _check_csv(written):
 
 
 def _check_contract(capsys, argv, out, *side):
-    """The contract of one argv, run twice; returns the exit code and the
-    bytes written."""
+    """The contract of one argv, run twice; returns the exit code, stderr
+    and the bytes written."""
     code, captured, written = _run_once(capsys, argv, out, *side)
     assert code in (0, 2, 3, 4)
     assert captured.out == ""
@@ -113,7 +115,7 @@ def _check_contract(capsys, argv, out, *side):
         assert written[0] is None
     again, captured_again, written_again = _run_once(capsys, argv, out, *side)
     assert (again, captured_again.err, written_again) == (code, captured.err, written)
-    return code, written
+    return code, captured.err, written
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -122,7 +124,7 @@ def test_cli_contract(tmp_path, capsys, command, name):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(DOCUMENTS[name]))
     argv = COMMANDS[command](str(path))
-    _, (written,) = _check_contract(capsys, argv, tmp_path / "out.json")
+    _, _, (written,) = _check_contract(capsys, argv, tmp_path / "out.json")
     if written is not None and command == "sweep":
         _check_csv(written)
     elif written is not None:
@@ -136,10 +138,45 @@ def test_cli_contract(tmp_path, capsys, command, name):
 def test_sfdr_contract(tmp_path, capsys, name):
     spectrum = tmp_path / "spectrum.csv"
     argv = ["sfdr", "--samples", "4096", *SFDR_CASES[name], "--spectrum", str(spectrum)]
-    code, (written, csv) = _check_contract(capsys, argv, tmp_path / "out.json", spectrum)
+    code, _, (written, csv) = _check_contract(capsys, argv, tmp_path / "out.json", spectrum)
     if code in (2, 3):
         assert csv is None
     if written is not None:
         json.loads(written, parse_constant=_refuse_constant)
     if csv is not None:
         _check_csv(csv)
+
+
+def float_flags():
+    """(subcommand, flag) for every float-typed flag of every subcommand,
+    read from build_parser()'s actions."""
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return [
+        (name, max(action.option_strings, key=len))
+        for name, parser in commands.choices.items()
+        for action in parser._actions
+        if action.type is float
+    ]
+
+
+FLAG_BASES = {**COMMANDS, "sfdr": lambda path: ["sfdr", "--samples", "4096"]}
+
+
+@pytest.mark.parametrize("command, flag", float_flags())
+def test_negative_float_flag_values(tmp_path, capsys, command, flag):
+    # a negative value in exponent form is the flag's value whether or not
+    # it is joined by "=": -1e309 reads as -inf, which every float flag
+    # refuses (exit 2, one line), and -1e-6 gets what --flag=-1e-6 gets
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(FIXTURES["neg"]))
+    base = FLAG_BASES[command](str(path))
+    for value in ("-1e309", "-1e-6"):
+        joined, apart = (
+            _check_contract(capsys, [*base, *given], tmp_path / "out.json")
+            for given in ([f"{flag}={value}"], [flag, value])
+        )
+        assert apart == joined
+        if value == "-1e309":
+            assert joined[0] == 2

@@ -4,8 +4,9 @@ in simulate, against plain stepping.
 simulate forms only every _SAMPLE-th state until a sample is at or below
 eps, steps exactly from the sample before it until the residual window is
 met, then jumps x to t_max with composed step maps and, when a trace is
-asked for, advances along the trace grid with the dec-step map.  Every
-stretch that no overflow certificate covers is block-stepped exactly.  The
+asked for, advances along the trace grid with the dec-step map.  It
+skips states only when the run's reach bounds every state of the horizon
+within OVERFLOW_LIMIT; otherwise it block-steps every step exactly.  The
 oracle below is the literal loop it replaces: one step z <- R z + u at a
 time over the whole horizon, every residual kept, the window found
 afterwards.
@@ -19,7 +20,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import factors
+from conftest import assert_reach_covers, factors
 from ringsolve import dynamics
 from ringsolve.dynamics import (
     CONVERGENCE_WINDOW,
@@ -490,8 +491,10 @@ def transient_system(kappa, rate=1e5):
 @pytest.mark.parametrize("dec", [None, 0, 7])
 @pytest.mark.parametrize("kappa, overflows", [(1.36e6, False), (1e7, True)])
 def test_jump_certificate_fails_to_the_grid(monkeypatch, dec, kappa, overflows):
-    # a·dt = 1e-4: the first block of 512 steps ends before the transient
-    # peaks, so the jump starts where the state is already large
+    # a·dt = 1e-4: the window is met at the start, long before the transient
+    # peaks at kappa / e; even below OVERFLOW_LIMIT (kappa 1.36e6) the
+    # reach does not certify it, so the run makes no jump and block-steps
+    # the whole horizon
     cfg = SolverConfig(dt=1e-9, t_max=12000e-9)
     ss = transient_system(kappa)
     ref = plain_simulate(ss, cfg, dec)
@@ -501,13 +504,12 @@ def test_jump_certificate_fails_to_the_grid(monkeypatch, dec, kappa, overflows):
     jumps, real_jump = [], dynamics._jump
 
     def recording_jump(factors, z):
-        out = real_jump(factors, z)
-        jumps.append(out is None)
-        return out
+        jumps.append(len(factors))
+        return real_jump(factors, z)
 
     monkeypatch.setattr(dynamics, "_jump", recording_jump)
     res = simulate(ss, cfg, dec)
-    assert jumps[0]  # the certificate failed: the rest was block-stepped
+    assert jumps == []  # the reach did not certify: the rest was block-stepped
     assert_matches(res, ref)
     if overflows:
         # past the block that met the window, inside the stretch a jump skips
@@ -704,8 +706,9 @@ def spike_system(phi=math.pi / 6, dt=1e-9, steps=2000):
 @pytest.mark.parametrize("dec", [None, 0, 1, 7, 100])
 def test_overflow_between_two_samples(monkeypatch, search_any_dimension, dec):
     # the first state past OVERFLOW_LIMIT lies between two samples, and the
-    # sample after it is back below: the samples alone would miss it, the
-    # certificate stops the search before it and exact stepping finds it
+    # sample after it is back below: the samples alone would miss it, but
+    # the reach does not certify the run, so it never searches and exact
+    # stepping finds it
     ss, cfg = spike_system()
     r, s = dynamics._step_operators(ss.m, cfg.dt)
     u, z, first = s @ ss.f, np.zeros(3), None
@@ -721,10 +724,48 @@ def test_overflow_between_two_samples(monkeypatch, search_any_dimension, dec):
     searches = record_searches(monkeypatch)
     res = simulate(ss, cfg, dec)
     assert_matches(res, ref)
-    (_, stopped, found), = searches
-    assert not found and first - 4 * dynamics._SAMPLE < stopped < first
+    assert searches == []
     if dec is not None:
         assert res.trace.t[-1] == first * cfg.dt
+
+
+def transient_run(kappa):
+    return transient_system(kappa), SolverConfig(dt=1e-9, t_max=12000e-9)
+
+
+UNCERTIFIED = {
+    "spike": spike_system,
+    "transient-1.36e6": lambda: transient_run(1.36e6),
+    "transient-1e7": lambda: transient_run(1e7),
+}
+
+
+@pytest.mark.parametrize("dec", [None, 0, 1, 7, 100])
+@pytest.mark.parametrize("name", sorted(UNCERTIFIED))
+def test_uncertified_run_walks_only_the_exact_stride(
+    monkeypatch, search_any_dimension, dec, name
+):
+    # the reach passes OVERFLOW_LIMIT (the spike and kappa 1e7 overflow,
+    # kappa 1.36e6 peaks at 5e5): the run forms every state exactly, with
+    # no search, no jump and no grid stride, so the exact scan finds the
+    # overflow step and the trace keeps every grid row as stepped
+    ss, cfg = UNCERTIFIED[name]()
+    walks, real_walk = [], dynamics._Run.walk
+
+    def recording_walk(run, end, stride=None, search=False):
+        walks.append((run.reach <= OVERFLOW_LIMIT, stride is not None, search))
+        return real_walk(run, end, stride, search)
+
+    def no_jump(factors, z):
+        raise AssertionError("an uncertified run jumped")
+
+    monkeypatch.setattr(dynamics._Run, "walk", recording_walk)
+    monkeypatch.setattr(dynamics, "_jump", no_jump)
+    res = simulate(ss, cfg, dec)
+    assert walks and set(walks) == {(False, False, False)}
+    ref = plain_simulate(ss, cfg, dec)
+    assert ("exceeded" in ref.diagnostics) == (name != "transient-1.36e6")
+    assert_matches(res, ref)
 
 
 @pytest.mark.parametrize("dec", [None, 0, 7])
@@ -765,8 +806,10 @@ def test_trace_rows_inside_sampled_stretches(monkeypatch, search_any_dimension, 
 
 @pytest.mark.parametrize("seed", range(7))
 def test_factor_bounds_cover_every_state(seed):
-    # every skipped state R^j z + sum_{i<j} R^i u must lie inside a factor's
-    # bounds; the maps below grow, shrink and are non-normal
+    # every state sum_{i<j} R^i u of a run from rest, j up to the horizon,
+    # must lie within the run's reach, and each factor (and the stride they
+    # compose) must be its exact map; the maps below grow, shrink and are
+    # non-normal
     rng = np.random.default_rng(seed)
     dim, n = 3, 109
     r = np.eye(dim) + rng.normal(0.0, 0.05, (dim, dim))
@@ -776,27 +819,25 @@ def test_factor_bounds_cover_every_state(seed):
         # shrink the bound for the powers before it
         r = np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.9]])
     u = rng.normal(0.0, 1.0, dim)
+    assert_reach_covers(r - np.eye(dim), u, n)
     parts = factors([(1, r - np.eye(dim), u)], n)
     assert [f[0] for f in parts] == [1, 4, 8, 32, 64]  # the set bits of 109
     combined = reduce(dynamics._then, parts)
-    for steps, d, p, norm_r, norm_p in [*parts, combined]:
+    for steps, d, p in [*parts, combined]:
         power, offset = np.eye(dim), np.zeros(dim)
-        peak_r, peak_p = 1.0, 0.0
         for _ in range(steps):
             power, offset = r @ power, r @ offset + u
-            peak_r = max(peak_r, np.abs(power).sum(axis=1).max())
-            peak_p = max(peak_p, np.abs(offset).max())
         scale = max(1.0, np.abs(power).max())
         assert np.abs(d + np.eye(dim) - power).max() <= 1e-12 * scale
         assert np.abs(p - offset).max() <= 1e-12 * max(1.0, np.abs(offset).max())
-        assert norm_r * (1 + 1e-12) >= peak_r
-        assert norm_p * (1 + 1e-12) >= peak_p
 
 
 def old_integrate(ss, cfg, dt, n_steps, trace_decimation, stability):
     """The stepping engine before one walk served both of simulate's loops:
     the step_to closure and the trace-stride loop, kept as the oracle of
-    _Run.walk.  It reads the same helpers, so the two must agree bit for bit."""
+    _Run.walk.  It reads the same helpers, so the two must agree bit for bit.
+    It jumps and walks the trace stride only where the run's reach
+    certifies the horizon, as simulate decides."""
     r, s = dynamics._step_operators(ss.m, dt)
     u = s @ ss.f
     if not (np.isfinite(r).all() and np.isfinite(u).all()):
@@ -805,6 +846,8 @@ def old_integrate(ss, cfg, dt, n_steps, trace_decimation, stability):
         )
     dim = ss.m.shape[0]
     powers = [(1, r - np.eye(dim), u)]
+    dynamics._extend(powers, n_steps)
+    certified = dynamics._stack(powers)[1] <= OVERFLOW_LIMIT
     nm = ss.n_main
     a_hat_t = ss.a_hat.T
     b_hat = ss.b_hat
@@ -873,29 +916,21 @@ def old_integrate(ss, cfg, dt, n_steps, trace_decimation, stability):
     z, k = step_to(np.zeros(dim), 0, n_steps)
 
     jumped = None
-    if overflow_at is None and settled is not None and settled[1] < n_steps:
+    if certified and overflow_at is None and settled is not None and settled[1] < n_steps:
         left = n_steps - settled[1]
         jumped = dynamics._jump(factors(powers, left), settled[0])
 
-    if traced and overflow_at is None and k < grid_end:
+    if traced and jumped is not None and k < grid_end:
         stride = reduce(dynamics._then, factors(powers, dec))
-        norm_r, norm_p = stride[3:]
         row, last_row = k // dec, grid_end // dec
-        maps, size = dynamics._block_maps([stride[:3]], last_row - row)
+        maps, size = dynamics._block_maps([stride], last_row - row)
         states = z
         while row < last_row:
             states = dynamics._block(maps, states, min(size, last_row - row))
-            peaks = dynamics._row_max(np.abs(states))
-            before = np.concatenate(([np.abs(z).max()], peaks[:-1]))
-            safe = norm_r * before + norm_p <= OVERFLOW_LIMIT
-            good = len(states) if safe.all() else int(np.argmin(safe))
-            kept[row + 1 : row + 1 + good] = states[:good, :nm]
-            kept_res[row + 1 : row + 1 + good] = residuals(states[:good])
-            row += good
-            if good:
-                z = states[good - 1]
-            if good < len(states):
-                break
+            kept[row + 1 : row + 1 + len(states)] = states[:, :nm]
+            kept_res[row + 1 : row + 1 + len(states)] = residuals(states)
+            row += len(states)
+            z = states[-1]
         k = row * dec
 
     end = n_steps if jumped is None else grid_end if traced else k
@@ -954,7 +989,8 @@ def same_bits(a, b):
 def walk_cases(neg2x2, mixed2x2, dec):
     """(name, run) pairs: each run is one solve or simulate with decimation
     dec, across both modes, scaled, quantized and programmed plans, windows
-    met in the first block or never, certificates that fail and overflow."""
+    met in the first block or never, runs the reach does not certify and
+    runs that overflow."""
     rng = np.random.default_rng(16)
     for i, (n, sign) in enumerate([(3, -1), (8, -1), (5, 1), (12, -1)]):
         p = random_stable(rng, n, sign)
@@ -1000,19 +1036,12 @@ def test_one_walk_matches_the_two_loops(monkeypatch, neg2x2, mixed2x2, dec):
         before = run.k
         found = real_walk(run, end, stride, search)
         settled_at = None if run.settled is None else run.settled[1]
+        certified = run.reach <= OVERFLOW_LIMIT
         if not search:
-            walks.append((stride is not None, before, run.k, end, settled_at))
+            walks.append((stride is not None, certified, before, settled_at))
         return found
 
-    jumps, real_jump = [], dynamics._jump
-
-    def recording_jump(factors, z):
-        out = real_jump(factors, z)
-        jumps.append(out is None)
-        return out
-
     monkeypatch.setattr(dynamics._Run, "walk", recording_walk)
-    monkeypatch.setattr(dynamics, "_jump", recording_jump)
     # a floor the n = 12 cases reach and the small ones do not
     monkeypatch.setattr(dynamics, "_SEARCH_DIM", 20)
     searches = record_searches(monkeypatch)
@@ -1043,17 +1072,18 @@ def test_one_walk_matches_the_two_loops(monkeypatch, neg2x2, mixed2x2, dec):
             seen.add("never settled")
         if "exceeded" in ref.diagnostics:
             seen.add("overflow")
-    # the cases reach every way a walk or a jump ends
-    seen.update("jump failed" for failed in jumps if failed)
-    for certified, before, after, end, settled_at in walks:
-        if certified and after < end:
-            seen.add("stride certificate failed")
+    # the cases reach every way a walk ends, and both overflow decisions
+    for grid, certified, before, settled_at in walks:
+        if grid:
+            seen.add("grid stride")
+        if not certified:
+            seen.add("uncertified")
         if before == 0 and settled_at is not None and settled_at <= dynamics._BLOCK:
             seen.add("window met in the first block")
     expected = {
-        "never settled", "overflow", "jump failed", "window met in the first block",
+        "never settled", "overflow", "uncertified", "window met in the first block",
         "searched", "not searched",
     }
     if dec is not None:
-        expected.add("stride certificate failed")
+        expected.add("grid stride")
     assert expected <= seen

@@ -1,7 +1,7 @@
 """Per-solve fixed costs, against the code they replace.
 
 Row peaks are taken from a transposed copy, the power-of-two maps are
-doubled in one loop with their bounds computed in one pass, and the
+doubled in one loop with the run's reach computed in one pass, and the
 stability ladder skips the eigensolve of a rung whose trace proves it
 unstable.  Each must give the same bits (or, for the trace shortcut, the
 same verdict) as before; the oracles below are the helpers they replace.
@@ -10,7 +10,7 @@ same verdict) as before; the oracles below are the helpers they replace.
 import numpy as np
 import pytest
 
-from conftest import factors
+from conftest import assert_reach_covers, factors
 from ringsolve import dynamics
 from ringsolve.dynamics import (
     Mode,
@@ -61,7 +61,7 @@ def test_row_max_of_a_view():
     assert np.array_equal(dynamics._row_max(a), a.max(axis=1), equal_nan=True)
 
 
-# --- the power-of-two maps and their bounds --------------------------------
+# --- the power-of-two maps and the reach -----------------------------------
 
 
 def old_compose(later, earlier):
@@ -125,6 +125,8 @@ MAPS = [
 
 @pytest.mark.parametrize("kind, dim, seed", MAPS)
 def test_doubling_and_bounds_match_the_then_chain(kind, dim, seed):
+    # the doubled maps keep their bits, and the run's reach is the old
+    # chain's offset bound one doubling past the last power
     d, u = step_map(kind, dim, seed)
     old = [old_unit(d, u)]
     new = [(1, d, u)]
@@ -133,9 +135,12 @@ def test_doubling_and_bounds_match_the_then_chain(kind, dim, seed):
         with np.errstate(over="ignore", invalid="ignore"):
             want = old_factors(old, n)
             got = factors(new, n)
+            reach = dynamics._stack(new)[1]
+            past = old_then(old[-1], old[-1])
         assert [f[0] for f in got] == [f[0] for f in want]
         for g, w in zip(got, want):
-            assert all(bits_equal(x, y) for x, y in zip(g[1:], w[1:])), (n, g[0])
+            assert all(bits_equal(x, y) for x, y in zip(g[1:], w[1:3])), (n, g[0])
+        assert bits_equal(reach, past[4]), n
     assert len(new) == len(old)
     for g, w in zip(new, old):
         assert g[0] == w[0] and bits_equal(g[1], w[1]) and bits_equal(g[2], w[2])
@@ -145,8 +150,8 @@ def test_doubling_and_bounds_match_the_then_chain(kind, dim, seed):
 
 @pytest.mark.parametrize("kind, dim, seed", MAPS)
 def test_stride_bounds_match_the_then_chain(kind, dim, seed):
-    # the stride composes its set-bit factors with _then; the factors it
-    # starts from now carry the one-pass bounds
+    # the stride composes its set-bit factors with _then, bit for bit as the
+    # old chain composed its maps
     d, u = step_map(kind, dim, seed)
     for dec in (1, 6, 7, 100, 4097):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -158,7 +163,18 @@ def test_stride_bounds_match_the_then_chain(kind, dim, seed):
                 want_stride = old_then(want_stride, w)
                 got_stride = dynamics._then(got_stride, g)
         assert got_stride[0] == want_stride[0]
-        assert all(bits_equal(x, y) for x, y in zip(got_stride[1:], want_stride[1:]))
+        assert all(bits_equal(x, y) for x, y in zip(got_stride[1:], want_stride[1:3]))
+
+
+@pytest.mark.parametrize("kind, dim, seed", MAPS)
+def test_reach_covers_every_state_from_rest(kind, dim, seed):
+    # brute force: every state of a run from rest, up to the horizon, lies
+    # within the reach; a map whose powers overflow is never certified
+    d, u = step_map(kind, dim, seed)
+    for n in (11, 109, 513):
+        reach = assert_reach_covers(d, u, n)
+        if kind == "non-finite":
+            assert not reach <= dynamics.OVERFLOW_LIMIT
 
 
 @pytest.mark.parametrize("kind, dim, seed", MAPS)

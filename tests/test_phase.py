@@ -752,6 +752,20 @@ class TestIntegratorMatchesCarrierOracle:
             simulate_phase_integrator(finite, cfg), _integrator_oracle(finite, cfg)
         )
 
+    def test_overflowing_phase_refused(self):
+        # a 1e308 V input overflows its phase step (v - v0) k_eff: the series
+        # used to read level 0 at 4095 of 4096 samples, with numpy warnings
+        cfg = PhaseConfig(m_phases=4, f0=5e6, k_vco=10e6)
+        with pytest.raises(ValueError, match="^the VCO phase of sample 1 is not finite"):
+            simulate_phase_integrator(np.full(4096, 1e308), cfg)
+        # each step is finite (6.5e307 rad at dt = 1e288 s), and their sum
+        # passes float64 at the third
+        cfg = PhaseConfig(m_phases=4, f0=1e-290, k_vco=10e6)
+        step = 2.0 * math.pi * (cfg.f0 + 10e6 * 1e12) * cfg.dt
+        assert math.isfinite(step) and not math.isfinite(3.0 * step)
+        with pytest.raises(ValueError, match="^the VCO phase of sample 3 is not finite"):
+            simulate_phase_integrator(np.full(16, cfg.v0 + 1e12), cfg)
+
     def test_empty_series(self):
         out = simulate_phase_integrator(np.array([]), PhaseConfig())
         assert out.shape == (0,) and out.dtype == np.float64
