@@ -32,6 +32,16 @@ in-place ufuncs, instead of ``np.mod`` (which runs ``fmod`` and a sign fix
 and costs over ten times as much).  Both are the exact remainder rounded
 once, so they agree bit for bit; for ``x >= 0`` the subtraction is exact
 (Sterbenz's lemma).
+
+The hot calls work in place.  A full-length float array of a 2^15-sample
+series is 256 KiB, and the C allocator serves an array of that size from
+pages it has handed back to the OS since the last call, so each fresh
+temporary costs page faults on top of its pass.  So
+``simulate_phase_integrator`` forms its series in three arrays of its own
+and ``_high_taps``'s two (a peak of about 5.3 n float64, not 9.4 n), and
+``sfdr`` forms the dB spectrum over the magnitudes.  Every elementwise
+operation keeps its order, so every output has the bits of the form with
+fresh arrays.  No work array outlives its call, and no input is written.
 """
 
 from __future__ import annotations
@@ -204,9 +214,12 @@ def effective_kvco(cfg: PhaseConfig) -> EffectiveGain:
     )
 
 
-def _remainder(x: np.ndarray, p: float) -> np.ndarray:
+def _remainder(
+    x: np.ndarray, p: float, scratch: Optional[np.ndarray] = None
+) -> np.ndarray:
     """``np.mod(x, p)`` for p = 1 or 2: overwrites the float array x with
-    ``x - p*floor(x/p)`` and returns it, allocating one array on the way.
+    ``x - p*floor(x/p)`` and returns it, allocating one array on the way,
+    or none when ``scratch`` (a float array of x's shape) is given.
 
     ``x/p`` and ``p*floor(x/p)`` are exact, and the subtraction rounds once:
     the result is the exact remainder rounded once, as np.mod's ``fmod``
@@ -216,21 +229,27 @@ def _remainder(x: np.ndarray, p: float) -> np.ndarray:
     where np.mod gives 2.0, and ``_triangle`` maps both to 0.
     """
     if p == 1.0:
-        q = np.floor(x)
+        q = np.floor(x, out=scratch)
     else:
-        q = np.divide(x, p, out=np.empty_like(x))
+        q = np.divide(x, p, out=np.empty_like(x) if scratch is None else scratch)
         np.floor(q, out=q)
         q *= p
     x -= q
     return x
 
 
-def _triangle(phase: np.ndarray) -> np.ndarray:
+def _triangle(
+    phase: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Normalized XOR duty law: 0 at phase 0, 1 at pi, period 2*pi.
 
-    ``1 - |mod(phase/pi, 2) - 1|``, formed in place in one new array.
+    ``1 - |mod(phase/pi, 2) - 1|``, formed in place in one new array, or
+    in ``out`` (which may be phase itself) with ``scratch`` as
+    ``_remainder``'s, allocating nothing.
     """
-    r = _remainder(phase / math.pi, 2.0)
+    r = _remainder(np.divide(phase, math.pi, out=out), 2.0, scratch)
     r -= 1.0
     np.abs(r, out=r)
     return np.subtract(1.0, r, out=r)
@@ -247,10 +266,17 @@ def _carriers_below(a: np.ndarray, duty: np.ndarray, m: int) -> np.ndarray:
     return _remainder(a[None, :] + taps, 1.0) < duty[None, :]
 
 
-def _wrap_certificate(a: np.ndarray, m: int) -> tuple[np.ndarray, float, tuple]:
+def _wrap_certificate(
+    a: np.ndarray,
+    m: int,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, float, tuple]:
     """The carrier wrap ``frac(m*a)`` per sample, NaN where it is uncertain,
     the margin ``tol`` of the closed-form tap count, and the integer-wrap
-    tier of the uncertain samples: ``(idx, off, carrier)``.
+    tier of the uncertain samples: ``(idx, off, carrier)``.  The wrap is
+    formed in ``out`` and the remainder's floor in ``scratch`` where they
+    are given (float arrays of a's shape), in new arrays where not.
 
     A sample's count of carriers ``frac(a + k/m)`` below a duty d is
     ``ceil(y)`` with ``y = m*d - wrap`` (at most m, and at least 0 for
@@ -279,12 +305,12 @@ def _wrap_certificate(a: np.ndarray, m: int) -> tuple[np.ndarray, float, tuple]:
     the difference round once each), and ``frac(y)`` within ``spacing(1)``
     of its own exact value.
     ``tol = 16*m*spacing(max|a| + 2) + 16*spacing(m)`` exceeds their sum
-    eight times over.
+    eight times over.  ``max|a|`` is read as ``max(max a, -min a)``, which
+    is the same float (NaN where a holds one) without an array of |a|.
     """
-    tol = float(
-        16.0 * m * np.spacing(np.max(np.abs(a)) + 2.0) + 16.0 * np.spacing(float(m))
-    )
-    wrap = _remainder(np.multiply(m, a), 1.0)
+    peak = np.maximum(a.max(), -a.min())
+    tol = float(16.0 * m * np.spacing(peak + 2.0) + 16.0 * np.spacing(float(m)))
+    wrap = _remainder(np.multiply(m, a, out=out), 1.0, scratch)
     wrap[(wrap <= tol) | (wrap >= 1.0 - tol)] = np.nan
     idx = np.flatnonzero(np.isnan(wrap))
     ma = np.multiply(m, a[idx])
@@ -293,7 +319,9 @@ def _wrap_certificate(a: np.ndarray, m: int) -> tuple[np.ndarray, float, tuple]:
     return wrap, tol, (idx, ma - near, carrier)
 
 
-def _high_taps(a: np.ndarray, duty: np.ndarray, m: int) -> np.ndarray:
+def _high_taps(
+    a: np.ndarray, duty: np.ndarray, m: int, scratch: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Per sample, how many of the m carriers ``np.mod(a + k/m, 1.0)`` lie
     below ``duty``: the integer the M-carrier comparison counts.
 
@@ -301,15 +329,29 @@ def _high_taps(a: np.ndarray, duty: np.ndarray, m: int) -> np.ndarray:
     ``_wrap_certificate`` certifies it, or its integer-wrap tier where the
     wrap is uncertain.  The rest are counted by the M-carrier comparison, in
     blocks of at most ``_FALLBACK_CARRIERS`` carrier values.
+
+    The full-length series share three float work arrays, ``scratch`` (a
+    float array of a's shape that the call may overwrite; new if None) and
+    two new ones: the wrap and then the ceiling in the first; the wrap's
+    floor, then y, frac and the count in the second; frac's floor in the
+    third, which is freed before the count is formed.  The count is
+    returned as an intp view of the second, converted as ``astype``
+    converts.  a and duty are only read.
     """
-    wrap, tol, (idx, off, carrier) = _wrap_certificate(a, m)
-    y = np.multiply(m, duty)
+    work = np.empty_like(a) if scratch is None else scratch
+    floor = np.empty_like(a)
+    wrap, tol, (idx, off, carrier) = _wrap_certificate(a, m, out=work, scratch=floor)
+    y = np.multiply(m, duty, out=floor)
     y -= wrap
-    count = np.ceil(y)
-    frac = _remainder(y, 1.0)
-    uncertain = ~((frac > tol) & (frac < 1.0 - tol))
-    count[uncertain] = 0.0
-    count = np.clip(count, 0, m, out=count).astype(np.intp)
+    ceiling = np.ceil(y, out=wrap)
+    frac = _remainder(y, 1.0, np.empty_like(a))
+    uncertain = frac > tol
+    uncertain &= frac < 1.0 - tol
+    uncertain = np.logical_not(uncertain, out=uncertain)
+    ceiling[uncertain] = 0.0
+    np.clip(ceiling, 0, m, out=ceiling)
+    count = floor.view(np.intp)  # frac has been read: the count goes over it
+    np.copyto(count, ceiling, casting="unsafe")
 
     # the integer wraps (every uncertain wrap is an uncertain sample)
     y = np.multiply(m, duty[idx])
@@ -331,10 +373,27 @@ def _high_taps(a: np.ndarray, duty: np.ndarray, m: int) -> np.ndarray:
 
 
 def _check_finite(series: np.ndarray) -> None:
-    """A NaN or inf sample has no phase: refuse it rather than read a level."""
+    """A NaN or inf sample has no phase: refuse it rather than read a level.
+
+    A NaN or inf sample makes the sum NaN or inf, so a finite sum proves
+    every sample finite in one reduction; only a sum that is not finite
+    (a bad sample, or finite samples whose sum overflows) is scanned for
+    the first bad index.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(np.sum(series)):
+            return
     bad = np.flatnonzero(~np.isfinite(series))
     if bad.size:
         raise ValueError(f"input sample {bad[0]} is not finite ({series.flat[bad[0]]})")
+
+
+def _phase_overflow(i: int, k_eff: float, dt: float) -> ValueError:
+    """The refusal of a VCO phase that is not finite at sample i."""
+    return ValueError(
+        f"the VCO phase of sample {i} is not finite: the phase steps up to "
+        f"it overflow float64 (k_eff = {k_eff:.6g} Hz/V, dt = {dt:.3e} s)"
+    )
 
 
 def simulate_phase_integrator(
@@ -389,7 +448,13 @@ def simulate_phase_integrator(
     k_eff = gain.k_vco_hz_per_v
     m = cfg.m_phases
 
-    t = np.arange(v_in.size) * cfg.dt
+    # Three full-length float arrays carry the run: t (then a), step (the
+    # phase steps, the reference phase, then scratch) and phase_err (then
+    # the duty); _high_taps adds two.  The output is the one array formed
+    # after the work is done, so it lies above the freed work arrays, and
+    # the caller's next large arrays (sfdr's) can reuse them.
+    t = np.arange(v_in.size, dtype=float)
+    t *= cfg.dt
     # Cumulative trapezoid-free phase: left-rectangle accumulation matches
     # repeated vco_phase_step calls exactly.  In place, in the order of
     # 2*pi * (f_center + k_eff*(v - v0)) * dt.  A step or a sum past
@@ -409,14 +474,10 @@ def simulate_phase_integrator(
         phase_err += phase0
     finite = np.isfinite(phase_err)
     if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(
-            f"the VCO phase of sample {i} is not finite: the phase steps up to "
-            f"it overflow float64 (k_eff = {k_eff:.6g} Hz/V, dt = {cfg.dt:.3e} s)"
-        )
-    duty = _triangle(phase_err)
+        raise _phase_overflow(int(np.argmin(finite)), k_eff, cfg.dt)
+    duty = _triangle(phase_err, out=phase_err, scratch=step)
 
-    a = cfg.f_ref * t
+    a = np.multiply(cfg.f_ref, t, out=t)
     high = np.arange(m)[:, None] < np.arange(m + 1)  # column c: c taps high
     with np.errstate(over="ignore"):
         table = np.where(high, cfg.v_dd, 0.0).sum(axis=0) / m
@@ -427,7 +488,7 @@ def simulate_phase_integrator(
     if v_in.size == 1:
         levels = np.where(_carriers_below(a, duty, m), cfg.v_dd, 0.0)
         return levels.sum(axis=0) / m
-    return table[_high_taps(a, duty, m)]
+    return table[_high_taps(a, duty, m, scratch=step)]
 
 
 # Samples per pass of the closed loop: the loop walks Python lists of this
@@ -472,7 +533,11 @@ def simulate_phase_lowpass(
     carrier period, that the benchmark runs).
     The next feedback ``v_out / ratio`` is read from an (M+1)-entry table,
     and the output is the table of levels indexed by the counts.  A
-    non-finite sample, ratio or phase0 raises ValueError naming it.
+    non-finite sample, ratio or phase0 raises ValueError naming it, and so
+    does a sample whose loop phase is not finite (a phase step, or the sum
+    of the steps up to it, past float64), as in the open-loop integrator;
+    its duty is NaN, which no margin test certifies, so the check costs the
+    certified samples nothing.
 
     A sample's phase step depends only on its input and the last count, so
     in a chunk whose inputs are all equal the M + 2 possible steps (one per
@@ -545,6 +610,8 @@ def simulate_phase_lowpass(
                 y = m_float * duty - off
                 if tol < y % 1.0 < upper:
                     high = min(max(ceil(y) - 1, 0), m - 1) + (carrier < duty)
+                elif not math.isfinite(phase_err):  # its duty is NaN
+                    raise _phase_overflow(i, k_eff, dt)
                 else:
                     below = _carriers_below(ref[i : i + 1], np.array([duty]), m)
                     high = int(np.count_nonzero(below))
@@ -723,7 +790,11 @@ def sfdr(
         )
     worst = float(mags[spur_idx])
 
-    mag_db = 20.0 * np.log10(np.maximum(mags, 1e-300) / fundamental)
+    # 20 log10(max(mags, 1e-300) / fundamental), formed over mags
+    mag_db = np.maximum(mags, 1e-300, out=mags)
+    mag_db /= fundamental
+    np.log10(mag_db, out=mag_db)
+    mag_db *= 20.0
     return SpectralReport(
         sfdr_db=20.0 * math.log10(fundamental / max(worst, 1e-300)),
         fundamental_hz=float(freqs[k_fund]),

@@ -1,7 +1,8 @@
 """Shared fixtures: the worked problem instances used across the suite,
-and the numerical gain probe that checks the AC formulas."""
+the numerical gain probe that checks the AC formulas, and a memory probe."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,3 +127,26 @@ def assert_reach_covers(d, u, n):
                 return reach
     assert reach * (1 + 1e-12) >= peak
     return reach
+
+
+def peak_floats(call, n):
+    """The tracemalloc peak of call(), in units of n float64 (8 n bytes).
+
+    call() runs once untraced first, so caches it fills (sfdr's Hann
+    window, numpy's FFT plans) are not counted; then the peak above the
+    memory traced when the second call starts is read.  Arrays made before
+    the call, its inputs among them, do not count; its outputs do.
+    """
+    call()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak / (8.0 * n)

@@ -5,12 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import peak_floats
 
 from ringsolve import phase
 from ringsolve.dynamics import SolverConfig, ac_response
 from ringsolve.netlist import plan
 from ringsolve.phase import (
     _METHOD_DIVIDER,
+    _check_finite,
     _high_taps,
     _periodic_hann,
     _spur_mask,
@@ -752,6 +754,27 @@ class TestIntegratorMatchesCarrierOracle:
             simulate_phase_integrator(finite, cfg), _integrator_oracle(finite, cfg)
         )
 
+    def test_finite_series_whose_sum_overflows(self):
+        # a finite sum proves every sample finite; a sum that overflows is
+        # not a refusal by itself, only the scan for a bad sample decides
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _check_finite(np.array([1e308] * 4))
+            _check_finite(np.array([1e308, -1e308] * 4))
+            for bad, value in ((4, np.inf), (5, np.nan), (2, -np.inf)):
+                series = np.full(8, 1e308)
+                series[bad] = value
+                with pytest.raises(
+                    ValueError, match=f"^input sample {bad} is not finite \\({value}\\)$"
+                ):
+                    _check_finite(series)
+        # such a series is finite, and so goes on to the phase refusal
+        cfg = PhaseConfig(m_phases=8, f0=5e6, k_vco=10e6)
+        with pytest.raises(ValueError, match="^the VCO phase of sample 1 is not finite"):
+            simulate_phase_integrator(np.array([1e308] * 4), cfg)
+        with pytest.raises(ValueError, match="^the VCO phase of sample 0 is not finite"):
+            simulate_phase_lowpass(np.array([1e308] * 4), 1.0, cfg)
+
     def test_overflowing_phase_refused(self):
         # a 1e308 V input overflows its phase step (v - v0) k_eff: the series
         # used to read level 0 at 4095 of 4096 samples, with numpy warnings
@@ -975,6 +998,32 @@ class TestNonFiniteArguments:
         with pytest.raises(ValueError, match="phase0 must be finite"):
             simulate_phase_integrator(np.full(64, cfg.v0), cfg, phase0=value)
 
+    @pytest.mark.parametrize("value", [1e308, 1e300, -1e308])
+    def test_overflowing_loop_phase_refused(self, value):
+        # the node (b + feedback) / 2 times k_eff overflows the first phase
+        # step; the loop used to read level 0 at every sample, silently
+        cfg = PhaseConfig(m_phases=8, f0=200e6, k_vco=100e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError,
+                match=r"^the VCO phase of sample 0 is not finite: the phase steps up to "
+                r"it overflow float64 \(k_eff = 1e\+08 Hz/V, dt = 2\.604e-11 s\)$",
+            ):
+                simulate_phase_lowpass(np.full(64, value), 1.0, cfg)
+
+    def test_loop_phase_overflowing_later(self):
+        # each step is finite (7.5e307 rad at dt = 1.04e288 s), and their
+        # sum passes float64 at the third, in a chunk of equal inputs (the
+        # M + 2 steps formed once) and in one of unequal inputs
+        cfg = PhaseConfig(m_phases=4, f0=1e-290, k_vco=10e6)
+        b = 2.3e12
+        step = 2.0 * math.pi * 10e6 * (b / 2.0) * cfg.dt
+        assert math.isfinite(2.0 * step) and not math.isfinite(3.0 * step)
+        for b_in in (np.full(16, b), b * (1.0 + 1e-9 * np.arange(16))):
+            with pytest.raises(ValueError, match="^the VCO phase of sample 2 is not finite"):
+                simulate_phase_lowpass(b_in, 1.0, cfg)
+
     def test_overflowing_level_table(self):
         # 32 levels of 1e308 V sum past float64; the series used to be inf
         cfg = PhaseConfig(v_dd=1e308)
@@ -1142,3 +1191,78 @@ def test_hann_window_cached_read_only():
     assert not w.flags.writeable
     n = np.arange(4096)
     assert np.array_equal(w, 0.5 - 0.5 * np.cos(2.0 * np.pi * n / 4096))
+
+
+def _sfdr_case(m=32, method=PhaseMethod.DIRECT_LEVEL_SHIFT_16, n=1 << 15):
+    """A benchmark-shaped SFDR input: a 12-bin tone of 0.75 rad peak phase
+    deviation around v0."""
+    cfg = PhaseConfig(m_phases=m, f0=5e6, k_vco=10e6, method=method)
+    f_sig = 12 / (n * cfg.dt)
+    amp = 0.75 * f_sig / effective_kvco(cfg).k_vco_hz_per_v
+    v = cfg.v0 + amp * np.sin(2 * math.pi * f_sig * np.arange(n) * cfg.dt)
+    return cfg, v, f_sig
+
+
+class TestInPlace:
+    """The full-length passes work in arrays the calls allocate: inputs are
+    only read, outputs are new, and the transient memory stays bounded."""
+
+    def _read_only(self, x):
+        x = np.array(x, dtype=float)
+        x.setflags(write=False)
+        return x, x.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 4096, 1 << 15])
+    def test_read_only_inputs_left_alone(self, n):
+        cfg, v, f_sig = _sfdr_case(n=max(n, 4096))
+        v, before = self._read_only(v[:n])
+        out = simulate_phase_integrator(v, cfg)
+        assert v.tobytes() == before
+        assert np.array_equal(out, simulate_phase_integrator(v.copy(), cfg))
+        if n >= 4096:
+            series, series_bytes = self._read_only(out)
+            report = sfdr(series, f_sig, cfg)
+            assert series.tobytes() == series_bytes
+            again = sfdr(series.copy(), f_sig, cfg)
+            for field in ("sfdr_db", "fundamental_hz", "worst_spur_hz"):
+                assert getattr(report, field) == getattr(again, field)
+            assert np.array_equal(report.spectrum_freq_hz, again.spectrum_freq_hz)
+            assert np.array_equal(report.spectrum_mag_db, again.spectrum_mag_db)
+        lp_cfg = PhaseConfig(m_phases=8, f0=200e6, k_vco=100e6)
+        b, b_bytes = self._read_only(np.full(n, 1.2))
+        low = simulate_phase_lowpass(b, 1.0, lp_cfg)
+        assert b.tobytes() == b_bytes
+        assert np.array_equal(low, simulate_phase_lowpass(b.copy(), 1.0, lp_cfg))
+
+    @pytest.mark.parametrize("n", [1, 2, 4096, 1 << 15])
+    def test_outputs_share_no_memory(self, n):
+        cfg, v, f_sig = _sfdr_case(n=max(n, 4096))
+        v = v[:n]
+        out = simulate_phase_integrator(v, cfg)
+        assert not np.shares_memory(out, v)
+        if n >= 4096:
+            report = sfdr(out, f_sig, cfg)
+            arrays = [out, _periodic_hann(n), report.spectrum_freq_hz, report.spectrum_mag_db]
+            for i, x in enumerate(arrays):
+                for y in arrays[i + 1 :]:
+                    assert not np.shares_memory(x, y)
+        b = np.full(n, 1.2)
+        assert not np.shares_memory(simulate_phase_lowpass(b, 1.0, PhaseConfig()), b)
+
+    @pytest.mark.parametrize("m", [3, 4, 32])
+    @pytest.mark.parametrize("method", list(PhaseMethod))
+    def test_integrator_peak_memory(self, m, method):
+        # 9.4 n float64 when every pass made a new array; 5.1-5.3 n in place
+        n = 1 << 15
+        cfg, v, _ = _sfdr_case(m, method, n)
+        assert peak_floats(lambda: simulate_phase_integrator(v, cfg), n) <= 6.0
+
+    def test_sfdr_peak_memory(self):
+        # the windowed copy (n float64) and its spectrum (n/2 + 1 complex),
+        # and 2 032 bytes of small arrays: the peak before the dB spectrum
+        # was formed over the magnitudes, which it must not pass
+        n = 1 << 15
+        cfg, v, f_sig = _sfdr_case(n=n)
+        series = simulate_phase_integrator(v, cfg)
+        peak_bytes = 8 * n * peak_floats(lambda: sfdr(series, f_sig, cfg), n)
+        assert peak_bytes <= 2 * 8 * n + 2032
