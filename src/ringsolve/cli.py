@@ -71,7 +71,7 @@ EXIT_SINGULAR = 4
 _FLAG_OF = {
     "k_vco": "--kvco", "k_pd": "--kpd", "eps_residual": "--eps", "t_max": "--tmax",
     "dt": "--dt", "bits": "--quantize-bits", "r_in": "--r-in", "r_unit": "--r-unit",
-    "r_on": "--r-on", "write_noise_sigma": "--write-noise", "estimate_c": "--scale-c",
+    "r_on": "--r-on", "write_noise_sigma": "--write-noise",
     "trace_decimation": "--decimation", "m_phases": "--m-phases", "f0": "--f0",
     "f_ref": "--f-ref", "v_dd": "--vdd", "per_integrator_mw": "--per-integrator-mw",
     "t_s": "--time-us", "memristor_seed": "--seed",
@@ -120,8 +120,7 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--memristor", action="store_true", help="program memristors")
     sp.add_argument("--write-noise", type=float, default=0.0)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--scale", choices=["off", "exact", "estimate"], default="off")
-    sp.add_argument("--scale-c", type=float, default=1e3)
+    sp.add_argument("--scale", choices=["off", "exact"], default="off")
     sp.add_argument("--trace", dest="trace_path", default=None, help="trace CSV path")
     sp.add_argument("--decimation", type=int, default=0)
 
@@ -168,8 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale = sub.add_parser("scale", help="report norms and the scaling factor")
     p_scale.add_argument("input")
     p_scale.add_argument("--out", default=None)
-    p_scale.add_argument("--policy", choices=["exact", "estimate"], default="exact")
-    p_scale.add_argument("--scale-c", type=float, default=1e3)
+    p_scale.add_argument("--policy", choices=["exact"], default="exact")
 
     p_sfdr = sub.add_parser("sfdr", help="phase-domain integrator spectral report")
     p_sfdr.add_argument("--out", default=None)
@@ -243,7 +241,6 @@ def _solver_objects(args: argparse.Namespace) -> tuple[SolverConfig, SolveOption
             memristor=bank if args.memristor else None,
             memristor_seed=args.seed,
             scale=None if args.scale == "off" else ScalePolicy(args.scale),
-            estimate_c=args.scale_c,
             trace_decimation=args.decimation,
         )
     return cfg, options
@@ -352,8 +349,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_scale(args: argparse.Namespace) -> int:
     problem = load_problem(args.input)
     policy = ScalePolicy(args.policy)
-    with _flag_terms():
-        sp = scale_problem(problem, policy, args.scale_c)
+    sp = scale_problem(problem, policy)
     doc = {
         "n": problem.n,
         "a_inf_norm": sp.a_inf_norm,
@@ -361,7 +357,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         "kappa_inf": sp.kappa_inf,
         "factor_scale": sp.factor_scale,
         "scaled_a": sp.scaled_a.tolist(),
-        "config": {"policy": policy.value, "scale_c": args.scale_c},
+        "config": {"policy": policy.value},
     }
     _emit(doc, args.out)
     return EXIT_OK

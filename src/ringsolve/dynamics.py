@@ -170,7 +170,8 @@ _SAMPLES = 32
 # 128-sample blocks and no floor.
 # But perfbench keeps one record per op and reads the peak RSS after a
 # fixed time, so those op rates read as 5-6 % more peak RSS, past its
-# 5 % bound, at memory the solver does not hold (ROADMAP item 6).  At 40
+# 5 % bound, in memory that perfbench's own per-op records hold, not the
+# solver (its peak_rss_mb artefact).  At 40
 # only n = 20 structural-dense solves search (1.22 times the op rate).
 # Lower it to 20, and lengthen the blocks, once that metric is fixed.
 _SEARCH_DIM = 40
@@ -383,31 +384,28 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Pipeline options for solve().  r_in and estimate_c must be finite,
-    r_in positive, and estimate_c positive under the ESTIMATE policy, the
-    only one that reads it.  memristor_seed must be nonnegative when a
-    memristor bank is attached, the only case that reads it.  solve()
-    always walks all four ladder rungs."""
+    """Pipeline options for solve().  r_in must be finite and positive.
+    memristor_seed must be nonnegative when a memristor bank is attached,
+    the only case that reads it.  scale None solves the problem as given;
+    ScalePolicy.EXACT scales it first (scale_problem).  solve() stops at
+    the first stable ladder rung."""
 
     r_in: float = 2000.0
     quantizer: Optional[QuantizerSpec] = None
     memristor: Optional[MemristorBank] = None
     memristor_seed: int = 0
     scale: Optional[ScalePolicy] = None
-    estimate_c: float = 1e3
     # None forms no trace; 0 keeps about 4096 grid steps, k every k-th step
     trace_decimation: Optional[int] = None
 
     def __post_init__(self) -> None:
-        _require_finite(r_in=self.r_in, estimate_c=self.estimate_c)
+        _require_finite(r_in=self.r_in)
         if self.r_in <= 0:
             raise ValueError(f"r_in must be positive, got {self.r_in}")
         if self.memristor is not None and self.memristor_seed < 0:
             raise ValueError(
                 f"memristor_seed must be nonnegative, got {self.memristor_seed}"
             )
-        if self.scale is ScalePolicy.ESTIMATE and self.estimate_c <= 0:
-            raise ValueError("estimate_c must be positive")
         if self.trace_decimation is not None and self.trace_decimation < 0:
             raise ValueError("trace_decimation must be nonnegative (0 = auto)")
 
@@ -1130,7 +1128,7 @@ def solve(
     else:
         # scaling checks the window and factors A for ||A^-1||_inf with the
         # same gate and tolerance
-        sp = scale_problem(p, options.scale, options.estimate_c)
+        sp = scale_problem(p, options.scale)
         factor = sp.factor_scale
         work = LinearProblem._unchecked(sp.scaled_a, p.b, p.symmetric)
 

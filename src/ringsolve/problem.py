@@ -26,9 +26,6 @@ RANGE_LIMIT = 0.5
 # dynamics have no equilibrium for singular systems, so this is a hard error.
 PIVOT_RTOL = 1e-12
 
-# Default heuristic condition-number budget for ScalePolicy.ESTIMATE.
-DEFAULT_ESTIMATE_C = 1e3
-
 
 class SingularMatrix(Exception):
     """Elimination met a pivot below the singularity tolerance."""
@@ -53,15 +50,11 @@ def _require_finite(**values: float) -> None:
 class ScalePolicy(Enum):
     """How the scaling factor is chosen.
 
-    EXACT uses max(||A^-1||_inf, 1), which provably keeps the solution inside
-    the output window.  ESTIMATE uses C / ||A||_inf, trusting a
-    condition-number budget C that holds for typical well-conditioned
-    matrices.  scale_problem forms the exact inverse under both, for the
-    reported norms and condition number.
+    EXACT, the only policy, uses max(||A^-1||_inf, 1), which provably keeps
+    the solution inside the output window.
     """
 
     EXACT = "exact"
-    ESTIMATE = "estimate"
 
 
 @dataclass(frozen=True)
@@ -124,10 +117,8 @@ class ScaledProblem:
     Built by scale_problem, which freezes ``scaled_a`` in place.
     ``scaled_a = original.a * factor_scale``; solving ``scaled_a @ y = b``
     and multiplying y by ``factor_scale`` recovers the original solution.
-    Under ScalePolicy.EXACT the factor satisfies
-    ``factor_scale >= a_inv_inf_norm`` so that max|y| <= 0.5 whenever
-    max|b| <= 0.5; under ESTIMATE that guarantee holds only when the true
-    condition number stays below the configured budget.
+    The factor satisfies ``factor_scale >= a_inv_inf_norm``, so that
+    max|y| <= 0.5 whenever max|b| <= 0.5.
     """
 
     original: LinearProblem
@@ -313,34 +304,25 @@ def check_input_window(b: np.ndarray) -> None:
 def scale_problem(
     p: LinearProblem,
     policy: ScalePolicy = ScalePolicy.EXACT,
-    estimate_c: float = DEFAULT_ESTIMATE_C,
 ) -> ScaledProblem:
     """Scale the matrix so the solution respects the output window.
 
-    EXACT uses factor = max(||A^-1||_inf, 1); the floor of 1 avoids shrinking
-    the matrix (and hence the loop bandwidth) when no scaling is needed.
-    ESTIMATE uses factor = estimate_c / ||A||_inf.  Both policies record the
-    exact norms and condition number for reporting.
+    The factor is max(||A^-1||_inf, 1); the floor of 1 avoids shrinking the
+    matrix (and hence the loop bandwidth) when no scaling is needed.  The
+    exact norms and condition number are recorded for reporting.
 
-    Raises ValueError for an estimate_c that is not finite (under either
-    policy) or, under ESTIMATE, not positive (both before the O(n^3)
-    inverse), RangeViolation when any |b_i| > 0.5, NormOverflow when
+    Raises ValueError for a policy other than ScalePolicy.EXACT (before the
+    O(n^3) inverse), RangeViolation when any |b_i| > 0.5, NormOverflow when
     ||A||_inf is not finite, SingularMatrix for a singular matrix, and
     ValueError for a scaled matrix that overflows float64.  ||A||_inf is
     formed once, for the factor and the pivot tolerance alike.
     """
-    _require_finite(estimate_c=estimate_c)
+    if policy is not ScalePolicy.EXACT:
+        raise ValueError(f"unknown scale policy {policy!r}")
     check_input_window(p.b)
-    if policy is ScalePolicy.ESTIMATE and estimate_c <= 0:
-        raise ValueError("estimate_c must be positive")
     a_norm = _finite_inf_norm(p.a)
     inv_norm = inv_inf_norm(p.a, a_norm)
-    if policy is ScalePolicy.EXACT:
-        factor = max(inv_norm, 1.0)
-    elif policy is ScalePolicy.ESTIMATE:
-        factor = estimate_c / a_norm
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown policy {policy!r}")
+    factor = max(inv_norm, 1.0)
     with np.errstate(over="ignore"):
         scaled = p.a * factor
     if not np.isfinite(scaled).all():

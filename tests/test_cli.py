@@ -4,9 +4,11 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,7 +125,7 @@ class TestSolveCommand:
         path.write_text(json.dumps({"a": [[1, 1], [1, 1]], "b": [0.1, 0.1]}))
         assert run(["solve", str(path)]) == EXIT_SINGULAR
 
-    @pytest.mark.parametrize("scale", ["exact", "estimate"])
+    @pytest.mark.parametrize("scale", ["exact"])
     def test_singular_exit_code_when_scaled(self, tmp_path, capsys, scale):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"a": [[1, 1], [1, 1]], "b": [0.1, 0.1]}))
@@ -214,10 +216,12 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("fixture", ["mixed8_file", "saddle_file"])
     def test_step_budget_exit_code(self, request, fixture, capsys):
-        # estimate scaling puts the Gram rung's horizon at 7.2e9 and 8.8e9
-        # RK4 steps: refused up front as a simulator limit, not stepped
+        # under exact scaling these horizons put the Gram rung at 6.7e8 and
+        # 9.6e8 RK4 steps: refused up front as a simulator limit, not stepped
+        t_max = {"mixed8_file": "1e-2", "saddle_file": "1e-3"}[fixture]
         start = time.perf_counter()
-        code = run(["solve", request.getfixturevalue(fixture), "--scale", "estimate"])
+        argv = ["solve", request.getfixturevalue(fixture), "--scale", "exact", "--tmax", t_max]
+        code = run(argv)
         assert code == EXIT_DIVERGENCE
         assert time.perf_counter() - start < 30.0
         err = capsys.readouterr().err
@@ -231,8 +235,8 @@ class TestSolveCommand:
             # g * max gamma overflows, so the auto step is 0
             ([[-1e307, 0], [0, -1e307]], []),
             ([[-1e307, 0], [0, -1e307]], ["--mode", "ideal"]),
-            # estimate scaling makes the same overflow from a benign matrix
-            ([[-2.0, 0.5], [0.3, -1.0]], ["--scale", "estimate", "--scale-c", "1e308"]),
+            # exact scaling keeps that matrix as it is (factor 1)
+            ([[-1e307, 0], [0, -1e307]], ["--scale", "exact"]),
             # t_max / dt overflows
             ([[-2.0, 0.5], [0.3, -1.0]], ["--dt", "5e-324"]),
         ],
@@ -322,7 +326,7 @@ class TestFlagRejections:
             (["--r-unit=-1", "--quantize-bits", "8"], "--r-in and --r-unit must be positive"),
             (["--r-on=-1", "--quantize-bits", "8"], "--r-on must be nonnegative"),
             (["--write-noise=-1", "--memristor"], "--write-noise must be nonnegative"),
-            (["--scale-c", "inf", "--scale", "estimate"], "--scale-c must be finite"),
+            (["--kvco", "inf"], "--kvco must be finite"),
             # unused by the run: no --quantize-bits, --memristor, --trace or --scale
             (["--r-unit", "0"], "--r-in and --r-unit must be positive"),
             (["--r-unit", "nan"], "--r-unit must be finite"),
@@ -331,9 +335,10 @@ class TestFlagRejections:
             (["--write-noise=-0.1"], "--write-noise must be nonnegative"),
             (["--write-noise", "inf"], "--write-noise must be finite"),
             (["--decimation=-1"], "--decimation must be nonnegative (0 = auto)"),
-            (["--scale-c", "nan"], "--scale-c must be finite"),
-            (["--scale-c", "inf", "--scale", "off"], "--scale-c must be finite"),
-            (["--scale-c=-5", "--scale", "estimate"], "--scale-c must be positive"),
+            # non-finite values of the loop's own settings
+            (["--kvco", "nan"], "--kvco must be finite"),
+            (["--tmax", "nan"], "--tmax must be finite"),
+            (["--tmax", "inf"], "--tmax must be finite"),
             # finite and positive, but the ladder's step or top magnitude is not
             (
                 ["--r-unit", "5e-324", "--quantize-bits", "8"],
@@ -388,7 +393,7 @@ class TestFlagRejections:
         argv = [
             command, neg_file, "--mode", "ideal", "--quantize-bits", "8",
             "--r-unit", "16000", "--r-on", "10", "--memristor", "--write-noise", "0.02",
-            "--seed", "5", "--scale", "estimate", "--scale-c", "500", "--decimation", "7",
+            "--seed", "5", "--scale", "exact", "--decimation", "7",
         ]
         assert run([*argv, "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["config"] == {
@@ -407,8 +412,7 @@ class TestFlagRejections:
             "memristor": True,
             "write_noise": 0.02,
             "seed": 5,
-            "scale": "estimate",
-            "scale_c": 500.0,
+            "scale": "exact",
             "trace_path": None,
             "decimation": 7,
         }
@@ -733,22 +737,36 @@ class TestScaleCommand:
         assert run(["scale", str(path), "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["factor_scale"] == 1.0
 
-    def test_estimate_policy(self, neg_file, tmp_path):
-        out = tmp_path / "scale.json"
-        code = run(["scale", neg_file, "--policy", "estimate", "--scale-c", "1e3", "--out", str(out)])
-        assert code == EXIT_OK
-        assert json.loads(out.read_text())["factor_scale"] == pytest.approx(1e3 / 5.5)
 
-    def test_negative_scale_c_named_as_solve_names_it(self, neg_file, capsys):
-        argv = {
-            "scale": ["scale", neg_file, "--policy", "estimate", "--scale-c=-5"],
-            "solve": ["solve", neg_file, "--scale", "estimate", "--scale-c=-5"],
-        }
-        errors = []
-        for command in ("scale", "solve"):
-            assert run(argv[command]) == EXIT_VALIDATION
-            errors.append(capsys.readouterr().err)
-        assert errors == ["error: --scale-c must be positive\n"] * 2
+class TestOneScalePolicy:
+    """Exact scaling is the only policy: the heuristic policy's choice and
+    the flag that set its budget are refused by the parser (exit 2), and no
+    document is written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "NEG", "--scale", "estimate"],
+            ["plan", "NEG", "--scale", "estimate"],
+            ["sweep", "NEG", "--kvco-list", "1e8", "--scale", "estimate"],
+            ["scale", "NEG", "--policy", "estimate"],
+            ["solve", "NEG", "--scale-c", "5"],
+            ["plan", "NEG", "--scale-c", "5"],
+            ["sweep", "NEG", "--kvco-list", "1e8", "--scale-c", "5"],
+            ["scale", "NEG", "--scale-c", "5"],
+        ],
+    )
+    def test_removed_spelling_refused(self, neg_file, tmp_path, capsys, argv):
+        out = tmp_path / "r.out"
+        argv = [neg_file if a == "NEG" else a for a in argv]
+        assert run([*argv, "--out", str(out)]) == EXIT_VALIDATION
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scale_document_names_only_the_policy(self, neg_file, tmp_path):
+        out = tmp_path / "scale.json"
+        assert run(["scale", neg_file, "--policy", "exact", "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["config"] == {"policy": "exact"}
 
 
 class TestSfdrCommand:
@@ -962,8 +980,8 @@ class TestSweepCommand:
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["scale", "NEG", "--scale-c", "nan"], "--scale-c"),
-        (["scale", "NEG", "--policy", "estimate", "--scale-c", "inf"], "--scale-c"),
+        (["metrics", "--time-us", "1", "--per-integrator-mw", "inf"], "--per-integrator-mw"),
+        (["sfdr", "--f0", "nan"], "--f0"),
         (["metrics", "--time-us", "nan"], "--time-us"),
         (["metrics", "--time-us", "inf"], "--time-us"),
         (["metrics", "--time-us", "1", "--per-integrator-mw", "nan"], "--per-integrator-mw"),
@@ -983,3 +1001,24 @@ def test_non_finite_report_flag_named(neg_file, tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert f"error: {flag} must be finite" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_readme_flags_are_parser_options():
+    # a flag the parser no longer has must not stay documented
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    inline = re.sub(r"```.*?```", "", readme, flags=re.S)  # fenced blocks hold pip's flags
+    flags = {
+        flag
+        for span in re.findall(r"`([^`]*)`", inline)
+        for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", span)
+    }
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        option
+        for command in (parser, *commands.choices.values())
+        for action in command._actions
+        for option in action.option_strings
+    }
+    assert "--kvco" in flags
+    assert sorted(flags - options) == []

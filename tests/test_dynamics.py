@@ -220,7 +220,7 @@ class TestSolve:
         cfg = SolverConfig(t_max=1e-6)
         calls = [lambda: scale_problem(p)] + [
             lambda scale=scale: solve(p, cfg, SolveOptions(scale=scale))
-            for scale in (None, ScalePolicy.EXACT, ScalePolicy.ESTIMATE)
+            for scale in (None, ScalePolicy.EXACT)
         ]
         for call in calls:
             if abs(b) <= 0.5:
@@ -327,19 +327,11 @@ class TestSolverConfig:
 
 
 class TestSolveOptions:
-    @pytest.mark.parametrize("field", ["r_in", "estimate_c"])
+    @pytest.mark.parametrize("field", ["r_in"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             SolveOptions(**{field: value})
-
-    @pytest.mark.parametrize("c", [0.0, -5.0])
-    def test_rejects_nonpositive_estimate_c_under_estimate(self, c):
-        with pytest.raises(ValueError, match="^estimate_c must be positive$"):
-            SolveOptions(scale=ScalePolicy.ESTIMATE, estimate_c=c)
-        # the other policies do not read it
-        SolveOptions(scale=ScalePolicy.EXACT, estimate_c=c)
-        SolveOptions(estimate_c=c)
 
     @pytest.mark.parametrize("r_in", [0.0, -5.0])
     def test_rejects_nonpositive_r_in(self, r_in):

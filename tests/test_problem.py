@@ -3,8 +3,6 @@
 import dataclasses
 import io
 import json
-import math
-import sys
 
 import numpy as np
 import pytest
@@ -164,36 +162,27 @@ class TestScaling:
         assert sp.factor_scale == 1.0
         np.testing.assert_array_equal(sp.scaled_a, np.eye(2))
 
-    def test_estimate_policy(self, neg2x2):
-        sp = scale_problem(neg2x2, ScalePolicy.ESTIMATE, estimate_c=1e3)
-        assert sp.factor_scale == pytest.approx(1e3 / 5.5, rel=1e-12)
+    def test_exact_is_the_only_policy(self):
+        assert list(ScalePolicy) == [ScalePolicy.EXACT]
 
-    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
-    def test_estimate_c_must_be_finite(self, neg2x2, monkeypatch, c):
+    def test_other_policy_refused(self, neg2x2, monkeypatch):
         # refused by name before the O(n^3) inverse is formed
-        def no_inverse(a):
+        def no_inverse(*args):
             raise AssertionError("inverse formed")
 
         monkeypatch.setattr(problem_mod, "inv_inf_norm", no_inverse)
-        with pytest.raises(ValueError, match="estimate_c must be finite"):
-            scale_problem(neg2x2, ScalePolicy.ESTIMATE, c)
-
-    @pytest.mark.parametrize("c", [math.nan, math.inf])
-    def test_estimate_c_must_be_finite_under_exact_too(self, neg2x2, c):
-        with pytest.raises(ValueError, match="estimate_c must be finite"):
-            scale_problem(neg2x2, ScalePolicy.EXACT, c)
-
-    @pytest.mark.parametrize("c", [0.0, -1.0])
-    def test_estimate_c_must_be_positive(self, neg2x2, c):
-        with pytest.raises(ValueError, match="estimate_c must be positive"):
-            scale_problem(neg2x2, ScalePolicy.ESTIMATE, c)
+        with pytest.raises(ValueError, match="^unknown scale policy 'estimate'$"):
+            scale_problem(neg2x2, "estimate")
 
     def test_scaled_matrix_overflow_named(self):
-        # c / ||A|| is finite but rounds up: times |a| it passes the largest
-        # double
-        p = LinearProblem([[-3.0]], [0.1])
-        with pytest.raises(ValueError, match="is not finite in float64"):
-            scale_problem(p, ScalePolicy.ESTIMATE, sys.float_info.max)
+        # unit upper triangular with -1e10 above the diagonal: ||A^-1||_inf
+        # is finite (about 1e300), but times the entries of A it passes the
+        # largest double
+        n = 31
+        a = np.eye(n) + np.triu(np.full((n, n), -1e10), 1)
+        p = LinearProblem(a, np.zeros(n))
+        with pytest.raises(ValueError, match="^the matrix scaled by 1.000e[+]300 is not finite in float64$"):
+            scale_problem(p, ScalePolicy.EXACT)
 
     def test_range_violation(self):
         p = LinearProblem(np.eye(2), [0.6, 0.0])
