@@ -34,6 +34,41 @@ little-endian words: sign and the "0.000" prefix of small fixed values,
 then ten mantissa bytes (nine digits and the point), then the exponent
 and the separator.  Absent characters are NUL, and one
 ``bytes.translate`` per chunk deletes them.
+
+Settled tail.  A trace that has settled ends in rows whose state columns
+print the same text, row after row, while only the first and the last
+column (time and residual) change.  In a table of three or more columns
+the writer finds that tail and formats its inner cells (every column but
+the first and the last) once, from the last row: the tail is written as
+a two-wide table of its first and last cells, and since no number's text
+holds a comma, one ``bytes.replace`` per chunk turns each ``f,l`` into
+``f,<inner text>,l``.  Rows before the tail take the path above.
+
+A cell x is in the tail when it has the bits of the last row's cell c,
+or when it is certified to print as c does, by the rounding interval of
+c's text (Steele, White, *How to Print Floating-Point Numbers
+Accurately*, PLDI 1990).  Let the text have the nine-digit decimal value
+D* and the decimal exponent E, and let D = float(text), for
+``1e-290 <= |D| <= 1e290``.  Every real x within half a unit of the ninth
+digit of D*, ``|x - D*| < 10**(E - 8) / 2``, rounds to D* whatever the
+tie rule, so it prints as D* does; on the side toward zero of
+``|D*| = 10**E`` exactly, the exponent drops by one, and so does the
+unit: there the bound is ``10**(E - 9) / 2``.  The test is formed in
+float64 as ``below < x - D < above``, with ``above`` and ``-below`` those
+half-units, each parsed from ``"5e.."`` (correctly rounded) and shrunk by
+the fast path's relative margin 1e-6.  Rounding is monotone and the
+bounds are doubles, so the float comparisons hold exactly of the real
+difference ``x - D``, and they imply x's sign.  D differs from D* by at
+most ``2**-53 |D*|``: below ``2**-53 * 10**(E + 1)``, and at most
+``2**-53 * 10**E`` at a power of ten, so below 2.3e-7 of the half-unit
+on either side.  The bounds' own three roundings move them by less than
+4e-16 of themselves.  Together that is within the 1e-6 margin, so every
+certified x lies strictly inside D*'s interval.  No other cell is
+trusted: where c has no interval (0, -0, inf, nan, a subnormal or
+out-of-range D) or fails its own test (it lies within the margin of an
+end), a cell matches only c's bits.  The scan runs from the end in
+chunks and stops at the first chunk with a failing row, so a table that
+has not settled costs one chunk's test.
 """
 
 from __future__ import annotations
@@ -51,6 +86,7 @@ _SLOT = np.dtype("<u8")  # the slot words, little-endian on every host
 _LO, _HI = 1e-290, 1e290  # the fast path's |v| range
 _EMAX = 291  # |e| bound there, after the one correction
 _MARGIN = 0.5 - 1e-6  # |s - r| certificate; the error of s is below 2.3e-7
+_SHRINK = 1 - 1e-6  # the settled-tail bounds, by the same relative margin
 
 
 def _powers_of_ten() -> np.ndarray:
@@ -208,6 +244,69 @@ def _exact(values: list) -> bytes:
     return b"".join(("%.9g" % x).encode("ascii").ljust(23, b"\0") for x in values)
 
 
+def _rows(columns: Sequence[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """Rows lo .. hi of the columns side by side, as one float64 array (a
+    view of a single float64 column)."""
+    if len(columns) == 1:
+        return columns[0][lo:hi].astype(np.float64, casting="same_kind", copy=False)
+    return np.concatenate([c[lo:hi] for c in columns], axis=1, dtype=np.float64)
+
+
+def _cell_bounds(last: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The settled-tail certificate of the cells c of ``last``: the double
+    D of each cell's text and float bounds (below, above) such that every x
+    with below < x - D < above prints as c does (see the module docstring),
+    and the cells that have none.  Those (0, -0, inf, nan, |D| outside
+    1e-290 .. 1e290, and a c within the margin of its own interval's
+    ends) get the empty interval (0, 0), and only c's bits match them."""
+    doubles, below, above = (np.zeros(last.size) for _ in range(3))
+    for j, c in enumerate(last.tolist()):
+        d = float("%.9g" % c)
+        if not _LO <= abs(d) <= _HI:
+            continue
+        text = "%.8e" % abs(d)  # the same nine digits and decimal exponent
+        e = int(text[11:])
+        # half a unit of the ninth digit, and a tenth of that on the side
+        # toward zero of a power of ten, where the exponent drops by one
+        away = float("5e%d" % (e - 9)) * _SHRINK
+        toward = float("5e%d" % (e - 10)) * _SHRINK if text[:10] == "1.00000000" else away
+        if d > 0:
+            doubles[j], below[j], above[j] = d, -toward, away
+        else:
+            doubles[j], below[j], above[j] = d, -away, toward
+    with np.errstate(invalid="ignore", over="ignore"):
+        bare = ~((last - doubles > below) & (last - doubles < above))
+    below[bare] = above[bare] = 0.0
+    return doubles, below, above, bare
+
+
+def _tail_start(columns: Sequence[np.ndarray], rows: int, chunk_rows: int) -> int:
+    """The first row of the settled tail: the longest run of final rows
+    whose inner cells (all but the first and the last column) are each
+    certified to print like the last row's cell in their column.  Chunks
+    of chunk_rows are tested from the end, and the scan stops at the first
+    chunk with a failing row, so it costs about the tail, not the table."""
+    inner = list(columns)
+    inner[0] = inner[0][:, 1:]
+    inner[-1] = inner[-1][:, :-1]  # a single 2-D column loses both ends
+    inner = [c for c in inner if c.shape[1]]
+    last = _rows(inner, rows - 1, rows)[0]
+    doubles, below, above, bare = _cell_bounds(last)
+    bare_bits = last[bare].view(np.int64)
+    for hi in range(rows, 0, -chunk_rows):
+        lo = max(0, hi - chunk_rows)
+        x = _rows(inner, lo, hi)
+        with np.errstate(invalid="ignore", over="ignore"):
+            off = x - doubles
+            same = (off > below) & (off < above)
+        if bare_bits.size:
+            same[:, bare] = x[:, bare].view(np.int64) == bare_bits
+        failing = np.flatnonzero(~same)
+        if failing.size:
+            return lo + int(failing[-1]) // last.size + 1
+    return 0
+
+
 def write_table(
     destination: Union[str, IO[str]],
     header: Sequence[str],
@@ -224,8 +323,15 @@ def write_table(
     through the certified numpy fast path, and only the values it cannot
     certify (zeros, non-finite and subnormal values, |v| outside 1e-290 ..
     1e290, and 9-digit ties within 1e-6) through ``"%.9g" % v``; see the
-    module docstring.  A string destination is opened for writing (and
-    truncated); a stream is written and left open.
+    module docstring.  A table of three or more columns whose final rows
+    print the same inner cells (a trace that has settled) writes those
+    rows as a settled tail: its inner text is formatted once, from the
+    last row, and each row formats only its first and last cell.  A row
+    joins the tail only when each of its inner cells is certified to print
+    as the last row's cell in its column (see the module docstring), so
+    the bytes are those of formatting every value.  A string destination
+    is opened for writing (and truncated); a stream is written and left
+    open.
     """
     columns = [np.asarray(c) for c in columns]
     columns = [c[:, None] if c.ndim == 1 else c for c in columns]
@@ -241,15 +347,28 @@ def write_table(
         chunk_rows,
     )
     slots = np.empty((chunk_rows * width, 3), dtype=_SLOT)
+    tail = _tail_start(columns, rows, chunk_rows) if width >= 3 and rows else rows
 
     def _dump(fh: IO[str]) -> None:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, rows, chunk_rows):
-            values = np.concatenate(
-                [c[lo : lo + chunk_rows] for c in columns], axis=1, dtype=np.float64
-            ).ravel()
+        for lo in range(0, tail, chunk_rows):
+            values = _rows(columns, lo, min(lo + chunk_rows, tail)).ravel()
             n = values.size
             fh.write(_format_chunk(values, separators[:n], slots[:n]).decode("ascii"))
+        if tail == rows:
+            return
+        # the tail as a two-wide table of its first and last cells: each
+        # formatted row "f,l\n" has one comma, which the inner text fills
+        last = _rows(columns, rows - 1, rows)[0, 1:-1].tolist()
+        inner = ("," + ",".join("%.9g" % v for v in last) + ",").encode("ascii")
+        ends = (columns[0][:, 0], columns[-1][:, -1])
+        pair_rows = len(slots) // 2
+        pair_separators = np.tile(np.array([_COMMA, _NEWLINE], dtype=_U64), pair_rows)
+        for lo in range(tail, rows, pair_rows):
+            values = np.stack([c[lo : lo + pair_rows] for c in ends], axis=1, dtype=np.float64)
+            n = values.size
+            text = _format_chunk(values.ravel(), pair_separators[:n], slots[:n])
+            fh.write(text.replace(b",", inner).decode("ascii"))
 
     if hasattr(destination, "write"):
         _dump(destination)

@@ -756,10 +756,14 @@ def simulate(
     exactly from the sample before it, where no window has been met, over
     _STRETCH steps and then searching again, or to the window; below
     _SEARCH_DIM it steps exactly from the start.  So t_converge is the first
-    window's start, as when every step is taken.  From the end of the block
-    that met the window, x jumps straight to t_max through one power-of-two
-    map per set bit of the remaining steps, so the cost follows the
-    convergence time, not t_max.  When the reach passes OVERFLOW_LIMIT (or
+    window's start, as when every step is taken, except where a sampled
+    residual lies within rounding of eps: a sample's state comes from other
+    products than the exact walk's, so its residual can read just above
+    eps where the exact walk's is at it, and the window is then met one
+    step later.  From the end of the block that met the window, x jumps
+    straight to t_max through one power-of-two map per set bit of the
+    remaining steps, so the cost follows the convergence time, not t_max.
+    When the reach passes OVERFLOW_LIMIT (or
     is NaN) the whole horizon is stepped exactly instead.  Either way the
     exact stride's overflow scan keeps the overflow step exact.  The
     returned x is the state at t_max, which has settled further than the

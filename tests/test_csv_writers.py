@@ -8,11 +8,12 @@ between fixed and scientific notation, and across chunk boundaries.
 """
 
 import io
+import json
 
 import numpy as np
 import pytest
 
-from ringsolve import _table
+from ringsolve import _table, cli
 from ringsolve.dynamics import Trace
 from ringsolve.phase import SpectralReport
 
@@ -212,3 +213,195 @@ def test_fast_path_certifies_all_but_the_fallback_set(monkeypatch):
     assert_table_matches(v, 8)
     assert len(handed) < 7 + 10
     assert [repr(x) for x in handed[:7]] == [repr(x) for x in v[:7].tolist()]
+
+
+# --- the settled tail -------------------------------------------------------
+#
+# A table whose final rows print the same inner cells is written with those
+# cells formatted once; these tables settle at a chosen row, and the writer
+# must still match the per-value oracle byte for byte.
+
+
+def text_tail_start(text):
+    """The first row of the longest run of final rows whose inner cells
+    print as the last row's do, read from the written text."""
+    inner = [line.split(",")[1:-1] for line in text.splitlines()[1:]]
+    start = len(inner) - 1
+    while start > 0 and inner[start - 1] == inner[-1]:
+        start -= 1
+    return start
+
+
+def settling_table(rng, rows, inner, start):
+    """rows x (inner + 2): a time column, `inner` columns that approach
+    their targets geometrically and print them exactly from row `start`
+    on (each earlier row at least 3 units of the ninth digit away), and a
+    decaying residual."""
+    target = rng.choice([-1.0, 1.0], inner) * 10.0 ** rng.uniform(-6, 6, inner)
+    # nine-digit targets, so the wobble of the settled rows stays far
+    # inside their rounding intervals
+    target = np.array([float("%.9g" % v) for v in target])
+    unit = 10.0 ** (np.floor(np.log10(np.abs(target))) - 8)
+    k = np.arange(rows)[:, None]
+    away = 3 * unit * 1.01 ** np.maximum(start - 1 - k, 0) * rng.choice([-1.0, 1.0], inner)
+    wobble = 1 + 1e-12 * rng.standard_normal((rows, inner))  # same text, other bits
+    x = np.where(k >= start, target * wobble, target + away)
+    t = k[:, 0] * 1.25e-10
+    residual = 0.3 * 0.999 ** k[:, 0]
+    return np.column_stack([t, x, residual])
+
+
+def assert_writes_like_oracle(table, tail=None):
+    """Every way of splitting ``table`` into columns writes the oracle's
+    bytes, the writer's tail is never longer than the run of rows that
+    print alike, and, where given, it starts at row ``tail``."""
+    width = table.shape[1]
+    header = [f"c{j}" for j in range(width)]
+    expected = _oracle(header, table.tolist())
+    splits = [[table]]
+    if width >= 3:
+        splits += [[table[:, 0], table[:, 1:-1], table[:, -1]],
+                   [table[:, :2], table[:, 2:]]]
+    for columns in splits:
+        buf = io.StringIO()
+        _table.write_table(buf, header, columns)
+        assert buf.getvalue() == expected, [c.shape for c in columns]
+    if width >= 3:
+        rows = table.shape[0]
+        start = _table._tail_start([table], rows, max(1, _table._CHUNK_VALUES // width))
+        assert start >= text_tail_start(expected)
+        assert tail is None or start == tail
+
+
+@pytest.mark.parametrize("inner", [1, 2, 5, 8, 12])
+def test_settling_tables_at_every_kind_of_tail_start(inner):
+    rng = np.random.default_rng(inner)
+    per = _table._CHUNK_VALUES // (inner + 2)  # rows per writer chunk
+    rows = 5 * per + 37
+    starts = {
+        "mid-chunk": rows - per // 2 - 3,
+        "on the first scanned chunk's start": rows - per,
+        "on an earlier scan boundary": rows - 3 * per,
+        "on a writer chunk boundary": 2 * per,
+        "whole table": 0,
+        "last row only": rows - 1,
+        "deep in the head": 7,
+    }
+    for start in starts.values():
+        table = settling_table(rng, rows, inner, start)
+        assert text_tail_start(_oracle(["h"] * (inner + 2), table.tolist())) == start
+        assert_writes_like_oracle(table, start)
+
+
+def test_natural_geometric_settling():
+    # x_k = x* + a q^k with no planted start: the tail is wherever the
+    # ninth digit stops moving
+    rng = np.random.default_rng(28)
+    for inner in range(1, 13):
+        k = np.arange(3000)[:, None]
+        target = rng.uniform(-0.5, 0.5, inner)
+        x = target + rng.uniform(-1, 1, inner) * 0.99 ** k
+        table = np.column_stack([k[:, 0] * 1e-9, x, np.abs(x - target).max(axis=1)])
+        expected_start = text_tail_start(_oracle(["h"] * (inner + 2), table.tolist()))
+        assert 0 < expected_start < 3000 - 1
+        assert_writes_like_oracle(table, expected_start)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_tail_at_a_power_of_ten(sign):
+    # the last cell is exactly 1.00000000e-3: below it the unit of the
+    # ninth digit is ten times smaller, so 9.99999999e-4 ends the tail while
+    # 9.999999996e-4 (within half that unit) still prints as 0.001
+    c = sign * 1e-3
+    for earlier, in_tail in [
+        (9.99999999e-4, False), (9.99999998e-4, False),
+        (1.00000001e-3, False), (1.00000002e-3, False),
+        (9.999999996e-4, True), (1.000000004e-3, True),
+        (9.999999994e-4, False), (1.000000006e-3, False),
+    ]:
+        table = np.array([[0.0, sign * earlier, 0.5], [1.0, sign * earlier, 0.4],
+                          [2.0, c, 0.3], [3.0, c, 0.2]])
+        start = 0 if in_tail else 2
+        assert text_tail_start(_oracle(["h"] * 3, table.tolist())) == start
+        assert_writes_like_oracle(table, start)
+        assert_writes_like_oracle(table[:, [0, 1, 1, 1, 2]], start)
+
+
+def test_tail_near_nine_digit_ties():
+    # %g rounds the exact tie 100000000.5 half to even, to 100000000: a
+    # last cell within the margin of its rounding interval's end is trusted
+    # only with its own bits, and cells near a tie print either way
+    ties = [100000000.5, 100000001.5, 123456788.5, 999999998.5, -100000000.5, 1.000000005e-7]
+    for c in ties:
+        near = [c, np.nextafter(c, 0), np.nextafter(c, np.inf), c * (1 + 1e-15),
+                c * (1 - 1e-15), c * (1 + 3e-10), c * (1 - 3e-10), c * (1 + 2e-9)]
+        for earlier in near:
+            table = np.array([[0.0, earlier, 1.0, 0.5], [1.0, c, 1.0, 0.5],
+                              [2.0, earlier, 1.0, 0.4], [3.0, c, 1.0, 0.3]])
+            assert_writes_like_oracle(table)
+            assert_writes_like_oracle(table[::-1].copy())
+    # the tie itself repeated: the tail holds it by its bits
+    table = np.array([[0.0, 7.0, 0.5], [1.0, 100000000.5, 0.4], [2.0, 100000000.5, 0.3]])
+    assert_writes_like_oracle(table, 1)
+
+
+def test_tail_with_zeros_infinities_nan_and_subnormals():
+    # these have no rounding interval: a cell holds the tail only with the
+    # last cell's bits, so -nan ends a tail of nan although both print "nan"
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-300, 1e300]
+    rng = np.random.default_rng(2)
+    for c in specials:
+        for earlier in specials + [1.0]:
+            table = settling_table(rng, 40, 3, 20)
+            table[:, 2] = c
+            table[10:25, 2] = earlier
+            same_bits = np.array(earlier).view(np.int64) == np.array(c).view(np.int64)
+            assert_writes_like_oracle(table, 20 if same_bits else 25)
+    # a column that is nan, inf or 0 throughout does not hold the tail back
+    table = settling_table(rng, 300, 4, 150)
+    table[:, 1:4] = [[np.nan, np.inf, -0.0]]
+    assert_writes_like_oracle(table, 150)
+
+
+@pytest.fixture
+def formatted(monkeypatch):
+    """The number of values each _format_chunk call formats, in order."""
+    sizes = []
+    real = _table._format_chunk
+
+    def counting(v, separators, slots):
+        sizes.append(v.size)
+        return real(v, separators, slots)
+
+    monkeypatch.setattr(_table, "_format_chunk", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_narrow_settled_tables_take_the_plain_path(formatted, width):
+    # one or two columns have no inner cells: every value is formatted
+    table = settling_table(np.random.default_rng(width), 2000, 1, 100)[:, 2 - width : 2]
+    assert_writes_like_oracle(table)
+    assert sum(formatted) == table.size
+
+
+def test_traced_cli_solve_formats_a_settled_tail_once(tmp_path, formatted):
+    # work pin: a traced 8x8 solve of the benchmark's reuse class (mixed
+    # signs, diagonal 1.5 times the row's off-diagonal mass) has settled
+    # long before its 2 us horizon; the rows whose states print alike cost
+    # two formatted values each (time and residual), the rest n + 2
+    rng = np.random.default_rng([0, 2, 1])
+    off = rng.uniform(0.3, 1.2, (8, 8))
+    np.fill_diagonal(off, 0.0)
+    a = off * np.where(rng.random((8, 8)) < 0.4, 1.0, -1.0)
+    np.fill_diagonal(a, -1.5 * off.sum(axis=1))
+    b = np.random.default_rng(1).uniform(-0.5, 0.5, 8)
+    problem, out, trace = (tmp_path / name for name in ("p.json", "r.json", "t.csv"))
+    problem.write_text(json.dumps({"a": a.tolist(), "b": b.tolist()}))
+    argv = ["solve", str(problem), "--tmax", "2e-6", "--out", str(out), "--trace", str(trace)]
+    assert cli.run(argv) == cli.EXIT_OK
+    text = trace.read_text()
+    rows = len(text.splitlines()) - 1
+    tail = rows - text_tail_start(text)
+    assert tail > rows // 2  # the pin means something: most rows have settled
+    assert sum(formatted) <= (rows - tail) * (8 + 2) + 2 * tail

@@ -591,6 +591,53 @@ def test_untraced_run_stops_with_the_window_block(monkeypatch, seed):
     np.testing.assert_array_equal(simulate(ss, cfg, 0).x, res.x)
 
 
+def dense_structural(rng, n):
+    """The structural benchmark's class: 45 % of the off-diagonal entries
+    positive, the diagonal -1.25 times the row's off-diagonal mass, the
+    largest absolute row sum 10."""
+    off = rng.uniform(0.2, 1.0, (n, n))
+    np.fill_diagonal(off, 0.0)
+    idx = np.flatnonzero(~np.eye(n, dtype=bool))
+    sign = -np.ones(n * n)
+    sign[rng.permutation(idx)[: int(0.45 * idx.size)]] = 1.0
+    a = off * sign.reshape(n, n)
+    np.fill_diagonal(a, -1.25 * off.sum(axis=1))
+    a *= 10.0 / np.abs(a).sum(axis=1).max()
+    return LinearProblem(a, rng.uniform(-0.5, 0.5, n))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_search_meets_the_window_a_step_late_within_rounding_of_eps(monkeypatch, seed):
+    # characterization, not a wish: a sample's state comes from other
+    # products than the exact walk's, so its residual differs in the last
+    # bits.  With eps set to the exact walk's residual at a grid row where
+    # the sample reads higher, the exact walk's window starts on that row
+    # and the search's one step later
+    p = dense_structural(np.random.default_rng(seed), 20)
+    cfg, traced = SolverConfig(), SolveOptions(trace_decimation=8)
+
+    def both(cfg, options=SolveOptions()):
+        searched = solve(p, cfg, options)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_SEARCH_DIM", 10**9)  # the exact walk throughout
+            exact = solve(p, cfg, options)
+        return searched, exact
+
+    assert build_system(plan(p), cfg).m.shape[0] >= dynamics._SEARCH_DIM
+    searched, exact = both(cfg, traced)
+    dt = exact.trace.t[1] / 8
+    rows = min(len(searched.trace.t), len(exact.trace.t))
+    np.testing.assert_array_equal(searched.trace.t[:rows], exact.trace.t[:rows])
+    sampled, stepped = searched.trace.residual_inf[:rows], exact.trace.residual_inf[:rows]
+    higher = np.flatnonzero((sampled > stepped) & (stepped > cfg.eps_residual))
+    assert higher.size >= 2
+    for k in higher[:2]:
+        at = dataclasses.replace(cfg, eps_residual=float(stepped[k]))
+        late, on_time = both(at)
+        assert round(on_time.t_converge / dt) == 8 * k
+        assert round(late.t_converge / dt) == 8 * k + 1
+
+
 @pytest.fixture
 def search_any_dimension(monkeypatch):
     """Let systems below _SEARCH_DIM search, so small ones can exercise it."""
