@@ -67,6 +67,10 @@ EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 EXIT_SINGULAR = 4
 
+# Most samples sfdr takes: simulate_phase_integrator peaks near 5.3 n
+# float64 and the spectrum adds 2 n, so 2^20 samples hold about 61 MB.
+_SFDR_MAX_SAMPLES = 2**20
+
 # The flag that sets each library field or argument the commands fill.
 _FLAG_OF = {
     "k_vco": "--kvco", "k_pd": "--kpd", "eps_residual": "--eps", "t_max": "--tmax",
@@ -93,12 +97,17 @@ def _flag_terms() -> Iterator[None]:
         raise ValueError(_FIELD_NAME.sub(lambda m: _FLAG_OF[m[0]], str(exc))) from exc
 
 
-def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
+def _add_kvco_flag(sp: argparse.ArgumentParser) -> None:
     # dests are the config block's keys; metavars keep the usage text
     sp.add_argument(
         "--kvco", dest="k_vco", metavar="KVCO", type=float, default=300e6,
         help="VCO gain, Hz/V",
     )
+
+
+def _add_circuit_flags(sp: argparse.ArgumentParser) -> None:
+    """The flags that set the circuit and the phase-detector gain: with
+    --kvco, all that plan reads."""
     sp.add_argument(
         "--kpd",
         dest="k_pd",
@@ -107,12 +116,6 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
         default=1.0 / math.pi,
         help="phase-detector gain (default v_dd/pi with v_dd = 1 V)",
     )
-    sp.add_argument("--mode", choices=["structural", "ideal"], default="structural")
-    sp.add_argument("--eps", type=float, default=1e-3, help="residual threshold, V")
-    sp.add_argument(
-        "--tmax", dest="t_max", metavar="TMAX", type=float, default=10e-6, help="horizon, s"
-    )
-    sp.add_argument("--dt", type=float, default=0.0, help="step, s (0 = auto)")
     sp.add_argument("--quantize-bits", type=int, default=None)
     sp.add_argument("--r-in", type=float, default=2000.0, help="input resistance, ohm")
     sp.add_argument("--r-unit", type=float, default=1000.0, help="ladder unit, ohm")
@@ -120,9 +123,18 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--memristor", action="store_true", help="program memristors")
     sp.add_argument("--write-noise", type=float, default=0.0)
     sp.add_argument("--seed", type=int, default=0)
+
+
+def _add_run_flags(sp: argparse.ArgumentParser) -> None:
+    """The flags that set a simulation, which solve and sweep read besides
+    the circuit's."""
+    sp.add_argument("--mode", choices=["structural", "ideal"], default="structural")
+    sp.add_argument("--eps", type=float, default=1e-3, help="residual threshold, V")
+    sp.add_argument(
+        "--tmax", dest="t_max", metavar="TMAX", type=float, default=10e-6, help="horizon, s"
+    )
+    sp.add_argument("--dt", type=float, default=0.0, help="step, s (0 = auto)")
     sp.add_argument("--scale", choices=["off", "exact"], default="off")
-    sp.add_argument("--trace", dest="trace_path", default=None, help="trace CSV path")
-    sp.add_argument("--decimation", type=int, default=0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,17 +169,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a problem file dynamically")
     p_solve.add_argument("input_path", metavar="input", help="problem JSON file")
     p_solve.add_argument("--out", default=None)
-    _add_solver_flags(p_solve)
+    _add_kvco_flag(p_solve)
+    _add_circuit_flags(p_solve)
+    _add_run_flags(p_solve)
+    p_solve.add_argument("--trace", dest="trace_path", default=None, help="trace CSV path")
+    p_solve.add_argument("--decimation", type=int, default=0)
 
     p_plan = sub.add_parser("plan", help="compile and dump the netlist plan")
     p_plan.add_argument("input_path", metavar="input")
     p_plan.add_argument("--out", default=None)
-    _add_solver_flags(p_plan)
+    _add_kvco_flag(p_plan)
+    _add_circuit_flags(p_plan)
 
     p_scale = sub.add_parser("scale", help="report norms and the scaling factor")
     p_scale.add_argument("input")
     p_scale.add_argument("--out", default=None)
-    p_scale.add_argument("--policy", choices=["exact"], default="exact")
 
     p_sfdr = sub.add_parser("sfdr", help="phase-domain integrator spectral report")
     p_sfdr.add_argument("--out", default=None)
@@ -201,11 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_metrics.add_argument("--method-label", default="this-work")
 
-    p_sweep = sub.add_parser("sweep", help="repeat solve over a list of k_vco values")
+    # no abbreviations: --kvco is refused, not read as --kvco-list
+    p_sweep = sub.add_parser(
+        "sweep", help="repeat solve over a list of k_vco values", allow_abbrev=False
+    )
     p_sweep.add_argument("input_path", metavar="input")
     p_sweep.add_argument("--kvco-list", required=True, help="comma-separated Hz/V values")
     p_sweep.add_argument("--out", default=None)
-    _add_solver_flags(p_sweep)
+    _add_circuit_flags(p_sweep)
+    _add_run_flags(p_sweep)
 
     return parser
 
@@ -213,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _solver_objects(args: argparse.Namespace) -> tuple[SolverConfig, SolveOptions]:
     """The solver's settings, built from the flags of solve, plan and sweep.
 
-    The quantizer, the memristor bank and the trace decimation are built on
+    A setting whose flag the command does not take keeps its library
+    default: plan sets only the circuit and its loop gain, and sweep sets
+    k_vco per point.  The quantizer and the memristor bank are built on
     every run and attached only when asked for, so that their own objects
     check the flags a run leaves unused: those still land in the config
     block, which can hold no NaN.
@@ -221,12 +243,12 @@ def _solver_objects(args: argparse.Namespace) -> tuple[SolverConfig, SolveOption
     bits = args.quantize_bits
     with _flag_terms():
         cfg = SolverConfig(
-            k_vco=args.k_vco,
+            k_vco=getattr(args, "k_vco", SolverConfig.k_vco),
             k_pd=args.k_pd,
-            eps_residual=args.eps,
-            t_max=args.t_max,
-            dt=args.dt,
-            mode=Mode(args.mode),
+            eps_residual=getattr(args, "eps", SolverConfig.eps_residual),
+            t_max=getattr(args, "t_max", SolverConfig.t_max),
+            dt=getattr(args, "dt", SolverConfig.dt),
+            mode=Mode(getattr(args, "mode", SolverConfig.mode)),
         )
         quantizer = QuantizerSpec(
             bits=1 if bits is None else bits,
@@ -240,8 +262,8 @@ def _solver_objects(args: argparse.Namespace) -> tuple[SolverConfig, SolveOption
             quantizer=None if bits is None else quantizer,
             memristor=bank if args.memristor else None,
             memristor_seed=args.seed,
-            scale=None if args.scale == "off" else ScalePolicy(args.scale),
-            trace_decimation=args.decimation,
+            scale=None if getattr(args, "scale", "off") == "off" else ScalePolicy(args.scale),
+            trace_decimation=getattr(args, "decimation", None),
         )
     return cfg, options
 
@@ -348,8 +370,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_scale(args: argparse.Namespace) -> int:
     problem = load_problem(args.input)
-    policy = ScalePolicy(args.policy)
-    sp = scale_problem(problem, policy)
+    sp = scale_problem(problem)
     doc = {
         "n": problem.n,
         "a_inf_norm": sp.a_inf_norm,
@@ -357,7 +378,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         "kappa_inf": sp.kappa_inf,
         "factor_scale": sp.factor_scale,
         "scaled_a": sp.scaled_a.tolist(),
-        "config": {"policy": policy.value},
+        "config": {},
     }
     _emit(doc, args.out)
     return EXIT_OK
@@ -380,6 +401,8 @@ def _cmd_sfdr(args: argparse.Namespace) -> int:
     n = args.samples
     if n < 4096 or n & (n - 1):
         raise ValueError("--samples must be a power of two >= 4096")
+    if n > _SFDR_MAX_SAMPLES:
+        raise ValueError(f"--samples {n} is above the limit of {_SFDR_MAX_SAMPLES}")
     # a subnormal f0 gives a dt near the float64 limit: the sample times
     # would overflow
     if not math.isfinite(n * cfg.dt):
@@ -459,7 +482,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg, options = _solver_objects(args)
-    options = dataclasses.replace(options, trace_decimation=None)  # a sweep writes no trace
     problem = load_problem(args.input_path)
     try:
         kvcos = [float(v) for v in args.kvco_list.split(",") if v.strip()]

@@ -1081,14 +1081,13 @@ def _gram_problem(p: LinearProblem) -> LinearProblem:
     An internal fallback system: its right-hand side is synthetic and is
     deliberately not held to the hardware input window.  Only finiteness
     can fail: the products of finite entries may overflow, which raises
-    ValueError.  A.T @ A is symmetric bit for bit, as numpy forms it by a
-    symmetric rank-k update.
+    ValueError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = p.a.T @ p.a, p.a.T @ p.b
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("the normal equations A^T A x = A^T b overflow float64")
-    return LinearProblem._unchecked(a, b, symmetric=True)
+    return LinearProblem._unchecked(a, b)
 
 
 def solve(
@@ -1132,9 +1131,9 @@ def solve(
     else:
         # scaling checks the window and factors A for ||A^-1||_inf with the
         # same gate and tolerance
-        sp = scale_problem(p, options.scale)
+        sp = scale_problem(p)
         factor = sp.factor_scale
-        work = LinearProblem._unchecked(sp.scaled_a, p.b, p.symmetric)
+        work = LinearProblem._unchecked(sp.scaled_a, p.b)
 
     primary_plan: Optional[CircuitPlan] = None
     tried: list[tuple[str, StabilityReport]] = []

@@ -253,8 +253,10 @@ def plan(
     which keeps the inverter count at min(p+, p-).  Each compiled entry's
     sign picks its path, and its magnitude (on the ladder, if a quantizer is
     attached) is the realized weight; with no quantizer the realized
-    coefficients equal the compiled matrix exactly.
+    coefficients equal the compiled matrix exactly.  r_in_default must be
+    finite and positive.
     """
+    _require_finite(r_in_default=r_in_default)
     if r_in_default <= 0:
         raise ValueError("r_in_default must be positive")
     if quantizer is not None and quantizer.r_in != r_in_default:

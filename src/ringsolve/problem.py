@@ -48,10 +48,10 @@ def _require_finite(**values: float) -> None:
 
 
 class ScalePolicy(Enum):
-    """How the scaling factor is chosen.
+    """How the scaling factor is chosen: SolveOptions.scale's setting.
 
-    EXACT, the only policy, uses max(||A^-1||_inf, 1), which provably keeps
-    the solution inside the output window.
+    EXACT, the only policy, uses max(||A^-1||_inf, 1) (scale_problem),
+    which provably keeps the solution inside the output window.
     """
 
     EXACT = "exact"
@@ -67,7 +67,6 @@ class LinearProblem:
 
     a: np.ndarray
     b: np.ndarray
-    symmetric: bool = False
 
     def __post_init__(self) -> None:
         a = np.array(self.a, dtype=float)
@@ -82,27 +81,21 @@ class LinearProblem:
             )
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("matrix and right-hand side entries must be finite")
-        if self.symmetric and not np.array_equal(a, a.T):
-            raise ValueError("symmetric flag set but matrix is not symmetric")
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
     @classmethod
-    def _unchecked(
-        cls, a: np.ndarray, b: np.ndarray, symmetric: bool = False
-    ) -> "LinearProblem":
+    def _unchecked(cls, a: np.ndarray, b: np.ndarray) -> "LinearProblem":
         """A problem from float arrays its caller has already checked: a
-        square and finite, b finite and of matching length, a symmetric if
-        the flag says so.  No copy is made and __post_init__ does not run;
-        the arrays are frozen in place."""
+        square and finite, b finite and of matching length.  No copy is made
+        and __post_init__ does not run; the arrays are frozen in place."""
         a.setflags(write=False)
         b.setflags(write=False)
         p = object.__new__(cls)
         object.__setattr__(p, "a", a)
         object.__setattr__(p, "b", b)
-        object.__setattr__(p, "symmetric", symmetric)
         return p
 
     @property
@@ -301,24 +294,19 @@ def check_input_window(b: np.ndarray) -> None:
         raise RangeViolation(f"max |b_i| = {peak!r} exceeds {RANGE_LIMIT} V")
 
 
-def scale_problem(
-    p: LinearProblem,
-    policy: ScalePolicy = ScalePolicy.EXACT,
-) -> ScaledProblem:
-    """Scale the matrix so the solution respects the output window.
+def scale_problem(p: LinearProblem) -> ScaledProblem:
+    """Scale the matrix so the solution respects the output window
+    (ScalePolicy.EXACT).
 
     The factor is max(||A^-1||_inf, 1); the floor of 1 avoids shrinking the
     matrix (and hence the loop bandwidth) when no scaling is needed.  The
     exact norms and condition number are recorded for reporting.
 
-    Raises ValueError for a policy other than ScalePolicy.EXACT (before the
-    O(n^3) inverse), RangeViolation when any |b_i| > 0.5, NormOverflow when
+    Raises RangeViolation when any |b_i| > 0.5, NormOverflow when
     ||A||_inf is not finite, SingularMatrix for a singular matrix, and
     ValueError for a scaled matrix that overflows float64.  ||A||_inf is
     formed once, for the factor and the pivot tolerance alike.
     """
-    if policy is not ScalePolicy.EXACT:
-        raise ValueError(f"unknown scale policy {policy!r}")
     check_input_window(p.b)
     a_norm = _finite_inf_norm(p.a)
     inv_norm = inv_inf_norm(p.a, a_norm)
@@ -349,13 +337,13 @@ def unscale_solution(sp: ScaledProblem, y: np.ndarray) -> np.ndarray:
 
 
 def problem_from_dict(doc: dict) -> LinearProblem:
-    """Build a problem from the documented JSON structure."""
+    """Build a problem from the documented JSON structure.  Keys other than
+    "a" and "b" are ignored."""
     if "a" not in doc or "b" not in doc:
         raise ValueError('problem document must contain keys "a" and "b"')
     return LinearProblem(
         a=np.array(doc["a"], dtype=float),
         b=np.array(doc["b"], dtype=float),
-        symmetric=bool(doc.get("symmetric", False)),
     )
 
 

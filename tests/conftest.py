@@ -39,7 +39,7 @@ def mixed8x8():
     """8x8 with 0.5 on the diagonal and -1 elsewhere; x = [0.05, -0.05 x7]."""
     a = -np.ones((8, 8)) + 1.5 * np.eye(8)
     b = np.array([0.375] + [0.225] * 7)
-    return LinearProblem(a, b, symmetric=True)
+    return LinearProblem(a, b)
 
 
 @pytest.fixture

@@ -264,7 +264,7 @@ def test_criterion_10_appendix_property_suite():
             continue
         b = rng.uniform(-0.5, 0.5, n)
         p = LinearProblem(a, b)
-        sp = scale_problem(p, ScalePolicy.EXACT)
+        sp = scale_problem(p)
         y = solve_dense(sp.scaled_a, b)
         worst_y = max(worst_y, float(np.abs(y).max()))
         res = solve(p, cfg, options)

@@ -35,7 +35,7 @@ def mixed8_file(tmp_path):
     a = (-np.ones((8, 8)) + 1.5 * np.eye(8)).tolist()
     b = [0.375] + [0.225] * 7
     path = tmp_path / "m8.json"
-    path.write_text(json.dumps({"a": a, "b": b, "symmetric": True}))
+    path.write_text(json.dumps({"a": a, "b": b}))
     return str(path)
 
 
@@ -70,7 +70,7 @@ class TestSolveCommand:
             (["solve", "NEG", "--decimation", "7"], [None]),
             (["solve", "NEG", "--trace", "T"], [0]),
             (["solve", "NEG", "--trace", "T", "--decimation", "7"], [7]),
-            (["sweep", "NEG", "--kvco-list", "1e8,3e8", "--trace", "T"], [None, None]),
+            (["sweep", "NEG", "--kvco-list", "1e8,3e8"], [None, None]),
         ],
     )
     def test_trace_formed_only_for_trace_file(
@@ -303,58 +303,75 @@ class TestSolveCommand:
         )
         assert not (tmp_path / "r.out").exists()
 
+
+def _options(command):
+    """The option strings build_parser() registers for a subcommand."""
+    (commands,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {o for action in commands.choices[command]._actions for o in action.option_strings}
+
+
+_REJECTIONS = [
+    (["--kvco", "0"], "--kvco and --kpd must be positive"),
+    (["--kpd=-1"], "--kvco and --kpd must be positive"),
+    (["--kpd", "nan"], "--kpd must be finite"),
+    (["--eps", "0"], "--eps and --tmax must be positive"),
+    (["--eps", "inf"], "--eps must be finite"),
+    (["--tmax=-1"], "--eps and --tmax must be positive"),
+    (["--dt=-1"], "--dt must be nonnegative (0 = auto)"),
+    (["--dt", "inf"], "--dt must be finite"),
+    (["--r-in", "0"], "--r-in and --r-unit must be positive"),
+    (["--r-in", "nan"], "--r-in must be finite"),
+    (["--quantize-bits", "0"], "--quantize-bits must be in [1, 16]"),
+    (["--quantize-bits", "17"], "--quantize-bits must be in [1, 16]"),
+    (["--r-unit=-1", "--quantize-bits", "8"], "--r-in and --r-unit must be positive"),
+    (["--r-on=-1", "--quantize-bits", "8"], "--r-on must be nonnegative"),
+    (["--write-noise=-1", "--memristor"], "--write-noise must be nonnegative"),
+    (["--kvco", "inf"], "--kvco must be finite"),
+    # unused by the run: no --quantize-bits, --memristor, --trace or --scale
+    (["--r-unit", "0"], "--r-in and --r-unit must be positive"),
+    (["--r-unit", "nan"], "--r-unit must be finite"),
+    (["--r-on=-1"], "--r-on must be nonnegative"),
+    (["--r-on", "inf"], "--r-on must be finite"),
+    (["--write-noise=-0.1"], "--write-noise must be nonnegative"),
+    (["--write-noise", "inf"], "--write-noise must be finite"),
+    (["--decimation=-1"], "--decimation must be nonnegative (0 = auto)"),
+    # non-finite values of the loop's own settings
+    (["--kvco", "nan"], "--kvco must be finite"),
+    (["--tmax", "nan"], "--tmax must be finite"),
+    (["--tmax", "inf"], "--tmax must be finite"),
+    # finite and positive, but the ladder's step or top magnitude is not
+    (
+        ["--r-unit", "5e-324", "--quantize-bits", "8"],
+        "--r-in / --r-unit = 2000 / 4.94066e-324 overflows the 8-bit ladder",
+    ),
+    (
+        ["--r-unit", "5e-301", "--quantize-bits", "16"],
+        "--r-in / --r-unit = 2000 / 5e-301 overflows the 16-bit ladder",
+    ),
+    (["--r-unit", "1e-310"], "--r-in / --r-unit = 2000 / 1e-310 overflows the 1-bit ladder"),
+    (["--r-in=-5"], "--r-in and --r-unit must be positive"),
+    # numpy's seed check used to answer, naming no flag
+    (["--seed=-1", "--memristor"], "--seed must be nonnegative, got -1"),
+]
+
+
+def _rejection_cases():
+    """Each rejection on each of solve, plan and sweep that takes all of its
+    flags, with the ids a stacked parametrize over the two gives."""
+    for command in ("solve", "plan", "sweep"):
+        for i, (argv, message) in enumerate(_REJECTIONS):
+            if {a.split("=")[0] for a in argv if a.startswith("--")} <= _options(command):
+                yield pytest.param(command, argv, message, id=f"{command}-argv{i}-{message}")
+
+
 class TestFlagRejections:
     """Every solver flag is checked, also where the run leaves it unused
     (a bad value would still land in the config block): exit 2, one line
     naming the flag, no document."""
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["--kvco", "0"], "--kvco and --kpd must be positive"),
-            (["--kpd=-1"], "--kvco and --kpd must be positive"),
-            (["--kpd", "nan"], "--kpd must be finite"),
-            (["--eps", "0"], "--eps and --tmax must be positive"),
-            (["--eps", "inf"], "--eps must be finite"),
-            (["--tmax=-1"], "--eps and --tmax must be positive"),
-            (["--dt=-1"], "--dt must be nonnegative (0 = auto)"),
-            (["--dt", "inf"], "--dt must be finite"),
-            (["--r-in", "0"], "--r-in and --r-unit must be positive"),
-            (["--r-in", "nan"], "--r-in must be finite"),
-            (["--quantize-bits", "0"], "--quantize-bits must be in [1, 16]"),
-            (["--quantize-bits", "17"], "--quantize-bits must be in [1, 16]"),
-            (["--r-unit=-1", "--quantize-bits", "8"], "--r-in and --r-unit must be positive"),
-            (["--r-on=-1", "--quantize-bits", "8"], "--r-on must be nonnegative"),
-            (["--write-noise=-1", "--memristor"], "--write-noise must be nonnegative"),
-            (["--kvco", "inf"], "--kvco must be finite"),
-            # unused by the run: no --quantize-bits, --memristor, --trace or --scale
-            (["--r-unit", "0"], "--r-in and --r-unit must be positive"),
-            (["--r-unit", "nan"], "--r-unit must be finite"),
-            (["--r-on=-1"], "--r-on must be nonnegative"),
-            (["--r-on", "inf"], "--r-on must be finite"),
-            (["--write-noise=-0.1"], "--write-noise must be nonnegative"),
-            (["--write-noise", "inf"], "--write-noise must be finite"),
-            (["--decimation=-1"], "--decimation must be nonnegative (0 = auto)"),
-            # non-finite values of the loop's own settings
-            (["--kvco", "nan"], "--kvco must be finite"),
-            (["--tmax", "nan"], "--tmax must be finite"),
-            (["--tmax", "inf"], "--tmax must be finite"),
-            # finite and positive, but the ladder's step or top magnitude is not
-            (
-                ["--r-unit", "5e-324", "--quantize-bits", "8"],
-                "--r-in / --r-unit = 2000 / 4.94066e-324 overflows the 8-bit ladder",
-            ),
-            (
-                ["--r-unit", "5e-301", "--quantize-bits", "16"],
-                "--r-in / --r-unit = 2000 / 5e-301 overflows the 16-bit ladder",
-            ),
-            (["--r-unit", "1e-310"], "--r-in / --r-unit = 2000 / 1e-310 overflows the 1-bit ladder"),
-            (["--r-in=-5"], "--r-in and --r-unit must be positive"),
-            # numpy's seed check used to answer, naming no flag
-            (["--seed=-1", "--memristor"], "--seed must be nonnegative, got -1"),
-        ],
-    )
-    @pytest.mark.parametrize("command", ["solve", "plan", "sweep"])
+    @pytest.mark.parametrize("command, argv, message", _rejection_cases())
     def test_rejected_flag_named(self, neg_file, tmp_path, capsys, command, argv, message):
         out = tmp_path / "r.out"
         if command == "sweep":
@@ -389,22 +406,20 @@ class TestFlagRejections:
 
     @pytest.mark.parametrize("command", ["solve", "plan"])
     def test_config_block_is_the_parsed_flags(self, neg_file, tmp_path, command):
+        # plan's block holds only the flags plan takes
         out = tmp_path / "r.json"
-        argv = [
-            command, neg_file, "--mode", "ideal", "--quantize-bits", "8",
-            "--r-unit", "16000", "--r-on", "10", "--memristor", "--write-noise", "0.02",
-            "--seed", "5", "--scale", "exact", "--decimation", "7",
+        circuit = [
+            "--quantize-bits", "8", "--r-unit", "16000", "--r-on", "10", "--memristor",
+            "--write-noise", "0.02", "--seed", "5",
         ]
+        run_flags = ["--mode", "ideal", "--scale", "exact", "--decimation", "7"]
+        argv = [command, neg_file, *circuit, *(run_flags if command == "solve" else [])]
         assert run([*argv, "--out", str(out)]) == EXIT_OK
-        assert json.loads(out.read_text())["config"] == {
+        want = {
             "subcommand": command,
             "input_path": neg_file,
-            "mode": "ideal",
             "k_vco": 300e6,
             "k_pd": 1.0 / math.pi,
-            "eps": 1e-3,
-            "t_max": 10e-6,
-            "dt": 0.0,
             "quantize_bits": 8,
             "r_in": 2000.0,
             "r_unit": 16000.0,
@@ -412,10 +427,13 @@ class TestFlagRejections:
             "memristor": True,
             "write_noise": 0.02,
             "seed": 5,
-            "scale": "exact",
-            "trace_path": None,
-            "decimation": 7,
         }
+        if command == "solve":
+            want.update(
+                mode="ideal", eps=1e-3, t_max=10e-6, dt=0.0, scale="exact",
+                trace_path=None, decimation=7,
+            )
+        assert json.loads(out.read_text())["config"] == want
 
     def test_overflowing_write_noise_warns_nothing(self, neg_file, tmp_path):
         # the overflowing writes saturate on the grid; numpy's overflow
@@ -738,6 +756,107 @@ class TestScaleCommand:
         assert json.loads(out.read_text())["factor_scale"] == 1.0
 
 
+class TestEveryFlagIsRead:
+    """solve, plan and sweep take only flags that change what they write:
+    a flag nothing reads is refused by the parser instead of being parsed
+    into the config block."""
+
+    CIRCUIT = {
+        "--kvco", "--kpd", "--quantize-bits", "--r-in", "--r-unit", "--r-on",
+        "--memristor", "--write-noise", "--seed",
+    }
+    RUN = {"--mode", "--eps", "--tmax", "--dt", "--scale"}
+    TRACE = {"--trace", "--decimation"}
+
+    # flag: (the companion flags it needs to matter, the flag at a
+    # non-default value); T is the trace path
+    SETTINGS = {
+        "--kvco": ([], ["--kvco", "1e8"]),
+        "--kpd": ([], ["--kpd", "0.5"]),
+        "--quantize-bits": ([], ["--quantize-bits", "8"]),
+        "--r-in": (["--quantize-bits", "8"], ["--r-in", "1000"]),
+        "--r-unit": (["--quantize-bits", "8"], ["--r-unit", "16000"]),
+        "--r-on": (["--quantize-bits", "8"], ["--r-on", "10"]),
+        "--memristor": ([], ["--memristor"]),
+        "--write-noise": (["--memristor"], ["--write-noise", "0.1"]),
+        "--seed": (["--memristor", "--write-noise", "0.02"], ["--seed", "5"]),
+        "--mode": ([], ["--mode", "ideal"]),
+        "--eps": ([], ["--eps", "1e-4"]),
+        "--tmax": ([], ["--tmax", "1e-6"]),
+        "--dt": ([], ["--dt", "1e-10"]),
+        "--scale": ([], ["--scale", "exact"]),
+        "--trace": ([], ["--trace", "T"]),
+        "--decimation": (["--trace", "T"], ["--decimation", "7"]),
+    }
+
+    @staticmethod
+    def _flags(command):
+        return _options(command) - {"-h", "--help", "--out", "--kvco-list"}
+
+    def test_flag_sets(self):
+        assert self._flags("solve") == self.CIRCUIT | self.RUN | self.TRACE
+        assert self._flags("plan") == self.CIRCUIT
+        assert self._flags("sweep") == self.CIRCUIT - {"--kvco"} | self.RUN
+        assert _options("sweep") >= {"--kvco-list"}
+        assert self._flags("scale") == set()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c in ("solve", "plan", "sweep") for f in sorted(_options(c))
+         if f not in ("-h", "--help", "--out", "--kvco-list")],
+    )
+    def test_flag_changes_the_output(self, tmp_path, command, flag):
+        # row 0 is a single path, so plan reports a bandwidth that the loop
+        # gain sets; the positive entry puts an inverter that ideal mode
+        # leaves out, and ||A^-1||_inf = 1.5 a scale factor
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"a": [[-2, 0], [1, -1]], "b": [0.45, 0.24]}))
+        out, trace = tmp_path / "out", tmp_path / "t.csv"
+        companions, setting = self.SETTINGS[flag]
+        base = [command, str(path), *companions]
+        if command == "sweep":
+            base += ["--kvco-list", "1e8,3e8"]
+
+        def output(argv):
+            for written in (out, trace):
+                written.unlink(missing_ok=True)
+            argv = [str(trace) if a == "T" else a for a in argv]
+            assert run([*argv, "--out", str(out)]) == EXIT_OK
+            text = out.read_text()
+            if command != "sweep":
+                text = {k: v for k, v in json.loads(text).items() if k != "config"}
+            return text, trace.read_bytes() if trace.exists() else None
+
+        assert output([*base, *setting]) != output(base)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "NEG", "--mode", "ideal"],
+            ["plan", "NEG", "--eps", "1e-4"],
+            ["plan", "NEG", "--tmax", "5e-6"],
+            ["plan", "NEG", "--dt", "1e-10"],
+            ["plan", "NEG", "--scale", "exact"],
+            ["plan", "NEG", "--trace", "T"],
+            ["plan", "NEG", "--decimation", "7"],
+            ["sweep", "NEG", "--kvco-list", "1e8", "--kvco", "3e8"],
+            ["sweep", "NEG", "--kvco-list", "1e8", "--kvco=3e8"],
+            ["sweep", "NEG", "--kvco-list", "1e8", "--trace", "T"],
+            ["sweep", "NEG", "--kvco-list", "1e8", "--decimation", "7"],
+            ["scale", "NEG", "--policy", "exact"],
+        ],
+    )
+    def test_removed_spelling_refused(self, neg_file, tmp_path, capsys, argv):
+        # argparse's usage error: exit 2, no document, no trace; sweep's
+        # --kvco is not read as an abbreviation of --kvco-list
+        out, trace = tmp_path / "r.out", tmp_path / "t.csv"
+        argv = [{"NEG": neg_file, "T": str(trace)}.get(a, a) for a in argv]
+        assert run([*argv, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "error: unrecognized arguments: " in err
+        assert not out.exists() and not trace.exists()
+
+
 class TestOneScalePolicy:
     """Exact scaling is the only policy: the heuristic policy's choice and
     the flag that set its budget are refused by the parser (exit 2), and no
@@ -763,10 +882,11 @@ class TestOneScalePolicy:
         assert "error: " in capsys.readouterr().err
         assert not out.exists()
 
-    def test_scale_document_names_only_the_policy(self, neg_file, tmp_path):
+    def test_scale_document_config_is_empty(self, neg_file, tmp_path):
+        # scale takes no setting: the policy is the only one
         out = tmp_path / "scale.json"
-        assert run(["scale", neg_file, "--policy", "exact", "--out", str(out)]) == EXIT_OK
-        assert json.loads(out.read_text())["config"] == {"policy": "exact"}
+        assert run(["scale", neg_file, "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["config"] == {}
 
 
 class TestSfdrCommand:
@@ -797,6 +917,21 @@ class TestSfdrCommand:
 
     def test_bad_samples(self):
         assert run(["sfdr", "--samples", "1000"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("samples", [2 * cli._SFDR_MAX_SAMPLES, 2**40, 2**63])
+    def test_samples_over_the_limit_named(self, tmp_path, capsys, monkeypatch, samples):
+        # powers of two, so only the limit refuses them: they used to reach
+        # np.arange and end in a MemoryError or OverflowError traceback
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrator run")
+
+        monkeypatch.setattr(cli.phase_mod, "simulate_phase_integrator", no_run)
+        out = tmp_path / "sfdr.json"
+        assert run(["sfdr", "--samples", str(samples), "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: --samples {samples} is above the limit of {cli._SFDR_MAX_SAMPLES}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("tone_bin", ["2049", "2050", "2051"])
     def test_tone_past_nyquist_named(self, tmp_path, capsys, tone_bin):

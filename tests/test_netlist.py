@@ -111,6 +111,12 @@ class TestPlan:
                 positives <= negatives and c.inverter_count == positives
             )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_r_in(self, neg2x2, value):
+        # NaN used to pass the sign test and give NaN R_f, inf an infinite one
+        with pytest.raises(ValueError, match=f"^r_in_default must be finite, got {value}$"):
+            plan(neg2x2, value)
+
 
 class TestIntegratorCount:
     def test_table_values_n8(self):

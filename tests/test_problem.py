@@ -1,6 +1,7 @@
 """Norms, scaling, the elimination oracle, and the problem file format."""
 
 import dataclasses
+import inspect
 import io
 import json
 
@@ -44,11 +45,6 @@ class TestLinearProblem:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             LinearProblem([[np.nan, 0.0], [0.0, 1.0]], [0.0, 0.0])
-
-    def test_symmetric_flag_is_exact(self):
-        with pytest.raises(ValueError):
-            LinearProblem([[1.0, 2.0], [2.0 + 1e-15, 1.0]], [0.0, 0.0], symmetric=True)
-        LinearProblem([[1.0, 2.0], [2.0, 1.0]], [0.0, 0.0], symmetric=True)
 
 
 class TestInfNorm:
@@ -102,13 +98,12 @@ class TestInverseNorm:
     )
     def test_overflowing_inverse_raises(self, a):
         # nonsingular, but an entry of the inverse (1e310, 1e309) or its row
-        # sum (2.5e308) is past float64: named, with no numpy warning, under
-        # both scale policies
+        # sum (2.5e308) is past float64: named, with no numpy warning, and
+        # by scale_problem too
         with pytest.raises(NormOverflow, match=r"^\|\|A\^-1\|\|_inf = (inf|nan) is not finite"):
             inv_inf_norm(np.array(a))
-        for policy in ScalePolicy:
-            with pytest.raises(NormOverflow):
-                scale_problem(LinearProblem(a, np.zeros(len(a))), policy)
+        with pytest.raises(NormOverflow):
+            scale_problem(LinearProblem(a, np.zeros(len(a))))
 
     def test_condition_number_lower_bound(self):
         rng = np.random.default_rng(3)
@@ -148,7 +143,7 @@ class TestOracle:
 
 class TestScaling:
     def test_exact_policy_hand_example(self, neg2x2):
-        sp = scale_problem(neg2x2, ScalePolicy.EXACT)
+        sp = scale_problem(neg2x2)
         assert sp.factor_scale == pytest.approx(6.0, abs=1e-12)
         assert sp.a_inf_norm == pytest.approx(5.5)
         assert sp.a_inv_inf_norm == pytest.approx(6.0)
@@ -165,14 +160,12 @@ class TestScaling:
     def test_exact_is_the_only_policy(self):
         assert list(ScalePolicy) == [ScalePolicy.EXACT]
 
-    def test_other_policy_refused(self, neg2x2, monkeypatch):
-        # refused by name before the O(n^3) inverse is formed
-        def no_inverse(*args):
-            raise AssertionError("inverse formed")
-
-        monkeypatch.setattr(problem_mod, "inv_inf_norm", no_inverse)
-        with pytest.raises(ValueError, match="^unknown scale policy 'estimate'$"):
-            scale_problem(neg2x2, "estimate")
+    def test_takes_no_policy(self, neg2x2):
+        # one policy leaves nothing to choose; SolveOptions.scale still
+        # switches scaling on and off
+        assert list(inspect.signature(scale_problem).parameters) == ["p"]
+        with pytest.raises(TypeError):
+            scale_problem(neg2x2, ScalePolicy.EXACT)
 
     def test_scaled_matrix_overflow_named(self):
         # unit upper triangular with -1e10 above the diagonal: ||A^-1||_inf
@@ -182,7 +175,7 @@ class TestScaling:
         a = np.eye(n) + np.triu(np.full((n, n), -1e10), 1)
         p = LinearProblem(a, np.zeros(n))
         with pytest.raises(ValueError, match="^the matrix scaled by 1.000e[+]300 is not finite in float64$"):
-            scale_problem(p, ScalePolicy.EXACT)
+            scale_problem(p)
 
     def test_range_violation(self):
         p = LinearProblem(np.eye(2), [0.6, 0.0])
@@ -247,12 +240,20 @@ class TestUnscale:
 
 class TestProblemFile:
     def test_load_roundtrip(self, tmp_path):
-        doc = {"a": [[-4, -1.5], [-2, -1]], "b": [0.45, 0.24], "symmetric": False}
+        doc = {"a": [[-4, -1.5], [-2, -1]], "b": [0.45, 0.24]}
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
         p = load_problem(str(path))
         np.testing.assert_array_equal(p.a, [[-4, -1.5], [-2, -1]])
         np.testing.assert_array_equal(p.b, [0.45, 0.24])
+
+    @pytest.mark.parametrize("flag", [True, False, "false"])
+    def test_symmetric_key_is_ignored(self, flag):
+        # like any key besides "a" and "b": "false" used to read as true
+        # and refuse this asymmetric matrix
+        p = problem_from_dict({"a": [[-4, -1.5], [-2, -1]], "b": [0.45, 0.24], "symmetric": flag})
+        np.testing.assert_array_equal(p.a, [[-4, -1.5], [-2, -1]])
+        assert not hasattr(p, "symmetric")
 
     def test_load_from_stream(self):
         p = load_problem(io.StringIO('{"a": [[1]], "b": [0.5]}'))
@@ -421,8 +422,11 @@ class TestNormOverflow:
 
     @pytest.mark.parametrize("policy", list(ScalePolicy))
     def test_scale_names_the_overflow(self, policy):
+        p = LinearProblem(self.A, [0.1, 0.2])
         with pytest.raises(NormOverflow, match="not finite"):
-            scale_problem(LinearProblem(self.A, [0.1, 0.2]), policy)
+            scale_problem(p)
+        with pytest.raises(NormOverflow, match="not finite"):
+            dynamics.solve(p, options=dynamics.SolveOptions(scale=policy))
 
     def test_largest_finite_norm_still_factors(self):
         lu, _ = _lu_factor(np.array([[8e307, 8e307], [8e307, -8e307]]))
@@ -442,8 +446,10 @@ class TestOnePassPerScaledSolve:
             return real(a)
 
         monkeypatch.setattr(problem_mod, "_finite_inf_norm", counting)
-        sp = scale_problem(neg2x2, policy)
+        sp = scale_problem(neg2x2)
         assert len(calls) == 1 and sp.a_inf_norm == 5.5
+        res = dynamics.solve(neg2x2, options=dynamics.SolveOptions(scale=policy))
+        assert len(calls) == 2 and res.converged
 
     def test_scaled_matrix_kept_as_built(self, neg2x2):
         sp = scale_problem(neg2x2)
