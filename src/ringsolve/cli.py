@@ -84,17 +84,19 @@ _FIELD_NAME = re.compile(r"\b(?:%s)\b" % "|".join(_FLAG_OF))
 
 
 @contextlib.contextmanager
-def _flag_terms() -> Iterator[None]:
+def _flag_terms(**terms: str) -> Iterator[None]:
     """Reword a ValueError raised while library objects are built from the
-    flags so that it names the flag instead of the field.  Only plain
-    ValueErrors are reworded: the named subclasses (RangeViolation,
+    flags so that it names the flag instead of the field, or the words
+    terms gives for a field (sweep's k_vco is a --kvco-list value).  Only
+    plain ValueErrors are reworded: the named subclasses (RangeViolation,
     NormOverflow, ...) speak about the data, not a flag."""
+    names = {**_FLAG_OF, **terms}
     try:
         yield
     except ValueError as exc:
         if type(exc) is not ValueError:
             raise
-        raise ValueError(_FIELD_NAME.sub(lambda m: _FLAG_OF[m[0]], str(exc))) from exc
+        raise ValueError(_FIELD_NAME.sub(lambda m: names[m[0]], str(exc))) from exc
 
 
 def _add_kvco_flag(sp: argparse.ArgumentParser) -> None:
@@ -234,17 +236,20 @@ def _solver_objects(args: argparse.Namespace) -> tuple[SolverConfig, SolveOption
     """The solver's settings, built from the flags of solve, plan and sweep.
 
     A setting whose flag the command does not take keeps its library
-    default: plan sets only the circuit and its loop gain, and sweep sets
-    k_vco per point.  The quantizer and the memristor bank are built on
-    every run and attached only when asked for, so that their own objects
-    check the flags a run leaves unused: those still land in the config
-    block, which can hold no NaN.
+    default: plan sets only the circuit and its loop gain.  sweep sets
+    k_vco per point, so its k_pd keeps the default here too and is set,
+    and judged with the product g, at each point (_cmd_sweep).  The
+    quantizer and the memristor bank are built on every run and attached
+    only when asked for, so that their own objects check the flags a run
+    leaves unused: those still land in the config block, which can hold no
+    NaN.
     """
     bits = args.quantize_bits
+    swept = not hasattr(args, "k_vco")
     with _flag_terms():
         cfg = SolverConfig(
             k_vco=getattr(args, "k_vco", SolverConfig.k_vco),
-            k_pd=args.k_pd,
+            k_pd=SolverConfig.k_pd if swept else args.k_pd,
             eps_residual=getattr(args, "eps", SolverConfig.eps_residual),
             t_max=getattr(args, "t_max", SolverConfig.t_max),
             dt=getattr(args, "dt", SolverConfig.dt),
@@ -493,10 +498,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--kvco-list values must be finite")
     points = []  # every point is built before any is solved
     for kvco in kvcos:
-        try:
-            points.append(dataclasses.replace(cfg, k_vco=kvco))
-        except ValueError as exc:
-            raise ValueError(f"bad --kvco-list value {kvco:g}: {exc}") from exc
+        with _flag_terms(k_vco=f"--kvco-list value {kvco:g}"):
+            points.append(dataclasses.replace(cfg, k_vco=kvco, k_pd=args.k_pd))
 
     header = "k_vco_hz,converged,fallback,t_converge_s,residual_inf," + ",".join(
         f"x{i}" for i in range(problem.n)

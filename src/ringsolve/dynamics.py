@@ -57,9 +57,10 @@ and overflow steps, the kept trace rows) along one of three strides:
   only stride that searches for the window and scans for overflow, so
   both are found at their exact step;
 - search, every _SAMPLE-th state through the _SAMPLE-step map and those
-  after it, in blocks of _SAMPLES, at state dimension _SEARCH_DIM or more:
-  any CONVERGENCE_WINDOW + 1 consecutive steps hold a sample, so no window
-  is met before a sample is at or below eps, and the search stops on the
+  after it, in blocks of _SAMPLES, at state dimension _SEARCH_DIM (24) or
+  more, which every structural-dense benchmark solve has: any
+  CONVERGENCE_WINDOW + 1 consecutive steps hold a sample, so no window is
+  met before a sample is at or below eps, and the search stops on the
   sample before the first such one;
 - grid, through the dec-step map composed from the power-of-two maps, one
   trace row per grid step, after the window.
@@ -156,25 +157,29 @@ _SAMPLE = 8
 # Samples per search block: each block after the first comes from the one
 # before through the _SAMPLE * _SAMPLES-step power, one matrix product.  A
 # dense n = 20 solve samples 1.4-1.9 k steps before its window.  Longer
-# blocks make fewer numpy calls (see _SEARCH_DIM for why they are not used).
+# blocks make fewer numpy calls, but perfbench keeps one record per op and
+# reads the peak RSS after a fixed time, so the extra ops a faster run
+# completes read as more peak RSS in perfbench's own records, not the
+# solver's: with the floor at 24, 128-sample blocks ran structural-dense
+# at 1.27-1.31 times the op rate of 32-sample blocks from 40, but read
+# 2.7-7.4 % more peak_rss_mb in three pairs (median 5.0 %, at that
+# metric's 5 % bound), and 32-sample blocks 1.9-2.6 %.  Lengthen them once
+# that metric is fixed.
 _SAMPLES = 32
 
-# Least state dimension at which simulate searches.  Below 20 a run costs
-# its numpy calls more than its state rows, and blocks of _SAMPLES samples
-# make more calls than exact stepping: interleaved timings put the search
-# 3-21 % behind it on dense structural systems of dimension 2-16, level at
-# 20 and ahead from 23, and 6-9 % behind on ideal-ladder systems
-# (dimension 4-8).  From 20 to 39 it pays too, and blocks of 128 samples
-# pay at every dimension: structural-dense ran 1.38 times the op rate of
-# stepping every state with this floor at 20 or 32, and 1.62 times with
-# 128-sample blocks and no floor.
-# But perfbench keeps one record per op and reads the peak RSS after a
-# fixed time, so those op rates read as 5-6 % more peak RSS, past its
-# 5 % bound, in memory that perfbench's own per-op records hold, not the
-# solver (its peak_rss_mb artefact).  At 40
-# only n = 20 structural-dense solves search (1.22 times the op rate).
-# Lower it to 20, and lengthen the blocks, once that metric is fixed.
-_SEARCH_DIM = 40
+# Least state dimension at which simulate searches.
+# tools/search_break_even.py times both walks, interleaved, on dense
+# structural draws of dimension 16-40 (README has its table).  Untraced, the search runs 1.20-1.39 times
+# as fast as exact stepping at every one of them.  A traced run whose grid
+# is not a multiple of _SAMPLE pays for the grid rows carried from the
+# samples (_Run._keep): at the automatic grid it runs at 0.74-0.82 of
+# exact stepping at 16 and 20, 0.81-0.84 at 24 and 0.93-0.96 at 40; at
+# decimation 8, 1.02-1.10 throughout.  At 24 every structural-dense solve
+# (n = 12, 16 and 20: dimension 24, 32 and 40) searches, while the traced
+# CLI solves of sweep-reuse (12-20, at the automatic grid) and the
+# ideal-ladder solves (4-8) step exactly.  The floor reads the state
+# dimension alone, so x does not depend on the trace.
+_SEARCH_DIM = 24
 
 # Steps stepped exactly from the sample before the first one at or below
 # eps: the window starts within _SAMPLE steps of it and, on a settling
@@ -775,8 +780,12 @@ def simulate(
     about 4096 evenly spaced steps and k > 0 every k-th step, plus the last
     step reached; a negative value raises ValueError.  x does not depend on
     it unless the reach passes OVERFLOW_LIMIT: the search and its stretches
-    run the same way with or without a trace, and the grid stride walks the
-    trace grid after the window.  Raises, before stepping,
+    run the same way with or without a trace (whether the run searches
+    reads the state dimension alone), and the grid stride walks the trace
+    grid after the window.  A searched trace whose grid is not a multiple
+    of _SAMPLE, such as the automatic one, carries each grid row before the
+    window from the sample before it (_Run._keep), which can cost more than
+    the samples save.  Raises, before stepping,
     StepBudgetExceeded when t_max / dt asks for more than _STEP_BUDGET
     steps or is not finite (a dt that underflows, or an auto step whose
     g * max gamma overflows to dt = 0), TraceBudgetExceeded when the

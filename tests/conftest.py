@@ -1,5 +1,6 @@
 """Shared fixtures: the worked problem instances used across the suite,
-the numerical gain probe that checks the AC formulas, and a memory probe."""
+the structural benchmark's draw, the numerical gain probe that checks the
+AC formulas, and a memory probe."""
 
 import math
 import tracemalloc
@@ -40,6 +41,21 @@ def mixed8x8():
     a = -np.ones((8, 8)) + 1.5 * np.eye(8)
     b = np.array([0.375] + [0.225] * 7)
     return LinearProblem(a, b)
+
+
+def dense_problem(rng, n):
+    """perfbench's structural-dense draw: diagonally dominant, 45 % of the
+    off-diagonal entries positive, the diagonal -1.25 times the row's
+    off-diagonal mass, scaled to ||A||_inf = 10."""
+    off = rng.uniform(0.2, 1.0, (n, n))
+    np.fill_diagonal(off, 0.0)
+    idx = np.flatnonzero(~np.eye(n, dtype=bool))
+    sign = -np.ones(n * n)
+    sign[rng.permutation(idx)[: int(0.45 * idx.size)]] = 1.0
+    a = off * sign.reshape(n, n)
+    np.fill_diagonal(a, -1.25 * off.sum(axis=1))
+    a *= 10.0 / np.abs(a).sum(axis=1).max()
+    return LinearProblem(a, rng.uniform(-0.5, 0.5, n))
 
 
 @pytest.fixture

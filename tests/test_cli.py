@@ -359,11 +359,15 @@ _REJECTIONS = [
 
 def _rejection_cases():
     """Each rejection on each of solve, plan and sweep that takes all of its
-    flags, with the ids a stacked parametrize over the two gives."""
+    flags, with the ids a stacked parametrize over the two gives.  sweep
+    takes no --kvco: its refusals name the --kvco-list value, 1e8 first."""
     for command in ("solve", "plan", "sweep"):
         for i, (argv, message) in enumerate(_REJECTIONS):
             if {a.split("=")[0] for a in argv if a.startswith("--")} <= _options(command):
-                yield pytest.param(command, argv, message, id=f"{command}-argv{i}-{message}")
+                want = message
+                if command == "sweep":
+                    want = message.replace("--kvco ", "--kvco-list value 1e+08 ")
+                yield pytest.param(command, argv, want, id=f"{command}-argv{i}-{message}")
 
 
 class TestFlagRejections:
@@ -1086,9 +1090,43 @@ class TestSweepCommand:
         argv = ["sweep", neg_file, "--kvco-list=3e8,-1e8", "--out", str(out)]
         assert run(argv) == EXIT_VALIDATION
         assert capsys.readouterr().err == (
-            "error: bad --kvco-list value -1e+08: k_vco and k_pd must be positive\n"
+            "error: --kvco-list value -1e+08 and --kpd must be positive\n"
         )
         assert solved == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the loop gain is judged at each listed point, before any is
+            # solved, and a refusal names --kvco-list and --kpd, never --kvco
+            (
+                ["--kvco-list", "1e8,1e10", "--kpd", "1e300"],
+                "--kvco-list value 1e+10 * --kpd overflows: g must be finite, got inf",
+            ),
+            (
+                ["--kvco-list", "1e8,1e-200", "--kpd", "1e-120"],
+                "--kvco-list value 1e-200 * --kpd underflows: g must be a normal float, got 1e-320",
+            ),
+        ],
+    )
+    def test_loop_gain_judged_at_each_point(
+        self, neg_file, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        solved = []
+        monkeypatch.setattr(cli, "solve", lambda *args: solved.append(args))
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", neg_file, *argv, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert solved == [] and not out.exists()
+
+    def test_kpd_judged_with_the_listed_kvco(self, neg_file, tmp_path):
+        # 3e-292 * 1e300 = 3e8, where --kvco's default 300e6 would
+        # overflow: --kpd 1e300 is not judged against a --kvco that sweep
+        # does not take
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", neg_file, "--kvco-list", "3e-292", "--kpd", "1e300", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        assert out.read_text().splitlines()[1].startswith("3e-292,true,none,")
 
     def test_unconverged_point_named_on_stderr(self, tmp_path, capsys):
         # both points end above eps: one line, naming the first of them, as

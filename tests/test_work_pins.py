@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense_problem
 from ringsolve import dynamics, problem as problem_mod
 from ringsolve.dynamics import Mode, SolveOptions, SolverConfig
 from ringsolve.problem import LinearProblem, ScalePolicy
@@ -26,20 +27,6 @@ SEED = 1
 
 def _rng(index):
     return np.random.default_rng([SEED, 1, index])
-
-
-def dense_problem(rng, n):
-    """perfbench's structural-dense draw: diagonally dominant, 45 % of the
-    off-diagonal entries positive, scaled to ||A||_inf = 10."""
-    off = rng.uniform(0.2, 1.0, (n, n))
-    np.fill_diagonal(off, 0.0)
-    idx = np.flatnonzero(~np.eye(n, dtype=bool))
-    sign = -np.ones(n * n)
-    sign[rng.permutation(idx)[: int(0.45 * idx.size)]] = 1.0
-    a = off * sign.reshape(n, n)
-    np.fill_diagonal(a, -1.25 * off.sum(axis=1))
-    a *= 10.0 / np.abs(a).sum(axis=1).max()
-    return LinearProblem(a, rng.uniform(-0.5, 0.5, n))
 
 
 def uniform_problem(rng, n, kappa_max=25.0):
@@ -88,11 +75,11 @@ def work(monkeypatch):
 
 @pytest.mark.parametrize(
     "index, n, rows",
-    [(0, 12, 2560), (1, 16, 2560), (2, 20, 288), (3, 12, 2048), (4, 16, 2048), (5, 20, 288)],
+    [(0, 12, 320), (1, 16, 320), (2, 20, 288), (3, 12, 288), (4, 16, 288), (5, 20, 288)],
 )
 def test_structural_dense_work(work, index, n, rows):
     # row dominant: the discs certify the planned rung and the gate needs no
-    # factorization; from n = 20 (state dimension 40) the search strides
+    # factorization; from n = 12 (state dimension 24) the search strides
     res = dynamics.solve(dense_problem(_rng(index), n))
     assert res.converged and res.fallback == "none"
     assert work == {"rows": rows, "eigensolves": 0, "factorizations": 0}
