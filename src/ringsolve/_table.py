@@ -73,7 +73,8 @@ has not settled costs one chunk's test.
 
 from __future__ import annotations
 
-from typing import IO, Sequence, Union
+import os
+from typing import IO, Callable, Sequence, Union
 
 import numpy as np
 
@@ -330,8 +331,11 @@ def write_table(
     joins the tail only when each of its inner cells is certified to print
     as the last row's cell in its column (see the module docstring), so
     the bytes are those of formatting every value.  A string destination
-    is opened for writing (and truncated); a stream is written and left
-    open.
+    is opened for writing (and truncated) as a binary file and gets the
+    formatted bytes as they are, with each newline written as
+    ``os.linesep``: the bytes a text-mode file would hold, without
+    decoding the ASCII text to ``str`` and encoding it back.  A stream is
+    written ``str`` and left open.
     """
     columns = [np.asarray(c) for c in columns]
     columns = [c[:, None] if c.ndim == 1 else c for c in columns]
@@ -349,12 +353,12 @@ def write_table(
     slots = np.empty((chunk_rows * width, 3), dtype=_SLOT)
     tail = _tail_start(columns, rows, chunk_rows) if width >= 3 and rows else rows
 
-    def _dump(fh: IO[str]) -> None:
-        fh.write(",".join(header) + "\n")
+    def _dump(write: Callable[[bytes], object]) -> None:
+        write((",".join(header) + "\n").encode("utf-8"))
         for lo in range(0, tail, chunk_rows):
             values = _rows(columns, lo, min(lo + chunk_rows, tail)).ravel()
             n = values.size
-            fh.write(_format_chunk(values, separators[:n], slots[:n]).decode("ascii"))
+            write(_format_chunk(values, separators[:n], slots[:n]))
         if tail == rows:
             return
         # the tail as a two-wide table of its first and last cells: each
@@ -368,10 +372,14 @@ def write_table(
             values = np.stack([c[lo : lo + pair_rows] for c in ends], axis=1, dtype=np.float64)
             n = values.size
             text = _format_chunk(values.ravel(), pair_separators[:n], slots[:n])
-            fh.write(text.replace(b",", inner).decode("ascii"))
+            write(text.replace(b",", inner))
 
     if hasattr(destination, "write"):
-        _dump(destination)
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            _dump(fh)
+        _dump(lambda text: destination.write(text.decode("utf-8")))
+        return
+    with open(destination, "wb") as fh:
+        if os.linesep == "\n":
+            _dump(fh.write)
+        else:
+            newline = os.linesep.encode("ascii")
+            _dump(lambda text: fh.write(text.replace(b"\n", newline)))

@@ -155,30 +155,38 @@ _BLOCK = 512
 _SAMPLE = 8
 
 # Samples per search block: each block after the first comes from the one
-# before through the _SAMPLE * _SAMPLES-step power, one matrix product.  A
-# dense n = 20 solve samples 1.4-1.9 k steps before its window.  Longer
-# blocks make fewer numpy calls, but perfbench keeps one record per op and
-# reads the peak RSS after a fixed time, so the extra ops a faster run
-# completes read as more peak RSS in perfbench's own records, not the
-# solver's: with the floor at 24, 128-sample blocks ran structural-dense
-# at 1.27-1.31 times the op rate of 32-sample blocks from 40, but read
-# 2.7-7.4 % more peak_rss_mb in three pairs (median 5.0 %, at that
-# metric's 5 % bound), and 32-sample blocks 1.9-2.6 %.  Lengthen them once
-# that metric is fixed.
-_SAMPLES = 32
+# before through the _SAMPLE * _SAMPLES-step power, one matrix product.
+# The 1 200 structural-dense benchmark solves (n = 12-20) meet their window
+# 1.6-2.8 k steps in, so 128-sample blocks (1 024 steps) reach it in 2-3
+# blocks, where 32-sample blocks took 7-11; the samples after the first one
+# at or below eps, the rest of its block, go unused.
+# tools/search_break_even.py times both lengths against the exact walk
+# (README has its table): at state dimension 24-40, exact / search reads
+# 1.32-1.74 untraced with 128 and 1.15-1.75 with 32, and 0.96-1.15 at the
+# automatic grid with 128 and 0.75-0.97 with 32: each block carries its
+# grid rows from the samples in one pass (_Run._keep), so fewer blocks take
+# fewer passes.  structural-dense runs 1.07-1.10 times the op rate of
+# 32-sample blocks (BENCH_31.json).  Against 32 the samples after the first
+# block come from other products, so x and the trace can differ in their
+# last bits (README).
+_SAMPLES = 128
 
 # Least state dimension at which simulate searches.
 # tools/search_break_even.py times both walks, interleaved, on dense
-# structural draws of dimension 16-40 (README has its table).  Untraced, the search runs 1.20-1.39 times
-# as fast as exact stepping at every one of them.  A traced run whose grid
-# is not a multiple of _SAMPLE pays for the grid rows carried from the
-# samples (_Run._keep): at the automatic grid it runs at 0.74-0.82 of
-# exact stepping at 16 and 20, 0.81-0.84 at 24 and 0.93-0.96 at 40; at
-# decimation 8, 1.02-1.10 throughout.  At 24 every structural-dense solve
-# (n = 12, 16 and 20: dimension 24, 32 and 40) searches, while the traced
-# CLI solves of sweep-reuse (12-20, at the automatic grid) and the
-# ideal-ladder solves (4-8) step exactly.  The floor reads the state
-# dimension alone, so x does not depend on the trace.
+# structural draws of dimension 16-40 (README has its table).  Untraced, the
+# search runs 1.29-1.74 times as fast as exact stepping at every one of
+# them.  A traced run whose grid is not a multiple of _SAMPLE pays for the
+# grid rows carried from the samples (_Run._keep): at the automatic grid it
+# runs at 0.90-1.06 of exact stepping at 16 and 20 and 0.96-1.15 from 24
+# to 40; at decimation 8, 1.04-1.16 throughout.  At 24 every
+# structural-dense solve (n = 12, 16 and 20: dimension 24, 32 and 40)
+# searches, while the traced CLI solves of sweep-reuse (12-20, at the
+# automatic grid) and the ideal-ladder solves (4-8) step exactly.  A lower
+# floor trades their bits for speed: at 2, ideal-ladder ran 1.08 times as
+# fast in 3 pairs (BENCH_31.json, trial_runs), but x moved by up to 4.4e-16
+# relative on 18 of 800 ideal-ladder solves, and 106 of 192 sweep-reuse
+# outputs changed bytes.  The floor reads the state dimension alone, so x
+# does not depend on the trace.
 _SEARCH_DIM = 24
 
 # Steps stepped exactly from the sample before the first one at or below

@@ -2,6 +2,7 @@
 the structural benchmark's draw, the numerical gain probe that checks the
 AC formulas, and a memory probe."""
 
+import contextvars
 import math
 import tracemalloc
 
@@ -152,15 +153,22 @@ def peak_floats(call, n):
     window, numpy's FFT plans) are not counted; then the peak above the
     memory traced when the second call starts is read.  Arrays made before
     the call, its inputs among them, do not count; its outputs do.
+
+    Each call runs in a new, empty contextvars.Context.  A context maps its
+    variables in a hash trie, and a variable's hash mixes in its address:
+    where np.errstate's variable shares its first trie slot with one already
+    set in the caller's context (decimal's), setting it takes one more
+    64-byte node, so in about 1 process of 30 the same call read 64 bytes
+    more.  In an empty context it is the only variable.
     """
-    call()
+    contextvars.Context().run(call)
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        call()
+        contextvars.Context().run(call)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         if not tracing:

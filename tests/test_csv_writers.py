@@ -76,6 +76,18 @@ def test_trace_path_and_stream_give_same_bytes(tmp_path):
     assert path.read_bytes() == _written(tr).encode("utf-8")
 
 
+def test_path_writes_newlines_as_the_line_separator(tmp_path, monkeypatch):
+    # a settled trace, so both the head rows and the settled tail are written
+    rng = np.random.default_rng(6)
+    states = _values(rng, (1300, 3))
+    states[700:] = states[-1]
+    tr = Trace(t=_values(rng, 1300), states=states, residual_inf=_values(rng, 1300))
+    path = tmp_path / "trace.csv"
+    monkeypatch.setattr(_table.os, "linesep", "\r\n")
+    tr.write_csv(str(path))
+    assert path.read_bytes() == _written(tr).replace("\n", "\r\n").encode("utf-8")
+
+
 def test_spectrum_matches_per_value_writer(tmp_path):
     rng = np.random.default_rng(9)
     rep = SpectralReport(

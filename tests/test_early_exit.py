@@ -220,6 +220,28 @@ def test_x_does_not_depend_on_the_trace(mixed2x2):
             np.testing.assert_array_equal(traced.trace.states[-1], untraced.x)
 
 
+@pytest.mark.parametrize("n, seed", [(12, 1), (16, 0), (20, 5)])
+def test_x_does_not_depend_on_the_trace_where_the_search_runs(monkeypatch, n, seed):
+    # dense draws at state dimension 24, 32 and 40, so every run searches.
+    # Over a 0.4 us horizon the jump's maps do not yet round the settled
+    # state away, so x still carries the bits of where the search stopped
+    # (it differs from the exact walk's): a trace that moved the search or
+    # the window's block would move x
+    p = dense_problem(np.random.default_rng(seed), n)
+    cfg = SolverConfig(t_max=4e-7)
+    assert build_system(plan(p), cfg).m.shape[0] >= dynamics._SEARCH_DIM
+    untraced, exact = searched_and_exact(monkeypatch, p, cfg)
+    assert untraced.converged and untraced.trace is None
+    assert not same_bits(untraced.x, exact.x)
+    for dec in (0, 7, 8):
+        traced = solve(p, cfg, SolveOptions(trace_decimation=dec))
+        assert same_bits(traced.x, untraced.x), dec
+        assert traced.t_converge == untraced.t_converge
+        assert traced.residual_inf == untraced.residual_inf
+        assert same_bits(traced.trace.states[-1], untraced.x)
+        assert traced.trace.residual_inf[-1] == untraced.residual_inf
+
+
 def scalar_system(cfg, b=0.5):
     """dx/dt = -g/2 (b + x): the residual decays geometrically, one step at a time."""
     return ideal_system(np.array([[-1.0]]), np.array([b]), cfg)

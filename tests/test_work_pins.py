@@ -75,11 +75,14 @@ def work(monkeypatch):
 
 @pytest.mark.parametrize(
     "index, n, rows",
-    [(0, 12, 320), (1, 16, 320), (2, 20, 288), (3, 12, 288), (4, 16, 288), (5, 20, 288)],
+    [(0, 12, 416), (1, 16, 416), (2, 20, 288), (3, 12, 288), (4, 16, 288), (5, 20, 288)],
 )
 def test_structural_dense_work(work, index, n, rows):
     # row dominant: the discs certify the planned rung and the gate needs no
-    # factorization; from n = 12 (state dimension 24) the search strides
+    # factorization; from n = 12 (state dimension 24) the search strides.
+    # Operations 0 and 1 sample past 256 states before one is at or below
+    # eps, so their search forms a third 128-sample block (384 rows, 288 in
+    # blocks of 32), whose samples after that one go unused.
     res = dynamics.solve(dense_problem(_rng(index), n))
     assert res.converged and res.fallback == "none"
     assert work == {"rows": rows, "eigensolves": 0, "factorizations": 0}

@@ -3,13 +3,16 @@
 For each state dimension 16, 20, ..., 40 (structural-dense draws of
 n = 8, 10, ..., 20: every column of such a draw has a positive entry, so
 it carries n lags), the script builds three draws of perfbench's
-``dense_problem`` and times ``dynamics.simulate`` on them with the floor
-``dynamics._SEARCH_DIM`` set so that every run searches, and so that none
-does (the exact walk throughout).  Each walk is timed untraced and traced
-at decimation 0 (the automatic grid, about 4096 rows) and 8, in process
-time, with the two walks interleaved round by round and the first of them
-alternating.  It prints each walk's median time per simulate call and the
-ratio exact / search: above 1 the search is ahead.
+``dense_problem`` and times ``dynamics.simulate`` on them along three
+walks: with the floor ``dynamics._SEARCH_DIM`` set so that none searches
+(the exact walk throughout), so that every run searches in blocks of the
+committed ``dynamics._SAMPLES`` samples, and so that every run searches in
+blocks of 32 samples, the length the committed one is weighed against.
+Each walk is timed untraced and traced at decimation 0 (the automatic
+grid, about 4096 rows) and 8, in process time, with the walks interleaved
+round by round and their order rotating.  It prints each walk's median time per simulate
+call and the ratios exact / search for both block lengths: above 1 the
+search is ahead.
 
 Usage:
     python tools/search_break_even.py
@@ -44,14 +47,19 @@ DRAWS = 3
 TRACES = {"untraced": None, "decimation 0": 0, "decimation 8": 8}
 ROUNDS = 21
 REPEATS = 4  # simulate calls per draw in one timing
-# the floor that lets every run search, and the one that lets none
-FLOORS = {"search": 1, "exact": 10**9}
+# each walk's (_SEARCH_DIM, _SAMPLES): a floor that lets no run search, or
+# every run, in blocks of the committed length or of 32 samples
+WALKS = {
+    "exact": (10**9, dynamics._SAMPLES),
+    "search": (1, dynamics._SAMPLES),
+    "search-32": (1, 32),
+}
 
 
-def timed(systems, cfg, dec, floor):
-    """Process seconds per simulate call over the systems, at this floor."""
-    saved = dynamics._SEARCH_DIM
-    dynamics._SEARCH_DIM = floor
+def timed(systems, cfg, dec, walk):
+    """Process seconds per simulate call over the systems, along this walk."""
+    saved = dynamics._SEARCH_DIM, dynamics._SAMPLES
+    dynamics._SEARCH_DIM, dynamics._SAMPLES = WALKS[walk]
     try:
         start = time.process_time()
         for ss in systems:
@@ -59,14 +67,18 @@ def timed(systems, cfg, dec, floor):
                 simulate(ss, cfg, dec)
         return (time.process_time() - start) / (len(systems) * REPEATS)
     finally:
-        dynamics._SEARCH_DIM = saved
+        dynamics._SEARCH_DIM, dynamics._SAMPLES = saved
 
 
 def main() -> int:
     cfg = SolverConfig()
     print(f"numpy {np.__version__}, {os.cpu_count()} CPUs, BLAS on one thread")
     print(f"medians of {ROUNDS} interleaved rounds, {DRAWS} draws x {REPEATS} calls each")
-    print(f"{'dim':>4} {'n':>3}  {'trace':<13} {'exact ms':>9} {'search ms':>10} {'exact/search':>13}")
+    print(f"search blocks of {dynamics._SAMPLES} samples (search) and of 32 (search-32)")
+    print(
+        f"{'dim':>4} {'n':>3}  {'trace':<13} {'exact ms':>9} {'search ms':>10} "
+        f"{'search-32 ms':>13} {'exact/search':>13} {'exact/search-32':>16}"
+    )
     for n in SIZES:
         systems = [
             build_system(plan(dense_problem(np.random.default_rng([0, n, k]), n)), cfg)
@@ -77,18 +89,18 @@ def main() -> int:
             raise SystemExit(f"the n = {n} draws differ in state dimension: {sorted(dims)}")
         (dim,) = dims
         for label, dec in TRACES.items():
-            for walk, floor in FLOORS.items():
-                timed(systems, cfg, dec, floor)  # warm-up
-            times = {walk: [] for walk in FLOORS}
+            for walk in WALKS:
+                timed(systems, cfg, dec, walk)  # warm-up
+            times = {walk: [] for walk in WALKS}
+            walks = list(WALKS)
             for r in range(ROUNDS):
-                order = list(FLOORS) if r % 2 == 0 else list(FLOORS)[::-1]
-                for walk in order:
-                    times[walk].append(timed(systems, cfg, dec, FLOORS[walk]))
-            exact = statistics.median(times["exact"])
-            search = statistics.median(times["search"])
+                for walk in walks[r % 3 :] + walks[: r % 3]:
+                    times[walk].append(timed(systems, cfg, dec, walk))
+            exact, search, search_32 = (statistics.median(times[w]) for w in WALKS)
             print(
                 f"{dim:>4} {n:>3}  {label:<13} {exact * 1e3:>9.3f} "
-                f"{search * 1e3:>10.3f} {exact / search:>13.2f}"
+                f"{search * 1e3:>10.3f} {search_32 * 1e3:>13.3f} "
+                f"{exact / search:>13.2f} {exact / search_32:>16.2f}"
             )
     return 0
 
